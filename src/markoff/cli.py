@@ -9,17 +9,20 @@
     markoff orbit  --type 11 --k -2 --start 3,3,3 --gens gamma_poly --cap-height 100
     markoff equiv  --type 11 --k -2 --p 3,3,3 --q 3,6,15
 
-Exit codes: 0 success, 1 input or math error, 2 caps hit.  Scan rows are
-cached per (surface, generator set, box, caps, code version); the cache
-path comes from --cache or the MARKOFF_CACHE environment variable, and
-rerunning a warm scan reproduces cached rows byte for byte.  Complex
-literals use the form re+imi, e.g. 1.5+0.25i.
+Exit codes: 0 success, 1 input or math error, 2 caps hit (for scan: some
+row says caps_hit).  Scan rows are cached per (surface, generator set,
+box, caps, hash of the package sources); the cache path comes from
+--cache or the MARKOFF_CACHE environment variable, an unreadable cache
+file is ignored with a warning, and rerunning a warm scan reproduces
+cached rows byte for byte.  Complex literals use the form re+imi, e.g.
+1.5+0.25i.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -228,9 +231,25 @@ def _point_text(p: Point3) -> str:
 # scan
 
 
-def _row_key(surface_type, params, gens, box, caps) -> str:
+@functools.cache
+def _source_hash() -> str:
+    """SHA-256 over the package's .py sources, so cached rows never outlive
+    the code that computed them."""
+    import hashlib  # here, not at module level: every CLI call pays the import
+
+    package = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            digest.update(name.encode())
+            with open(os.path.join(package, name), "rb") as fh:
+                digest.update(fh.read())
+    return digest.hexdigest()
+
+
+def _row_key(surface_type, params, gens, box, caps, code) -> str:
     return json.dumps(
-        [surface_type, list(params), gens, box, list(caps), __version__],
+        [surface_type, list(params), gens, box, list(caps), code],
         sort_keys=True,
     )
 
@@ -260,9 +279,12 @@ def _load_cache(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         return {}
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MarkoffError(f"unreadable cache {path}: {exc}") from exc
-    return data.get("entries", {})
+    entries = data.get("entries", {}) if isinstance(data, dict) else None
+    if not isinstance(entries, dict):
+        raise MarkoffError(f"unreadable cache {path}: no entries object")
+    return entries
 
 
 def _store_cache(path: str, entries: dict) -> None:
@@ -299,14 +321,16 @@ def cmd_scan(args) -> int:
         try:
             entries = _load_cache(cache_path)
         except MarkoffError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+            print(f"warning: {exc}; computing every row", file=sys.stderr)
 
     caps = config.caps(default_height=config.box)
+    code = _source_hash()
     tasks = []
     keys = []
     for params in ks:
-        keys.append(_row_key(config.surface_type, params, config.gens, config.box, caps))
+        keys.append(
+            _row_key(config.surface_type, params, config.gens, config.box, caps, code)
+        )
         tasks.append((config.surface_type, params, config.gens, config.box, tuple(caps)))
 
     missing = [(i, t) for i, (key, t) in enumerate(zip(keys, tasks)) if key not in entries]
@@ -358,7 +382,7 @@ def cmd_scan(args) -> int:
             "rows": rows,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
-    return EXIT_OK
+    return EXIT_CAPS if any(row["caps_hit"] for row in rows) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -607,7 +631,7 @@ def cmd_equiv(args) -> int:
         return EXIT_OK
     print(
         json.dumps(
-            {"equivalent": False, "within_caps": True, "exhausted": res.exhausted},
+            {"equivalent": False, "exhausted": res.exhausted, "pruned": res.pruned},
             sort_keys=True,
         )
     )

@@ -6,12 +6,15 @@ answer means "not within the caps", and reports carry a caps_hit flag.
 Every positive answer (equivalence, exceptional hit) is certified by a
 move word that is replayed before being returned.
 
-A class count partitions the enumerated box points of an exact surface:
-each point is greedily reduced, reduced points are merged by hash on
-their canonical form and then by capped equivalence search, and a class
-whose in-cap orbit contains a coordinate equal to +2 or -2 anywhere is
-reclassified as exceptional (the orbit-level criterion; a point counts as
-nondegenerate only if no trace in its orbit hits +-2).
+A class count labels the enumerated box points of an exact surface by
+connected component of the move graph capped at the box height (or at a
+higher height cap, when one is given).  One BFS per unlabelled point does
+it, and the same search serves orbit_bfs and is_exceptional.  Box points
+with a coordinate equal to +2 or -2 are exceptional from the start and are
+never expanded; a search that reaches one (or any point with such a
+coordinate) marks every box point it reached exceptional, with a replayed
+witness word, since a component is exceptional iff some trace in it hits
++-2.  Any other search has found a whole component, which is one class.
 """
 
 from __future__ import annotations
@@ -41,18 +44,10 @@ from .moves import (
     concat_words,
     generators,
     identity_word,
+    normalize_11,
     transposition,
 )
-from .descent import (
-    AConfig,
-    CAP_HIT,
-    DescentResult,
-    EXCEPTIONAL_HIT,
-    INTEGER_STAR,
-    REDUCED,
-    exceptional_axis,
-    reduce_compact,
-)
+from .descent import exceptional_axis
 
 
 class Caps(NamedTuple):
@@ -210,15 +205,16 @@ def _enumerate_vec(surface: Surface, B: int):
 # breadth-first orbit machinery
 
 
-def _flood(surface: Surface, gens, start: Point3, cap_height, cap_count):
-    """BFS closure of start; returns (parents, pruned, truncated).
+def _search(surface: Surface, gens, start: Point3, cap_height, cap_count, stop=None):
+    """BFS closure of start; returns (parents, hit, pruned, truncated).
 
     parents maps point -> (parent point, move); the start is always kept,
-    even above the height cap.
+    even above the height cap.  The search ends early at the first
+    inserted point for which stop is true, returned as hit (else None).
     """
     parents = {start: (None, None)}
     queue = deque((start,))
-    pruned = truncated = False
+    pruned = False
     while queue:
         node = queue.popleft()
         for g in gens:
@@ -229,14 +225,12 @@ def _flood(surface: Surface, gens, start: Point3, cap_height, cap_count):
                 pruned = True
                 continue
             if len(parents) >= cap_count:
-                truncated = True
-                queue.clear()
-                break
+                return parents, None, pruned, True
             parents[child] = (node, g)
+            if stop is not None and stop(child):
+                return parents, child, pruned, False
             queue.append(child)
-        if truncated:
-            break
-    return parents, pruned, truncated
+    return parents, None, pruned, False
 
 
 def _word_from_parents(parents, surface_kind: str, target: Point3) -> MoveWord:
@@ -278,7 +272,7 @@ def orbit_bfs(
     _require_exact(surface, start)
     _require_on_surface(surface, start)
     gens = _resolve_gens(surface, gens)
-    parents, pruned, truncated = _flood(surface, gens, start, cap_height, cap_count)
+    parents, _, pruned, truncated = _search(surface, gens, start, cap_height, cap_count)
     return OrbitRun(surface, start, parents, pruned or truncated)
 
 
@@ -363,33 +357,17 @@ def is_exceptional(surface: Surface, p: Point3, caps: Caps = DEFAULT_CAPS) -> Ex
     equal to +2 or -2.  A hit is certified; a miss is cap-relative."""
     _require_exact(surface, p)
     _require_on_surface(surface, p)
-    gens = generators(surface.kind, "gamma_prime")
     if exceptional_axis(p) is not None:
         return ExceptionalSearch(True, identity_word(surface.kind), False, False)
-    parents = {p: (None, None)}
-    queue = deque((p,))
-    pruned = truncated = False
-    while queue:
-        node = queue.popleft()
-        for g in gens:
-            child = apply_move(surface, g, node)
-            if child in parents:
-                continue
-            if linf_height(child) > caps.height:
-                pruned = True
-                continue
-            if len(parents) >= caps.count:
-                truncated = True
-                queue.clear()
-                break
-            parents[child] = (node, g)
-            if exceptional_axis(child) is not None:
-                word = _word_from_parents(parents, surface.kind, child)
-                return ExceptionalSearch(True, word, False, pruned)
-            queue.append(child)
-        if truncated:
-            break
-    return ExceptionalSearch(False, None, not truncated, pruned)
+    gens = generators(surface.kind, "gamma_prime")
+    parents, hit, pruned, truncated = _search(
+        surface, gens, p, caps.height, caps.count,
+        stop=lambda q: exceptional_axis(q) is not None,
+    )
+    if hit is None:
+        return ExceptionalSearch(False, None, not truncated, pruned)
+    word = _word_from_parents(parents, surface.kind, hit)
+    return ExceptionalSearch(True, word, False, pruned)
 
 
 # ---------------------------------------------------------------------------
@@ -409,134 +387,73 @@ class OrbitReport:
     caps_hit: bool
 
 
-def _greedy_reduce(surface: Surface, gens_name: str, p: Point3, step_cap: int) -> DescentResult:
-    """Greedy sup-norm reduction using moves available to the generator set."""
-    if gens_name == "gamma_prime":
-        return reduce_compact(surface, AConfig(INTEGER_STAR), p, step_cap)
-    gens = generators(surface.kind, gens_name)
-    moves = []
-    steps = 0
-    axis = exceptional_axis(p)
-    while axis is None and steps < step_cap:
-        cur = linf_height(p)
-        best = None
-        best_h = cur
-        for g in gens:
-            h = linf_height(apply_move(surface, g, p))
-            if h < best_h:
-                best, best_h = g, h
-        if best is None:
-            break
-        moves.append(best)
-        p = apply_move(surface, best, p)
-        steps += 1
-        axis = exceptional_axis(p)
-    word = MoveWord(surface.kind, tuple(moves))
-    if axis is not None:
-        return DescentResult(p, word, steps, EXCEPTIONAL_HIT, axis, p[axis])
-    status = REDUCED if steps < step_cap else CAP_HIT
-    return DescentResult(p, word, steps, status)
-
-
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {item: item for item in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        self.parent[self.find(y)] = self.find(x)
-
-
 def class_number(
     surface: Surface, gens_name: str, B: int, caps: Optional[Caps] = None
 ) -> OrbitReport:
-    """Partition the box points into move-graph classes and count the
-    nondegenerate ones.
+    """Label the box points by connected component of the move graph
+    capped at height max(caps.height, B), and count the nondegenerate
+    components.
 
-    By default the equivalence searches are capped at the box height, so
-    the classes are exactly the connected components of the in-box move
-    graph; components whose in-cap orbit contains a coordinate +-2 go to
-    the exceptional list instead of the count.
+    A component containing a coordinate +-2 goes to the exceptional list,
+    one replayed witness word per box point; caps_hit is set only when a
+    search was truncated by caps.count.
     """
     _require_exact(surface)
     if caps is None:
-        caps = Caps(height=B, count=10**6, steps=10**4)
+        caps = Caps(height=B)
+    cap_height = max(caps.height, B)
     gens = generators(surface.kind, gens_name)
+    kind = surface.kind
     points = enumerate_points(surface, B)
+
+    identity = identity_word(kind)
+    # box point -> index into classes, or its witness word once exceptional
+    label = {p: identity for p in points if exceptional_axis(p) is not None}
+
+    def stop(q):
+        return q in label or exceptional_axis(q) is not None
+
+    classes = []
     caps_hit = False
-
-    exceptional = []
-    members = {}  # canonical reduced form -> [enumerated points]
     for p in points:
-        r = _greedy_reduce(surface, gens_name, p, caps.steps)
-        if r.status == EXCEPTIONAL_HIT:
-            exceptional.append((p, r.word))
+        if p in label:
             continue
-        if r.status == CAP_HIT:
-            caps_hit = True
-        members.setdefault(r.reduced, []).append(p)
+        parents, hit, _, truncated = _search(surface, gens, p, cap_height, caps.count, stop)
+        caps_hit = caps_hit or truncated
+        reached = [m for m in parents if m not in label and linf_height(m) <= B]
+        mark = len(classes) if hit is None else label.get(hit, identity)
+        if isinstance(mark, int):  # a new class, or one cut short by caps.count
+            if mark == len(classes):
+                classes.append([])
+            classes[mark].extend(reached)
+            label.update(dict.fromkeys(reached, mark))
+            continue
+        # mark is the witness word of hit; extend it back to each reached point
+        to_hit = concat_words(_word_from_parents(parents, kind, hit), mark)
+        for m in reached:
+            word = concat_words(_word_from_parents(parents, kind, m).inverse(), to_hit)
+            if exceptional_axis(apply_word(surface, word, m)) is None:
+                raise MarkoffError("exceptional witness failed to replay")
+            label[m] = word
 
-    forms = sorted(members, key=lambda f: (linf_height(f), f))
-    uf = _UnionFind(forms)
-    for i, fi in enumerate(forms):
-        for fj in forms[i + 1 :]:
-            if uf.find(fi) == uf.find(fj):
-                continue
-            res = equivalent(surface, gens, fi, fj, caps)
-            if res.equivalent:
-                uf.union(fi, fj)
-            else:
-                if linf_height(fi) == linf_height(fj):
-                    caps_hit = True  # possible over-count at equal height
-                if not res.exhausted:
-                    caps_hit = True
-
-    classes = {}  # root form -> [member points]
-    for f in forms:
-        classes.setdefault(uf.find(f), []).extend(members[f])
-
+    # the 24 torus symmetries are gamma_prime moves that keep the height,
+    # so there the canonical form of a lowest member is itself a member
+    canonical = isinstance(surface, Markoff11) and gens_name == "gamma_prime"
     reps = []
-    for root, pts in sorted(classes.items(), key=lambda kv: (linf_height(kv[0]), kv[0])):
-        rep = min(
-            (f for f in forms if uf.find(f) == root),
-            key=lambda f: (linf_height(f), f),
-        )
-        # orbit-level exceptional sweep: flood the class component
-        parents, pruned, truncated = _flood(surface, gens, rep, caps.height, caps.count)
-        if truncated:
-            caps_hit = True
-        hit = next((n for n in parents if exceptional_axis(n) is not None), None)
-        if hit is not None:
-            to_hit = _word_from_parents(parents, surface.kind, hit)
-            for m in sorted(pts):
-                if m in parents:
-                    back = _word_from_parents(parents, surface.kind, m).inverse()
-                    witness = concat_words(back, to_hit)
-                else:  # member beyond this flood's caps: search from it directly
-                    search = is_exceptional(surface, m, caps)
-                    if not search.found:
-                        caps_hit = True
-                        continue
-                    witness = search.word
-                if exceptional_axis(apply_word(surface, witness, m)) is None:
-                    raise MarkoffError("exceptional witness failed to replay")
-                exceptional.append((m, witness))
-            continue
-        reps.append((rep, len(pts)))
+    for members in classes:
+        low = min(linf_height(m) for m in members)
+        lows = [m for m in members if linf_height(m) == low]
+        rep = min(normalize_11(m)[0] for m in lows) if canonical else min(lows)
+        reps.append((rep, len(members)))
+    reps.sort(key=lambda r: (linf_height(r[0]), r[0]))
+    exceptional = sorted(e for e in label.items() if not isinstance(e[1], int))
 
     return OrbitReport(
         surface=surface,
         generators=gens_name,
         box=B,
         representatives=tuple(reps),
-        exceptional=tuple(sorted(exceptional, key=lambda e: e[0])),
+        exceptional=tuple(exceptional),
         class_number_star=len(reps),
         caps_hit=caps_hit,
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from markoff import cli
 from markoff.cli import main, parse_complex_literal, parse_k_range
 
 
@@ -163,6 +164,37 @@ def test_scan_cache_key_includes_box(tmp_path, capsys):
     assert len(entries) == 2
 
 
+def test_scan_cache_stale_code_is_miss(tmp_path, capsys):
+    # a row stored by other code is recomputed; one stored by this code is served
+    cache = tmp_path / "cache.json"
+    poisoned = {"k": -2, "h_star_gamma_poly": 99, "h_star_gamma_prime": 99,
+                "exceptional": 0, "caps_hit": False, "representatives": []}
+    for code_hash, served in (("other-code", 2), (cli._source_hash(), 99)):
+        key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6, 10**4], code_hash)
+        cache.write_text(json.dumps({"entries": {key: poisoned}}))
+        code, out, _ = run_cli(capsys, "scan", "--k", "-2", "--box", "10", "--cache", str(cache))
+        assert code == 0
+        assert json.loads(out)["rows"][0]["h_star_gamma_prime"] == served
+
+
+@pytest.mark.parametrize("garbage", [b"\xff\x00 not json", b"[1, 2]", b'{"entries": 3}'])
+def test_scan_unreadable_cache_is_miss(tmp_path, capsys, garbage):
+    argv = ["scan", "--type", "11", "--k-range", "-2..0", "--box", "25"]
+    _, fresh, _ = run_cli(capsys, *argv)
+    cache = tmp_path / "cache.json"
+    cache.write_bytes(garbage)
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert code == 0
+    assert out == fresh
+    assert "warning" in err and "cache" in err
+
+
+def test_scan_caps_hit_exit_two(capsys):
+    code, out, _ = run_cli(capsys, "scan", "--k", "-2", "--box", "10", "--cap-count", "1")
+    assert code == 2
+    assert json.loads(out)["rows"][0]["caps_hit"] is True
+
+
 def test_scan_unwritable_cache(capsys):
     code, _, err = run_cli(
         capsys,
@@ -244,7 +276,8 @@ def test_equiv_no_within_caps(capsys):
         "equiv", "--type", "11", "--k", "-2", "--p", "0,0,0", "--q", "3,3,3",
     )
     assert code == 2
-    assert json.loads(out)["equivalent"] is False
+    doc = json.loads(out)
+    assert doc == {"equivalent": False, "exhausted": True, "pruned": False}
 
 
 def test_equiv_off_surface_error(capsys):

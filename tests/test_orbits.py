@@ -187,12 +187,14 @@ def test_is_exceptional_markoff_point_no_within_caps():
 # --- class numbers ----------------------------------------------------------
 
 
-def _inbox_component_oracle(surface, gens_name, B):
-    """Independent union-find over the raw box graph (no descent).
+def _inbox_component_oracle(surface, gens_name, B, cap=None):
+    """Independent union-find over the raw move graph of the points of
+    height at most cap (the box by default), no descent.
 
-    A component counts iff no member has a coordinate +-2.
+    Only components with a box point are returned; one counts iff no
+    member has a coordinate +-2.
     """
-    pts = enumerate_points(surface, B)
+    pts = enumerate_points(surface, B if cap is None else cap)
     index = {p: i for i, p in enumerate(pts)}
     parent = list(range(len(pts)))
 
@@ -212,6 +214,11 @@ def _inbox_component_oracle(surface, gens_name, B):
     classes = {}
     for p, i in index.items():
         classes.setdefault(find(i), []).append(p)
+    classes = {
+        root: members
+        for root, members in classes.items()
+        if any(max(abs(v) for v in p) <= B for p in members)
+    }
     good = sum(
         1
         for members in classes.values()
@@ -271,6 +278,53 @@ def test_class_number_04_oracle(ks, gens):
     report = class_number(s, gens, 20)
     oracle_good, _ = _inbox_component_oracle(s, gens, 20)
     assert report.class_number_star == oracle_good
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [Markoff11(k) for k in (-2, -1, 0, 2, 3, 5, 6, 11)]
+    + [make_cubic04(*ks) for ks in ((1, 1, 1, 1), (0, 0, 0, 0), (2, 0, -1, 3))],
+    ids=repr,
+)
+@pytest.mark.parametrize("gens", ["gamma_prime", "gamma_poly"])
+def test_class_number_cap_above_box_matches_oracle(surface, gens):
+    # components of the height-80 graph that meet the box: classes may merge
+    # through points outside the box
+    report = class_number(surface, gens, 20, Caps(height=80))
+    oracle_good, _ = _inbox_component_oracle(surface, gens, 20, cap=80)
+    assert report.class_number_star == oracle_good
+    assert not report.caps_hit
+    counted = sum(n for _, n in report.representatives) + len(report.exceptional)
+    assert counted == len(enumerate_points(surface, 20))
+    for p, word in report.exceptional:
+        assert any(v in (2, -2) for v in apply_word(surface, word, p))
+
+
+@pytest.mark.parametrize(
+    "surface, gens, B",
+    [
+        (Markoff11(-2), "gamma_poly", 25),
+        (make_cubic04(1, 1, 1, 1), "gamma_prime", 200),
+        (make_cubic04(1, 1, 1, 1), "gamma_poly", 200),
+        (make_cubic04(0, 0, 0, 0), "gamma_prime", 200),
+        (make_cubic04(0, 0, 0, 0), "gamma_poly", 200),
+    ],
+    ids=repr,
+)
+def test_class_number_exhausted_search_no_caps_hit(surface, gens, B):
+    # every search ends inside the box, so no cap fired; classes of equal
+    # height that are not equivalent are a correct answer, not a capped one
+    report = class_number(surface, gens, B)
+    assert not report.caps_hit
+    oracle_good, _ = _inbox_component_oracle(surface, gens, B)
+    assert report.class_number_star == oracle_good
+
+
+def test_class_number_count_cap_sets_caps_hit():
+    report = class_number(MARKOFF, "gamma_prime", 30, Caps(height=30, count=2))
+    assert report.caps_hit
+    counted = sum(n for _, n in report.representatives) + len(report.exceptional)
+    assert counted == len(enumerate_points(MARKOFF, 30))
 
 
 def test_class_number_small_scale_stability():
