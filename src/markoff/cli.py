@@ -11,7 +11,8 @@
 
 Exit codes: 0 success, 1 input or math error, 2 caps hit (for scan: some
 row says caps_hit).  Scan rows are cached per (surface, generator set,
-box, caps, hash of the package sources); the cache path comes from
+box, height and count caps, hash of the package sources); --cap-steps
+bounds only reduce and is not in the key.  The cache path comes from
 --cache or the MARKOFF_CACHE environment variable, an unreadable cache
 file is ignored with a warning, and rerunning a warm scan reproduces
 cached rows byte for byte.  Complex literals use the form re+imi, e.g.
@@ -101,7 +102,7 @@ class RunConfig:
 
     def caps(self, default_height) -> Caps:
         height = self.cap_height if self.cap_height is not None else default_height
-        return Caps(height=height, count=self.cap_count, steps=self.cap_steps)
+        return Caps(height=height, count=self.cap_count)
 
 
 def parse_complex_literal(text: str) -> complex:

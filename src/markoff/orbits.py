@@ -6,6 +6,14 @@ answer means "not within the caps", and reports carry a caps_hit flag.
 Every positive answer (equivalence, exceptional hit) is certified by a
 move word that is replayed before being returned.
 
+Box points are enumerated by descent read backwards: a Vieta move that
+lowers the sup-norm stays in the box, so every box point is reached,
+inside the box, from a point with a coordinate +2 or -2 or from a point
+no Vieta move lowers.  The latter have height and smallest coordinate
+bounded by the surface parameters alone (_root_heights proves the
+bounds), so enumerate_points seeds one in-box Vieta search per unreached
++-2 point or root and never scans the B^2 grid.
+
 A class count labels the enumerated box points of an exact surface by
 connected component of the move graph capped at the box height (or at a
 higher height cap, when one is given).  One BFS per unlabelled point does
@@ -19,12 +27,11 @@ witness word, since a component is exceptional iff some trace in it hits
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .surfaces import (
     DomainMismatch,
@@ -46,16 +53,16 @@ from .moves import (
     identity_word,
     normalize_11,
     transposition,
+    vieta,
 )
 from .descent import exceptional_axis
 
 
 class Caps(NamedTuple):
-    """Search caps: sup-norm height, visited-point count, descent steps."""
+    """Search caps: sup-norm height and visited-point count."""
 
     height: int = 10**6
     count: int = 10**6
-    steps: int = 10**4
 
 
 DEFAULT_CAPS = Caps()
@@ -83,122 +90,173 @@ def _require_on_surface(surface: Surface, p: Point3) -> None:
 # ---------------------------------------------------------------------------
 # integer point enumeration
 
+_VIETA = tuple(vieta(axis) for axis in range(3))
 
-def _quadratic_in_z(surface: Surface):
-    """Coefficients (q1, q0) of z^2 + q1(x,y) z + q0(x,y) = 0 on the surface."""
+
+def _sphere_form(surface: Surface) -> tuple:
+    """(s, (a, b, c), d) with the surface x^2+y^2+z^2 + s*xyz = ax+by+cz+d."""
     if isinstance(surface, Markoff11):
-        k = surface.k
-
-        def coeffs(x, y):
-            return -(x * y), x * x + y * y - 2 - k
-
-    else:
-        a, b, c, d = surface.a, surface.b, surface.c, surface.d
-
-        def coeffs(x, y):
-            return x * y - c, x * x + y * y - a * x - b * y - d
-
-    return coeffs
+        return -1, (0, 0, 0), surface.k + 2
+    return 1, (surface.a, surface.b, surface.c), surface.d
 
 
-def _enumeration_fits_int64(surface: Surface, B: int) -> bool:
-    coeffs = _quadratic_in_z(surface)
-    corners = [coeffs(sx * B, sy * B) for sx in (-1, 1) for sy in (-1, 1)]
-    worst_q1 = max(abs(q1) for q1, _ in corners)
-    # |q0| peaks at a box corner except for the interior dip of the convex
-    # quadratic part, bounded by the vertex value
-    worst_q0 = max(abs(q0) for _, q0 in corners)
-    if isinstance(surface, Markoff11):
-        dip = abs(coeffs(0, 0)[1])
-    else:
-        dip = surface.a**2 // 4 + surface.b**2 // 4 + abs(surface.d) + 2
-    # float sqrt is trusted below 2^52; keep the whole discriminant there
-    return worst_q1 * worst_q1 + 4 * (worst_q0 + dip) < 2**52
+def _slice(form: tuple, axis: int, value: int, bound: int):
+    """Surface points with `value` on `axis` and both other coordinates of
+    modulus at most bound: the next axis runs over [-bound, bound] and the
+    third is solved from its monic quadratic."""
+    s, gamma, d = form
+    j, l = (axis + 1) % 3, (axis + 2) % 3
+    slope, g_j, g_l = s * value, gamma[j], gamma[l]
+    rest = value * value - gamma[axis] * value - d
+    for w in range(-bound, bound + 1):
+        q1 = slope * w - g_l
+        disc = q1 * q1 - 4 * (w * w - g_j * w + rest)
+        if disc < 0:
+            continue
+        r = math.isqrt(disc)
+        if r * r != disc:
+            continue
+        for t in ((r - q1) // 2, (-r - q1) // 2):  # disc = q1^2 (mod 4): exact
+            if abs(t) <= bound:
+                p = [value, value, value]
+                p[j], p[l] = w, t
+                yield Point3(*p)
+
+
+def _largest_root(p2: int, p1: int, p0: int) -> int:
+    """Floor of the upper real root of p2*t^2 - p1*t = p0 (p2 >= 1), which
+    bounds every integer t with p2*t^2 - p1*t <= p0; -1 if no root is real."""
+    disc = p1 * p1 + 4 * p2 * p0
+    if disc < 0:
+        return -1
+    return (p1 + math.isqrt(disc)) // (2 * p2)
+
+
+def _root_heights(form: tuple, B: int) -> list:
+    """heights[u] bounds the sup-norm of every box point with no coordinate
+    +-2 at which no Vieta move lowers the sup-norm and whose smallest
+    coordinate modulus is u; -1 means there is none, and there is none
+    with u >= len(heights).  All bounds are capped at B.
+
+    Proof.  Flipping the sign of x turns the torus x^2+y^2+z^2-xyz = k+2
+    into x^2+y^2+z^2+xyz = k+2 and keeps every modulus and every Vieta
+    move, so take s = +1.  Permute the axes together with (a, b, c) so
+    that u = |x| <= v = |y| <= |z| = h, with u != 2.  Let A, P and S be the
+    largest, the sum of the two largest and the sum of |a|, |b|, |c|;
+    q = floor(A^2/4) and e = A*u - u^2 + d, so ax - x^2 + d <= e and
+    |b|v - v^2 <= q.  z and z' = c - xy - z are the roots of
+    f(t) = t^2 + (xy - c)t + Q with Q = x^2 + y^2 - ax - by - d = z*z'.
+
+    (T) v = h, the tie in which the move on z may shrink z but keeps h.
+      Then y = m*z with m = +-1 and (2 + mx)h^2 = ax - x^2 + (mb + c)z + d.
+      mx >= -1: h^2 - P*h <= e, and (2 + u)h^2 - P*h <= e when u >= 2
+        (then mx = u).  So u <= 1, or u <= h with 3h^2 - P*h <= q + d.
+      mx <= -3: (u - 2)h^2 <= u^2 + |a|u + (|b| + |c|)h - d.     (T')
+    (N) v < h.  The move on z keeps h only if |z'| >= h, so z' != 0.
+      zz' < 0: |z'| = h + |c - xy| and |c - xy| >= max(0, u^2 - A), so
+        h^2 + max(0, u^2 - A)h <= -Q <= e + q; with h >= u,
+        2u^2 - A*u <= q + d.
+      zz' > 0: z and z' lie beyond h on the side of one sign n, so
+        c - xy = z + z' = n(|z| + |z'|) has modulus >= 2h, and
+        0 <= f(n*v) = v^2 - |c - xy|v + Q.  Hence
+            2hv <= |c - xy|v <= u^2 + 2v^2 + A*u + A*v - d.       (1)
+        u <= 1: 2h <= |c - xy| <= |c| + v <= |c| + h - 1, so h <= A - 1.
+        u >= 3: |c - xy| >= uv - |c| turns (1) into
+            (u - 2)v^2 <= u^2 + |a|u + (|b| + |c|)v - d,            (N')
+        and (1) bounds h by (2v^2 + A*v + C)/(2v), C = u^2 + A*u - d,
+        which is convex or increasing in v > 0, so its largest value
+        for u <= v <= V is at v = u or at v = V, the largest v (N')
+        allows with A for |a| and P for |b| + |c|; (T') gives h <= V.
+    In (T') and (N') use u^2 <= v^2 and |a|u <= |a|v (h for v in (T')):
+    (u - 3)v^2 <= S*v + max(0, -d), so (u - 3)u <= S + max(0, -d)/u, that
+    is g(u) = u^2(u - 3) - S*u - max(0, -d) <= 0.  g(u)/u increases for
+    u >= 3, so those u form a range [3, M3].  Every other case has
+    u <= M0 = max(2, largest u with 2u^2 - A*u <= q + d, largest h with
+    3h^2 - P*h <= q + d).
+    """
+    _, gamma, d = form
+    low, mid, top = sorted(abs(g) for g in gamma)
+    A, P, S = top, mid + top, low + mid + top
+    q = A * A // 4
+    neg = max(0, -d)
+    M0 = max(2, _largest_root(2, A, q + d), _largest_root(3, P, q + d))
+    heights = []
+    u = 0
+    while u <= B:
+        cubic = u >= 3 and u * u * (u - 3) <= S * u + neg
+        if u > M0 and not cubic:
+            break
+        e = A * u - u * u + d
+        r = max(
+            A - 1 if u <= 1 else -1,
+            _largest_root(1, -max(0, u * u - A), e + q),
+            _largest_root(1 if u <= 1 else 2 + u, P, e),
+        )
+        if cubic:
+            C = u * u + A * u - d
+            V = _largest_root(u - 2, P, C)
+            if V >= u:
+                r = max(r, V, *((2 * v * v + A * v + C) // (2 * v) for v in (u, V)))
+        heights.append(min(r, B) if r >= u else -1)
+        u += 1
+    return heights
+
+
+def _parabolic_points(k: int, B: int):
+    """Box points with a coordinate +-2 on the torus: parabolic_lines_11
+    gives those with x = +-2 in closed form; the torus equation is
+    symmetric, so moving that coordinate to y or z gives the rest."""
+    for line in parabolic_lines_11(k).lines:
+        # the box cuts the line at |t| <= B and |z0 + t*dz| <= B
+        center = -line.origin.z * line.direction.z
+        for t in range(max(-B, center - B), min(B, center + B) + 1):
+            e, y, z = line.point_at(t)
+            yield Point3(e, y, z)
+            yield Point3(y, e, z)
+            yield Point3(z, y, e)
 
 
 def enumerate_points(surface: Surface, B: int) -> list:
-    """All integer surface points with sup-norm at most B.
+    """All integer surface points with sup-norm at most B, sorted and
+    duplicate-free.
 
-    Iterates (x, y) and solves the quadratic in z with an exact integer
-    square-root test; returns a duplicate-free lexicographically sorted
-    list.  Dispatches to a vectorized scan when the discriminants fit
-    comfortably in 64-bit arithmetic.
+    A Vieta move that strictly lowers the sup-norm stays in the box, so
+    greedy descent from any box point ends, inside the box, at a point
+    with a coordinate +-2 or at a point no Vieta move lowers.  Reversing
+    the descent, every box point is in the in-box Vieta closure of such
+    a point.  The seeds are every box point with a coordinate +-2 (torus:
+    closed form from parabolic_lines_11; sphere: a pass over one free
+    coordinate per axis and sign) and every box point in the root region
+    of _root_heights, whose bounds depend on the parameters and not on B:
+    for each modulus u, each axis and each sign, one pass over a second
+    coordinate with the third solved exactly.  One _search per seed not
+    yet reached gives the closure, so the work tracks the number of
+    points, not B^2.  Huge boxes are cheap on the torus; on the sphere the
+    +-2 passes stay linear in B.
     """
     _require_exact(surface)
     if B < 0:
         raise ValueError("box bound must be nonnegative")
-    if _enumeration_fits_int64(surface, B):
-        points = _enumerate_vec(surface, B)
+    form = _sphere_form(surface)
+    if B < 2:
+        seeds = []
+    elif isinstance(surface, Markoff11):
+        seeds = _parabolic_points(surface.k, B)
     else:
-        points = _enumerate_slow(surface, B)
+        seeds = (p for axis in range(3) for e in (2, -2) for p in _slice(form, axis, e, B))
+    roots = (
+        p
+        for u, r in enumerate(_root_heights(form, B))
+        if u != 2 and r >= 0
+        for axis in range(3)
+        for v in {u, -u}
+        for p in _slice(form, axis, v, r)
+    )
+    points = set()
+    for seed in itertools.chain(seeds, roots):
+        if seed not in points:
+            points.update(_search(surface, _VIETA, seed, B, math.inf)[0])
     return sorted(points)
-
-
-def _enumerate_slow(surface: Surface, B: int):
-    coeffs = _quadratic_in_z(surface)
-    found = set()
-    for x in range(-B, B + 1):
-        for y in range(-B, B + 1):
-            q1, q0 = coeffs(x, y)
-            disc = q1 * q1 - 4 * q0
-            if disc < 0:
-                continue
-            s = math.isqrt(disc)
-            if s * s != disc:
-                continue
-            for sign in ((s, -s) if s else (s,)):
-                num = -q1 + sign
-                if num % 2 == 0:
-                    z = num // 2
-                    if abs(z) <= B:
-                        found.add(Point3(x, y, z))
-    return found
-
-
-def _enumerate_vec(surface: Surface, B: int):
-    if isinstance(surface, Markoff11):
-        a = b = c = 0
-        d = 2 + surface.k  # z^2 - xy z + (x^2+y^2) - d with d = 2+k
-        markoff = True
-    else:
-        a, b, c, d = surface.a, surface.b, surface.c, surface.d
-        markoff = False
-    ys = np.arange(-B, B + 1, dtype=np.int64)
-    ys2 = ys * ys
-    found = set()
-    for x in range(-B, B + 1):
-        if markoff:
-            q1 = -x * ys
-            q0 = x * x + ys2 - d
-        else:
-            q1 = x * ys - c
-            q0 = x * x + ys2 - a * x - b * ys - d
-        disc = q1 * q1 - 4 * q0
-        nonneg = disc >= 0
-        if not nonneg.any():
-            continue
-        dv = disc[nonneg]
-        r = np.rint(np.sqrt(dv.astype(np.float64))).astype(np.int64)
-        square = np.zeros(len(dv), dtype=bool)
-        s = np.zeros(len(dv), dtype=np.int64)
-        for dr in (-1, 0, 1):
-            cand = r + dr
-            hit = (cand >= 0) & (cand * cand == dv)
-            s = np.where(hit, cand, s)
-            square |= hit
-        if not square.any():
-            continue
-        yv = ys[nonneg][square]
-        q1v = q1[nonneg][square]
-        sv = s[square]
-        for y, q1i, si in zip(yv.tolist(), q1v.tolist(), sv.tolist()):
-            for sign in ((si, -si) if si else (si,)):
-                num = -q1i + sign
-                if num % 2 == 0:
-                    z = num // 2
-                    if abs(z) <= B:
-                        found.add(Point3(x, y, z))
-    return found
 
 
 # ---------------------------------------------------------------------------

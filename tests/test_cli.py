@@ -164,13 +164,26 @@ def test_scan_cache_key_includes_box(tmp_path, capsys):
     assert len(entries) == 2
 
 
+def test_scan_cache_key_ignores_cap_steps(tmp_path, capsys):
+    # --cap-steps bounds only reduce; a scan row does not depend on it
+    cache = tmp_path / "cache.json"
+    argv = ["scan", "--k", "-2", "--box", "10", "--cache", str(cache)]
+    code1, out1, _ = run_cli(capsys, *argv)
+    stamp = cache.read_text()
+    code2, out2, _ = run_cli(capsys, *argv, "--cap-steps", "5")
+    assert (code1, code2) == (0, 0)
+    assert out1 == out2
+    assert cache.read_text() == stamp
+    assert len(json.loads(stamp)["entries"]) == 1
+
+
 def test_scan_cache_stale_code_is_miss(tmp_path, capsys):
     # a row stored by other code is recomputed; one stored by this code is served
     cache = tmp_path / "cache.json"
     poisoned = {"k": -2, "h_star_gamma_poly": 99, "h_star_gamma_prime": 99,
                 "exceptional": 0, "caps_hit": False, "representatives": []}
     for code_hash, served in (("other-code", 2), (cli._source_hash(), 99)):
-        key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6, 10**4], code_hash)
+        key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], code_hash)
         cache.write_text(json.dumps({"entries": {key: poisoned}}))
         code, out, _ = run_cli(capsys, "scan", "--k", "-2", "--box", "10", "--cache", str(cache))
         assert code == 0

@@ -1,4 +1,8 @@
+import functools
+import itertools
+import math
 import random
+import time
 
 import pytest
 
@@ -7,11 +11,14 @@ from markoff.surfaces import (
     Markoff11,
     MarkoffError,
     Point3,
+    linf_height,
     make_cubic04,
     residual,
 )
-from markoff.moves import apply_move, apply_word, generators
+from markoff.moves import apply_move, apply_word, generators, vieta
 from markoff.orbits import (
+    _root_heights,
+    _sphere_form,
     Caps,
     class_number,
     enumerate_points,
@@ -80,15 +87,145 @@ def test_enumerate_matches_naive_04(ks):
     assert enumerate_points(s, 7) == sorted(_naive_enumerate(s, 7))
 
 
-def test_enumerate_large_params_fallback():
-    # parameters big enough to leave the vectorized regime
-    s = Markoff11(2**40)
-    assert enumerate_points(s, 2) == sorted(_naive_enumerate(s, 2))
+@functools.lru_cache(maxsize=None)
+def _scan_points(surface, B):
+    """The plain O(B^2) scan, the oracle for enumerate_points: every (x, y)
+    in the box, z from its monic quadratic with an exact square root."""
+    if isinstance(surface, Markoff11):
+
+        def coeffs(x, y):
+            return -(x * y), x * x + y * y - 2 - surface.k
+
+    else:
+        a, b, c, d = surface.a, surface.b, surface.c, surface.d
+
+        def coeffs(x, y):
+            return x * y - c, x * x + y * y - a * x - b * y - d
+
+    found = set()
+    for x in range(-B, B + 1):
+        for y in range(-B, B + 1):
+            q1, q0 = coeffs(x, y)
+            disc = q1 * q1 - 4 * q0
+            if disc < 0:
+                continue
+            s = math.isqrt(disc)
+            if s * s != disc:
+                continue
+            for num in (-q1 + s, -q1 - s):
+                if num % 2 == 0 and abs(num // 2) <= B:
+                    found.add(Point3(x, y, num // 2))
+    return sorted(found)
+
+
+@pytest.mark.parametrize(
+    "surface, B",
+    [
+        (Markoff11(2**30), 4),
+        (Markoff11(2**40), 2),
+        (make_cubic04(2**13, 3, -5, 7), 6),
+        (make_cubic04(2**26, 1, 1, 1), 2),
+        (make_cubic04(2, 2, 2, 2), 10),
+    ],
+    ids=["torus-2^30", "torus-2^40", "sphere-2^13", "sphere-2^26", "sphere-2222"],
+)
+def test_enumerate_big_params_matches_scan(surface, B):
+    # parameters far beyond 2^52 in the discriminants, and a +-2-rich sphere
+    assert enumerate_points(surface, B) == _scan_points(surface, B)
+
+
+SPHERE_GRID = [ks for ks in itertools.product(range(-3, 4), repeat=4) if list(ks) == sorted(ks)]
+
+
+def test_enumerate_matches_scan_torus_grid():
+    for k in range(-50, 51):
+        s = Markoff11(k)
+        assert enumerate_points(s, 60) == _scan_points(s, 60), k
+
+
+def test_enumerate_matches_scan_sphere_grid():
+    for ks in SPHERE_GRID:
+        s = make_cubic04(*ks)
+        assert enumerate_points(s, 24) == _scan_points(s, 24), ks
+
+
+def _unlowered(surface, points):
+    """Points with no coordinate +-2 at which no Vieta move lowers the height."""
+    for p in points:
+        h = linf_height(p)
+        if 2 not in (abs(v) for v in p) and all(
+            linf_height(apply_move(surface, vieta(axis), p)) >= h for axis in range(3)
+        ):
+            yield p
+
+
+def _assert_in_root_region(surface, B, points):
+    heights = _root_heights(_sphere_form(surface), B)
+    for p in _unlowered(surface, points):
+        u = min(abs(v) for v in p)
+        assert u < len(heights) and linf_height(p) <= heights[u], (surface, p, heights)
+
+
+def test_root_region_holds_torus_minima():
+    # the torus is symmetric under permutations and even sign changes, and
+    # so are the root bounds, so scanning 0 <= x <= y <= |z| covers it
+    B = 200
+    for k in range(-50, 51):
+        s = Markoff11(k)
+        points = []
+        for x in range(B + 1):
+            for y in range(x, B + 1):
+                q0 = x * x + y * y - 2 - k
+                disc = x * x * y * y - 4 * q0
+                r = math.isqrt(disc) if disc >= 0 else -1
+                if r >= 0 and r * r == disc:
+                    points += [
+                        Point3(x, y, (x * y + sign) // 2)
+                        for sign in (r, -r)
+                        if y <= abs(x * y + sign) // 2 <= B
+                    ]
+        _assert_in_root_region(s, B, points)
+
+
+def test_root_region_holds_sphere_minima():
+    for ks in SPHERE_GRID:
+        s = make_cubic04(*ks)
+        _assert_in_root_region(s, 24, _scan_points(s, 24))
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [Markoff11(68), Markoff11(110), make_cubic04(-4, -4, -3, 3), make_cubic04(-5, -5, -4, 4)],
+    ids=repr,
+)
+def test_root_region_binding_cases(surface):
+    # minima the grids above never reach: opposite-sign roots on the largest
+    # axis with a smallest coordinate of 3, and ties with a smallest
+    # coordinate beyond the cubic range [3, M3]
+    _assert_in_root_region(surface, 40, _scan_points(surface, 40))
 
 
 def test_enumerate_requires_exact():
     with pytest.raises(DomainMismatch):
         enumerate_points(Markoff11(-2.0), 3)
+
+
+@pytest.mark.parametrize("k, B", [(20, 10**6), (-2, 10**30)])
+def test_enumerate_huge_box(k, B):
+    # output-sensitive: far beyond any B^2 scan, inside a generous budget
+    s = Markoff11(k)
+    started = time.perf_counter()
+    points = enumerate_points(s, B)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10, f"enumeration took {elapsed:.1f}s"
+    assert points == sorted(set(points))
+    found = set(points)
+    for p in points:
+        assert residual(s, p) == 0 and linf_height(p) <= B
+        for axis in range(3):
+            q = apply_move(s, vieta(axis), p)
+            assert linf_height(q) > B or q in found
+    assert [p for p in points if linf_height(p) <= 1000] == enumerate_points(s, 1000)
 
 
 # --- orbit BFS --------------------------------------------------------------
@@ -412,22 +549,6 @@ def test_class_number_04_exceptional_accounting():
         assert any(v in (2, -2) for v in hit)
     oracle_good, _ = _inbox_component_oracle(s, "gamma_prime", B)
     assert report.class_number_star == oracle_good
-
-
-def test_enumerate_dispatch_regimes():
-    from markoff.orbits import _enumerate_slow, _enumeration_fits_int64
-
-    cases = [
-        (Markoff11(2**30), 4),
-        (make_cubic04(2**13, 3, -5, 7), 6),
-        (make_cubic04(2**26, 1, 1, 1), 2),  # falls back to exact big-int scan
-        (make_cubic04(2, 2, 2, 2), 10),
-    ]
-    seen = set()
-    for s, B in cases:
-        seen.add(_enumeration_fits_int64(s, B))
-        assert enumerate_points(s, B) == sorted(_enumerate_slow(s, B))
-    assert seen == {True, False}
 
 
 def test_class_number_golden_box100():
