@@ -75,7 +75,14 @@ from .descent import (
     reduce_min_complex_04,
     reduce_min_complex_11,
 )
-from .orbits import Caps, class_number, equivalent, orbit_bfs, parabolic_lines_11
+from .orbits import (
+    Caps,
+    _label_classes,
+    enumerate_points,
+    equivalent,
+    orbit_bfs,
+    parabolic_lines_11,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -89,7 +96,6 @@ class RunConfig:
     """Parsed run options shared by the surface-bound commands."""
 
     surface_type: str = "11"
-    params: tuple = ()
     gens: str = "gamma_prime"
     box: int = 100
     cap_height: Optional[int] = None
@@ -161,7 +167,6 @@ def cmd_reduce(args) -> int:
     config = _config_from_args(args)
     try:
         params = parse_params(args, config.complex_mode)
-        config.params = params
         point = parse_point(args.point, config.complex_mode)
         surface = build_surface(config.surface_type, params)
     except (ValueError, MarkoffError) as exc:
@@ -259,8 +264,9 @@ def _scan_one(task) -> dict:
     surface_type, params, gens, box, caps = task
     surface = build_surface(surface_type, params)
     caps = Caps(*caps)
+    points = enumerate_points(surface, box)
     by_gens = {
-        name: class_number(surface, name, box, caps)
+        name: _label_classes(surface, name, box, caps, points)
         for name in ("gamma_poly", "gamma_prime")
     }
     main_report = by_gens[gens]
@@ -576,7 +582,6 @@ def cmd_orbit(args) -> int:
     config = _config_from_args(args)
     try:
         params = parse_params(args)
-        config.params = params
         surface = build_surface(config.surface_type, params)
         start = parse_point(args.start, complex_mode=False)
         run = orbit_bfs(
@@ -617,7 +622,6 @@ def cmd_equiv(args) -> int:
     config = _config_from_args(args)
     try:
         params = parse_params(args)
-        config.params = params
         surface = build_surface(config.surface_type, params)
         p = parse_point(args.p, complex_mode=False)
         q = parse_point(args.q, complex_mode=False)

@@ -1,6 +1,12 @@
 """Reduction algorithms on the cubic surfaces.
 
-Three reducers, all returning a replayable move-word certificate:
+Every reducer is one step repeated: the Vieta involution on the axis of
+largest coordinate modulus (ties broken in the fixed order z, y, x), as in
+Markoff's descent.  _descend runs it and checks, at each point, in this
+order: a stopping rule, the step cap, and whether the step shrinks.  The
+three public reducers differ only in those rules and in how they read the
+outcome; each returns a replayable move-word certificate, and a capped run
+is a first-class cap_hit outcome, never an exception.
 
 * reduce_min_complex_11: complex descent on the torus surface driving the
   smallest coordinate modulus below an explicit bound.  Whenever the
@@ -8,10 +14,11 @@ Three reducers, all returning a replayable move-word certificate:
 
       B(k) = max(8, (8*(2+|k|))**(1/4), (4*(2+|k|))**(1/3)),
 
-  the Vieta move on the largest-modulus axis strictly shrinks it (the
-  threshold 8 and the two root terms fall out of the case analysis of the
-  shrink-failure configuration |x| <= |y| <= |z| <= |x*y - z|), so sorting
-  and applying that move terminates with min <= B(k).
+  the Vieta move on the largest-modulus axis strictly shrinks that
+  coordinate (the threshold 8 and the two root terms fall out of the case
+  analysis of the shrink-failure configuration |x| <= |y| <= |z| <=
+  |x*y - z|), so the descent terminates with min <= B(k).  The result is
+  not sorted and the word holds Vieta moves only.
 
 * reduce_min_complex_04: the four-holed sphere analogue.  Terminates when
   one of five conditions holds with C = 48, a documented over-approximation
@@ -24,15 +31,17 @@ Three reducers, all returning a replayable move-word certificate:
       (4) |x*y| <= C * max(1, |c|)
       (5) |x*y*z| <= C * max(1, |d|)
 
-* reduce_compact: greedy descent of the sup-norm over the three Vieta
-  moves, stopping at a local minimum.  In integer-star mode any visited
-  coordinate equal to +2 or -2 stops the reduction with an exceptional
-  hit; otherwise strict integer decrease guarantees termination.  Exact
-  torus results are put in canonical form (sorted moduli, at most one
-  trailing negative) before returning.
+  In both complex reducers a step that does not shrink the moved
+  coordinate, or makes it non-finite, is a numerical stall: a capped run.
 
-Ties between axes are broken in the fixed order z, y, x.  A capped run is
-reported as a first-class cap_hit outcome, never an exception.
+* reduce_compact: greedy descent of the sup-norm, stopping at a local
+  minimum of the three Vieta moves.  Only the move on a unique largest
+  coordinate can lower the sup-norm, so the largest-coordinate step is
+  the greedy one.  In integer-star mode any visited coordinate equal to
+  +2 or -2 stops the reduction with an exceptional hit; otherwise strict
+  integer decrease guarantees termination.  Exact torus results are put
+  in canonical form (sorted moduli, at most one trailing negative) before
+  returning.
 """
 
 from __future__ import annotations
@@ -53,13 +62,7 @@ from .surfaces import (
     linf_height,
     point_domain,
 )
-from .moves import (
-    MoveWord,
-    apply_move,
-    normalize_11,
-    permute,
-    vieta,
-)
+from .moves import MoveWord, apply_move, normalize_11, vieta
 
 REDUCED = "reduced"
 CAP_HIT = "cap_hit"
@@ -76,24 +79,27 @@ APPROX_DECREASE = 1e-6
 
 SPHERE_DESCENT_C = 48
 
+# How a _descend run ended.
+_STOP = "stop"
+_CAP = "cap"
+_STALL = "stall"
+
 
 @dataclass(frozen=True)
 class AConfig:
-    """Which trace set A the compact reduction targets.
-
-    real_away2:             A in R with dist(A, {+2, -2}) >= delta
-    complex_away_interval:  A in C with dist(A, [-2, 2]) >= delta
-    integer_star:           A = Z minus {+2, -2} (delta implicitly 1)
+    """Which trace set A the compact reduction targets: integer_star is
+    A = Z minus {+2, -2} on exact points (a visited coordinate +-2 stops
+    the descent), real_away2 is R away from +-2 and complex_away_interval
+    is C away from [-2, 2] on approx points.  The two approx modes run the
+    same descent, which stops once a step lowers the height by less than
+    the relative APPROX_DECREASE.
     """
 
     mode: str
-    delta: float = 1.0
 
     def __post_init__(self):
         if self.mode not in (REAL_AWAY2, COMPLEX_AWAY_INTERVAL, INTEGER_STAR):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -122,15 +128,40 @@ def _require_finite_approx(p: Point3) -> None:
             raise NonFiniteScalar(f"non-finite coordinate {v!r}")
 
 
-_AXIS_ORDER = (2, 1, 0)  # tie-break order z, y, x
-
-
 def _max_axis(p: Point3) -> int:
+    """The axis of largest modulus; ties go to z, then y, then x."""
     best = 2
     for axis in (1, 0):
         if abs(p[axis]) > abs(p[best]):
             best = axis
     return best
+
+
+def _descend(surface: Surface, p: Point3, step_cap: int, stop, shrinks):
+    """Apply the Vieta move on the largest-modulus axis while it shrinks.
+
+    At each point, in this order: stop(p) ends the run with _STOP, step_cap
+    moves end it with _CAP, and a step q with not shrinks(p, q) ends it at
+    p with _STALL.  Returns (point, moves, outcome).
+    """
+    moves = []
+    while True:
+        if stop(p):
+            return p, moves, _STOP
+        if len(moves) >= step_cap:
+            return p, moves, _CAP
+        m = vieta(_max_axis(p))
+        q = apply_move(surface, m, p)
+        if not shrinks(p, q):
+            return p, moves, _STALL
+        moves.append(m)
+        p = q
+
+
+def _coordinate_shrinks(p: Point3, q: Point3) -> bool:
+    """The moved coordinate stays finite and strictly drops in modulus."""
+    axis = _max_axis(p)
+    return cmath.isfinite(complex(q[axis])) and abs(q[axis]) < abs(p[axis])
 
 
 def reduce_min_complex_11(
@@ -139,32 +170,11 @@ def reduce_min_complex_11(
     """Drive min(|x|,|y|,|z|) below B(k) on a torus surface point."""
     _require_finite_approx(p)
     bound = min_bound_11(surface.k)
-    moves = []
-    steps = 0
-    while True:
-        if min(abs(v) for v in p) <= bound:
-            status = REDUCED
-            break
-        if steps >= step_cap:
-            status = CAP_HIT
-            break
-        order = sorted(range(3), key=lambda i: abs(p[i]))
-        if order != [0, 1, 2]:
-            m = permute(tuple(order))
-            moves.append(m)
-            p = apply_move(surface, m, p)
-        x, y, z = p
-        znew = x * y - z
-        if not cmath.isfinite(complex(znew)) or abs(znew) >= abs(z):
-            # Shrink failure with min > B(k) cannot occur for finite data;
-            # treat a numerical stall as a capped run.
-            status = CAP_HIT
-            break
-        m = vieta(2)
-        moves.append(m)
-        p = Point3(x, y, znew)
-        steps += 1
-    return DescentResult(p, MoveWord("11", tuple(moves)), steps, status, bound=bound)
+    p, moves, outcome = _descend(
+        surface, p, step_cap, lambda q: min(abs(v) for v in q) <= bound, _coordinate_shrinks
+    )
+    status = REDUCED if outcome == _STOP else CAP_HIT
+    return DescentResult(p, MoveWord("11", tuple(moves)), len(moves), status, bound=bound)
 
 
 def sphere_terminal_condition(surface: Cubic04, p: Point3) -> Optional[int]:
@@ -190,24 +200,15 @@ def reduce_min_complex_04(
     """Vieta descent on a four-holed sphere point until a stopping
     condition (1)-(5) fires; the result records which one."""
     _require_finite_approx(p)
-    moves = []
-    steps = 0
-    while True:
-        cond = sphere_terminal_condition(surface, p)
-        if cond is not None:
-            return DescentResult(
-                p, MoveWord("04", tuple(moves)), steps, REDUCED, terminal_condition=cond
-            )
-        if steps >= step_cap:
-            return DescentResult(p, MoveWord("04", tuple(moves)), steps, CAP_HIT)
-        axis = _max_axis(p)
-        m = vieta(axis)
-        q = apply_move(surface, m, p)
-        if not cmath.isfinite(complex(q[axis])) or abs(q[axis]) >= abs(p[axis]):
-            return DescentResult(p, MoveWord("04", tuple(moves)), steps, CAP_HIT)
-        moves.append(m)
-        p = q
-        steps += 1
+    p, moves, outcome = _descend(
+        surface, p, step_cap,
+        lambda q: sphere_terminal_condition(surface, q) is not None, _coordinate_shrinks,
+    )
+    word = MoveWord("04", tuple(moves))
+    if outcome != _STOP:
+        return DescentResult(p, word, len(moves), CAP_HIT)
+    cond = sphere_terminal_condition(surface, p)
+    return DescentResult(p, word, len(moves), REDUCED, terminal_condition=cond)
 
 
 def exceptional_axis(p: Point3) -> Optional[int]:
@@ -225,55 +226,25 @@ def reduce_compact(
 ) -> DescentResult:
     """Greedy sup-norm reduction to a local minimum of the Vieta moves."""
     domain = point_domain(p)
-    if cfg.mode == INTEGER_STAR:
-        if domain != EXACT or surface.domain != EXACT:
-            raise DomainMismatch("integer_star mode requires the exact domain")
-    else:
-        if domain != APPROX:
-            raise DomainMismatch(f"{cfg.mode} mode requires the approx domain")
     star = cfg.mode == INTEGER_STAR
-    moves = []
-    steps = 0
-
-    def result(point, status, axis=None):
-        word = MoveWord(surface.kind, tuple(moves))
-        value = None if axis is None else point[axis]
-        return DescentResult(point, word, steps, status, axis, value)
-
-    if star:
-        axis = exceptional_axis(p)
-        if axis is not None:
-            return result(p, EXCEPTIONAL_HIT, axis)
-    while True:
-        if steps >= step_cap:
-            return result(p, CAP_HIT)
-        cur = linf_height(p)
-        best_axis = None
-        best_height = None
-        for axis in _AXIS_ORDER:
-            q = apply_move(surface, vieta(axis), p)
-            h = linf_height(q)
-            if best_height is None or h < best_height:
-                best_axis, best_height = axis, h
-        if star:
-            improved = best_height < cur
-        else:
-            improved = best_height < cur * (1 - APPROX_DECREASE)
-        if not improved:
-            break
-        m = vieta(best_axis)
-        moves.append(m)
-        p = apply_move(surface, m, p)
-        steps += 1
-        if star:
-            axis = exceptional_axis(p)
-            if axis is not None:
-                return result(p, EXCEPTIONAL_HIT, axis)
-    if star and isinstance(surface, Markoff11):
-        normal, word = normalize_11(p)
-        moves.extend(word.moves)
-        p = normal
-    return result(p, REDUCED)
+    if star and (domain != EXACT or surface.domain != EXACT):
+        raise DomainMismatch("integer_star mode requires the exact domain")
+    if not star and domain != APPROX:
+        raise DomainMismatch(f"{cfg.mode} mode requires the approx domain")
+    factor = 1 if star else 1 - APPROX_DECREASE
+    p, moves, outcome = _descend(
+        surface, p, step_cap,
+        lambda q: star and exceptional_axis(q) is not None,
+        lambda q, r: linf_height(r) < linf_height(q) * factor,
+    )
+    steps = len(moves)
+    axis = exceptional_axis(p) if outcome == _STOP else None
+    if outcome == _STALL and star and isinstance(surface, Markoff11):
+        p, normal = normalize_11(p)
+        moves.extend(normal.moves)
+    status = {_STOP: EXCEPTIONAL_HIT, _CAP: CAP_HIT, _STALL: REDUCED}[outcome]
+    value = None if axis is None else p[axis]
+    return DescentResult(p, MoveWord(surface.kind, tuple(moves)), steps, status, axis, value)
 
 
 def ellipse_bound_04(surface: Cubic04, z0) -> float:

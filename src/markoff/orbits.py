@@ -456,14 +456,17 @@ def class_number(
     one replayed witness word per box point; caps_hit is set only when a
     search was truncated by caps.count.
     """
-    _require_exact(surface)
     if caps is None:
         caps = Caps(height=B)
+    return _label_classes(surface, gens_name, B, caps, enumerate_points(surface, B))
+
+
+def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points) -> OrbitReport:
+    """class_number on the already enumerated box points, so a caller that
+    needs both generator sets enumerates the box once."""
     cap_height = max(caps.height, B)
     gens = generators(surface.kind, gens_name)
     kind = surface.kind
-    points = enumerate_points(surface, B)
-
     identity = identity_word(kind)
     # box point -> index into classes, or its witness word once exceptional
     label = {p: identity for p in points if exceptional_axis(p) is not None}

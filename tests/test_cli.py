@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from markoff import cli
+from markoff import cli, orbits
 from markoff.cli import main, parse_complex_literal, parse_k_range
 
 
@@ -200,6 +200,28 @@ def test_scan_unreadable_cache_is_miss(tmp_path, capsys, garbage):
     assert code == 0
     assert out == fresh
     assert "warning" in err and "cache" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--type", "11", "--k-range", "-2..1", "--box", "30"),
+    ("--type", "04", "--k", "0,1,2,3", "--box", "12", "--gens", "gamma_poly"),
+])
+def test_scan_enumerates_each_row_once(capsys, monkeypatch, argv):
+    # both generator sets of a row label the same enumerated box
+    monkeypatch.delenv("MARKOFF_CACHE", raising=False)
+    real = orbits.enumerate_points
+    calls = []
+
+    def counting(surface, B):
+        calls.append(B)
+        return real(surface, B)
+
+    for module in (orbits, cli):
+        if getattr(module, "enumerate_points", None) is real:
+            monkeypatch.setattr(module, "enumerate_points", counting)
+    code, out, _ = run_cli(capsys, "scan", *argv)
+    assert code == 0
+    assert len(calls) == len(json.loads(out)["rows"])
 
 
 def test_scan_caps_hit_exit_two(capsys):

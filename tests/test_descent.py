@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 
@@ -14,15 +15,27 @@ from markoff.surfaces import (
     make_cubic04,
     residual,
 )
-from markoff.moves import apply_move, apply_word, generators, normalize_11, vieta
+from markoff.moves import (
+    apply_move,
+    apply_word,
+    generators,
+    normalize_11,
+    permute,
+    twist04,
+    twist11,
+    vieta,
+)
+from markoff.orbits import enumerate_points
 from markoff.descent import (
     AConfig,
+    APPROX_DECREASE,
     CAP_HIT,
     COMPLEX_AWAY_INTERVAL,
     EXCEPTIONAL_HIT,
     INTEGER_STAR,
     REAL_AWAY2,
     REDUCED,
+    exceptional_axis,
     ellipse_bound_04,
     min_bound_11,
     reduce_compact,
@@ -230,7 +243,7 @@ def test_reduce_compact_04_greedy():
 
 def test_reduce_compact_real_mode():
     s = Markoff11(-2.0)
-    r = reduce_compact(s, AConfig(REAL_AWAY2, delta=0.5), Point3(3.0, 6.0, 15.0))
+    r = reduce_compact(s, AConfig(REAL_AWAY2), Point3(3.0, 6.0, 15.0))
     assert r.status == REDUCED
     assert r.reduced == Point3(3.0, 3.0, 3.0)
 
@@ -239,7 +252,7 @@ def test_reduce_compact_complex_mode():
     rng = random.Random(5)
     s, p = surface_point_11(rng, kmax=10)
     q = blow_up(s, p, rng, target=1e4, cap=1e6)
-    r = reduce_compact(s, AConfig(COMPLEX_AWAY_INTERVAL, delta=0.5), q)
+    r = reduce_compact(s, AConfig(COMPLEX_AWAY_INTERVAL), q)
     assert r.status == REDUCED
     assert linf_height(r.reduced) <= linf_height(q)
     assert apply_word(s, r.word, q) == r.reduced
@@ -255,8 +268,152 @@ def test_reduce_compact_domain_checks():
 def test_aconfig_validation():
     with pytest.raises(ValueError):
         AConfig("star")
-    with pytest.raises(ValueError):
-        AConfig(INTEGER_STAR, delta=0.0)
+
+
+# --- differential: the shared descent loop against the loops it replaced ---
+
+
+def _probe_reduce_compact(surface, cfg, p, step_cap):
+    """The former reduce_compact loop: probe all three Vieta moves and take
+    the lowest image, the first in z, y, x order on ties."""
+    star = cfg.mode == INTEGER_STAR
+    moves = []
+
+    def result(point, status, axis=None):
+        value = None if axis is None else point[axis]
+        return (point, tuple(moves), len(moves), status, axis, value)
+
+    if star and exceptional_axis(p) is not None:
+        return result(p, EXCEPTIONAL_HIT, exceptional_axis(p))
+    while True:
+        if len(moves) >= step_cap:
+            return result(p, CAP_HIT)
+        cur = linf_height(p)
+        best_axis, best_height = None, None
+        for axis in (2, 1, 0):
+            h = linf_height(apply_move(surface, vieta(axis), p))
+            if best_height is None or h < best_height:
+                best_axis, best_height = axis, h
+        if not (best_height < (cur if star else cur * (1 - APPROX_DECREASE))):
+            break
+        moves.append(vieta(best_axis))
+        p = apply_move(surface, moves[-1], p)
+        if star and exceptional_axis(p) is not None:
+            return result(p, EXCEPTIONAL_HIT, exceptional_axis(p))
+    steps = len(moves)
+    if star and isinstance(surface, Markoff11):
+        p, word = normalize_11(p)
+        moves.extend(word.moves)
+    return (p, tuple(moves), steps, REDUCED, None, None)
+
+
+def _sorting_reduce_min_11(surface, p, step_cap):
+    """The former reduce_min_complex_11 loop: sort the coordinates by
+    modulus with a permutation move, then apply the Vieta move on z."""
+    bound = min_bound_11(surface.k)
+    moves, steps = [], 0
+    while min(abs(v) for v in p) > bound:
+        if steps >= step_cap:
+            return p, tuple(moves), steps, CAP_HIT
+        order = sorted(range(3), key=lambda i: abs(p[i]))
+        if order != [0, 1, 2]:
+            moves.append(permute(order))
+            p = apply_move(surface, moves[-1], p)
+        x, y, z = p
+        znew = x * y - z
+        if not cmath.isfinite(complex(znew)) or abs(znew) >= abs(z):
+            return p, tuple(moves), steps, CAP_HIT
+        moves.append(vieta(2))
+        p = Point3(x, y, znew)
+        steps += 1
+    return p, tuple(moves), steps, REDUCED
+
+
+DIFF_CAPS = (1, 3, 10**4)
+
+
+def _check_compact(surface, cfg, p):
+    for cap in DIFF_CAPS:
+        r = reduce_compact(surface, cfg, p, cap)
+        got = (r.reduced, r.word.moves, r.steps, r.status, r.exceptional_axis,
+               r.exceptional_value)
+        assert got == _probe_reduce_compact(surface, cfg, p, cap), (surface, p, cap)
+        assert apply_word(surface, r.word, p) == r.reduced
+
+
+def _check_min_11(surface, p):
+    for cap in DIFF_CAPS:
+        r = reduce_min_complex_11(surface, p, cap)
+        reduced, moves, steps, status = _sorting_reduce_min_11(surface, p, cap)
+        assert (r.status, r.steps) == (status, steps), (surface, p, cap)
+        assert sorted(map(abs, r.reduced)) == sorted(map(abs, reduced))
+        assert len(r.word.moves) == sum(1 for m in moves if m.kind == "V")
+        assert all(m.kind == "V" for m in r.word.moves)
+        assert apply_word(surface, r.word, p) == r.reduced
+
+
+def _twisted(surface, p, move, digits):
+    """Apply one Dehn twist until some coordinate has `digits` digits, or
+    give up after 1000 twists (a twist fixing a small coordinate can stay
+    bounded)."""
+    for _ in range(1000):
+        if linf_height(p) >= 10 ** (digits - 1):
+            break
+        p = apply_move(surface, move, p)
+    return p
+
+
+def test_reduce_compact_matches_probe_torus_grid():
+    r = range(-8, 9)
+    for p in itertools.product(r, r, r):
+        p = Point3(*p)
+        _check_compact(Markoff11(boundary_trace_11(p)), STAR, p)
+
+
+def test_reduce_compact_matches_probe_sphere_grid():
+    for ks in itertools.combinations_with_replacement(range(-2, 3), 4):
+        s = make_cubic04(*ks)
+        for p in enumerate_points(s, 40):
+            _check_compact(s, STAR, p)
+
+
+def test_reduce_compact_matches_probe_beyond_int64():
+    rng = random.Random(7)
+    cases = [(Markoff11(k), Point3(*p)) for k, p in ((-2, (3, 3, 3)), (20, (-4, 1, 1)),
+                                                     (12, (3, -1, 1)), (7, (5, 4, 11)))]
+    cases += [(make_cubic04(*ks), p) for ks in ((0, 1, 2, 3), (2, 0, -1, 3), (-2, 1, 3, 3))
+              for p in enumerate_points(make_cubic04(*ks), 8)[:3]]
+    seen = 0
+    for s, root in cases:
+        moves = [twist11(c, e) for c in ("a", "b", "ab") for e in (1, -1)] \
+            if s.kind == "11" else [twist04(i, e) for i in (1, 2, 3) for e in (1, -1)]
+        for move in rng.sample(moves, 3):
+            p = _twisted(s, root, move, rng.randint(20, 60))
+            if linf_height(p) > 2**63:
+                seen += 1
+                _check_compact(s, STAR, p)
+    assert seen >= 20
+
+
+def test_reduce_compact_matches_probe_approx():
+    rng = random.Random(8)
+    for mode in (REAL_AWAY2, COMPLEX_AWAY_INTERVAL):
+        for p in ((3.0, 6.0, 15.0), (3.0, 3.0, 3.0), (1.0, 2.5, 7.25), (-4.0, 1.0, 1.0)):
+            p = Point3(*p)
+            _check_compact(Markoff11(boundary_trace_11(p)), AConfig(mode), p)
+    for _ in range(40):
+        s, p = surface_point_11(rng, kmax=10)
+        _check_compact(s, AConfig(COMPLEX_AWAY_INTERVAL), blow_up(s, p, rng, 1e4, 1e6))
+        s, p = surface_point_04(rng)
+        _check_compact(s, AConfig(COMPLEX_AWAY_INTERVAL), blow_up(s, p, rng, 1e4, 1e6))
+
+
+def test_reduce_min_11_matches_sorting_loop():
+    rng = random.Random(9)
+    for _ in range(200):
+        s, p = surface_point_11(rng)
+        _check_min_11(s, blow_up(s, p, rng))
+        _check_min_11(s, p)
 
 
 # --- ellipse bound ----------------------------------------------------------
