@@ -62,7 +62,7 @@ from .surfaces import (
     linf_height,
     point_domain,
 )
-from .moves import MoveWord, apply_move, normalize_11, vieta
+from .moves import VIETA_MOVES, MoveWord, move_function, normalize_11
 
 REDUCED = "reduced"
 CAP_HIT = "cap_hit"
@@ -144,14 +144,15 @@ def _descend(surface: Surface, p: Point3, step_cap: int, stop, shrinks):
     moves end it with _CAP, and a step q with not shrinks(p, q) ends it at
     p with _STALL.  Returns (point, moves, outcome).
     """
+    steps = tuple((m, move_function(surface, m)) for m in VIETA_MOVES)
     moves = []
     while True:
         if stop(p):
             return p, moves, _STOP
         if len(moves) >= step_cap:
             return p, moves, _CAP
-        m = vieta(_max_axis(p))
-        q = apply_move(surface, m, p)
+        m, f = steps[_max_axis(p)]
+        q = f(surface, p)
         if not shrinks(p, q):
             return p, moves, _STALL
         moves.append(m)

@@ -28,6 +28,12 @@ token string, one token per generator, e.g. "Vz Pyz Ta+ Ta+ Sxy":
 
 Twist powers compose additively; serialization expands a power-n twist to
 |n| unit tokens, and parsing returns unit-power moves.
+
+Each unit move is one plain function f(surface, p), kept in a table per
+surface class; it is the only place the move arithmetic is written.
+apply_move and the two dehn_twist functions look the move up in that
+table, and a search fetches its generators' functions once with
+move_function and then calls them directly.
 """
 
 from __future__ import annotations
@@ -145,88 +151,246 @@ def inverse_move(m: Move) -> Move:
     return Move(m.kind, m.arg, -m.power)
 
 
-def dehn_twist_11(which: str, direction: int, p: Point3) -> Point3:
-    """One torus Dehn twist (direction +1) or its inverse (-1)."""
-    x, y, z = p
-    if which == "a":
-        return Point3(x, z, x * z - y) if direction > 0 else Point3(x, x * y - z, y)
-    if which == "b":
-        return Point3(x * y - z, y, x) if direction > 0 else Point3(z, y, y * z - x)
-    if which == "ab":
-        return Point3(y, y * z - x, z) if direction > 0 else Point3(x * z - y, x, z)
-    raise ValueError(f"unknown torus twist curve {which!r}")
+# ---------------------------------------------------------------------------
+# move arithmetic: one plain function f(surface, p) per unit move
+#
+# Results are built with tuple.__new__, which skips the Python-level
+# Point3.__new__ of the NamedTuple and gives an equal Point3.
+
+_new = tuple.__new__
 
 
-def dehn_twist_04(surface: Cubic04, index: int, direction: int, p: Point3) -> Point3:
-    """One four-holed sphere Dehn twist; each is two Vieta involutions."""
-    a, b, c = surface.a, surface.b, surface.c
+def _vx11(s, p):
     x, y, z = p
-    if index == 1:
-        if direction > 0:
-            y1 = b - x * z - y
-            return Point3(x, y1, c - x * y1 - z)
-        z1 = c - x * y - z
-        return Point3(x, b - x * z1 - y, z1)
-    if index == 2:
-        if direction > 0:
-            z1 = c - x * y - z
-            return Point3(a - y * z1 - x, y, z1)
-        x1 = a - y * z - x
-        return Point3(x1, y, c - x1 * y - z)
-    if index == 3:
-        if direction > 0:
-            x1 = a - y * z - x
-            return Point3(x1, b - x1 * z - y, z)
-        y1 = b - x * z - y
-        return Point3(a - y1 * z - x, y1, z)
-    raise ValueError(f"unknown sphere twist index {index!r}")
+    return _new(Point3, (y * z - x, y, z))
+
+
+def _vy11(s, p):
+    x, y, z = p
+    return _new(Point3, (x, x * z - y, z))
+
+
+def _vz11(s, p):
+    x, y, z = p
+    return _new(Point3, (x, y, x * y - z))
+
+
+def _vx04(s, p):
+    x, y, z = p
+    return _new(Point3, (s.a - y * z - x, y, z))
+
+
+def _vy04(s, p):
+    x, y, z = p
+    return _new(Point3, (x, s.b - x * z - y, z))
+
+
+def _vz04(s, p):
+    x, y, z = p
+    return _new(Point3, (x, y, s.c - x * y - z))
+
+
+def _pxy(s, p):
+    x, y, z = p
+    return _new(Point3, (y, x, z))
+
+
+def _pyz(s, p):
+    x, y, z = p
+    return _new(Point3, (x, z, y))
+
+
+def _pxz(s, p):
+    x, y, z = p
+    return _new(Point3, (z, y, x))
+
+
+def _pxyz(s, p):
+    x, y, z = p
+    return _new(Point3, (z, x, y))
+
+
+def _pxzy(s, p):
+    x, y, z = p
+    return _new(Point3, (y, z, x))
+
+
+def _sxy(s, p):
+    x, y, z = p
+    return _new(Point3, (-x, -y, z))
+
+
+def _syz(s, p):
+    x, y, z = p
+    return _new(Point3, (x, -y, -z))
+
+
+def _sxz(s, p):
+    x, y, z = p
+    return _new(Point3, (-x, y, -z))
+
+
+def _ta_fwd(s, p):
+    x, y, z = p
+    return _new(Point3, (x, z, x * z - y))
+
+
+def _ta_inv(s, p):
+    x, y, z = p
+    return _new(Point3, (x, x * y - z, y))
+
+
+def _tb_fwd(s, p):
+    x, y, z = p
+    return _new(Point3, (x * y - z, y, x))
+
+
+def _tb_inv(s, p):
+    x, y, z = p
+    return _new(Point3, (z, y, y * z - x))
+
+
+def _tab_fwd(s, p):
+    x, y, z = p
+    return _new(Point3, (y, y * z - x, z))
+
+
+def _tab_inv(s, p):
+    x, y, z = p
+    return _new(Point3, (x * z - y, x, z))
+
+
+# Each sphere twist is two Vieta involutions: index 1 fixes x, 2 fixes y
+# and 3 fixes z.
+
+
+def _t1_fwd(s, p):
+    x, y, z = p
+    y1 = s.b - x * z - y
+    return _new(Point3, (x, y1, s.c - x * y1 - z))
+
+
+def _t1_inv(s, p):
+    x, y, z = p
+    z1 = s.c - x * y - z
+    return _new(Point3, (x, s.b - x * z1 - y, z1))
+
+
+def _t2_fwd(s, p):
+    x, y, z = p
+    z1 = s.c - x * y - z
+    return _new(Point3, (s.a - y * z1 - x, y, z1))
+
+
+def _t2_inv(s, p):
+    x, y, z = p
+    x1 = s.a - y * z - x
+    return _new(Point3, (x1, y, s.c - x1 * y - z))
+
+
+def _t3_fwd(s, p):
+    x, y, z = p
+    x1 = s.a - y * z - x
+    return _new(Point3, (x1, s.b - x1 * z - y, z))
+
+
+def _t3_inv(s, p):
+    x, y, z = p
+    y1 = s.b - x * z - y
+    return _new(Point3, (s.a - y1 * z - x, y1, z))
+
+
+_TORUS_MOVES = {
+    Move("V", 0): _vx11, Move("V", 1): _vy11, Move("V", 2): _vz11,
+    Move("P", (1, 0, 2)): _pxy, Move("P", (0, 2, 1)): _pyz, Move("P", (2, 1, 0)): _pxz,
+    Move("P", (2, 0, 1)): _pxyz, Move("P", (1, 2, 0)): _pxzy,
+    Move("S", (0, 1)): _sxy, Move("S", (1, 2)): _syz, Move("S", (0, 2)): _sxz,
+    Move("T11", "a", 1): _ta_fwd, Move("T11", "a", -1): _ta_inv,
+    Move("T11", "b", 1): _tb_fwd, Move("T11", "b", -1): _tb_inv,
+    Move("T11", "ab", 1): _tab_fwd, Move("T11", "ab", -1): _tab_inv,
+}
+_SPHERE_MOVES = {
+    Move("V", 0): _vx04, Move("V", 1): _vy04, Move("V", 2): _vz04,
+    Move("T04", 1, 1): _t1_fwd, Move("T04", 1, -1): _t1_inv,
+    Move("T04", 2, 1): _t2_fwd, Move("T04", 2, -1): _t2_inv,
+    Move("T04", 3, 1): _t3_fwd, Move("T04", 3, -1): _t3_inv,
+}
+_MOVE_TABLES = {Markoff11: _TORUS_MOVES, Cubic04: _SPHERE_MOVES}
+
+# kinds defined on one surface class only, with the error raised elsewhere
+_SURFACE_ONLY = {
+    "P": (Markoff11, "permutations act only on the torus surface"),
+    "S": (Markoff11, "sign changes act only on the torus surface"),
+    "T11": (Markoff11, "torus twists act only on the torus surface"),
+    "T04": (Cubic04, "sphere twists act only on the four-holed sphere"),
+}
+_ARG_NAMES = {
+    "V": "Vieta axis",
+    "P": "permutation",
+    "S": "sign-change pair",
+    "T11": "torus twist curve",
+    "T04": "sphere twist index",
+}
+
+
+def move_function(surface: Surface, m: Move):
+    """The plain function f with f(surface, p) == apply_move(surface, m, p).
+
+    A unit move comes straight from the table of the surface's class; a
+    twist of power n repeats its unit twist |n| times (involutions and
+    permutations ignore the power).  Raises MoveMismatch for a move not
+    defined on the surface and ValueError for an unknown move.
+    """
+    f = _MOVE_TABLES.get(type(surface), {}).get(m)
+    if f is not None:
+        return f
+    kind = m.kind
+    if kind not in _ARG_NAMES:
+        raise ValueError(f"unknown move kind {kind!r}")
+    only = _SURFACE_ONLY.get(kind)
+    if only is not None and not isinstance(surface, only[0]):
+        raise MoveMismatch(only[1])
+    twist = kind in ("T11", "T04")
+    unit_power = (1 if m.power > 0 else -1) if twist else 1
+    table = _TORUS_MOVES if isinstance(surface, Markoff11) else _SPHERE_MOVES
+    unit = table.get(Move(kind, m.arg, unit_power))
+    if unit is None:
+        raise ValueError(f"unknown {_ARG_NAMES[kind]} {m.arg!r}")
+    if not twist or m.power in (1, -1):
+        return unit
+    n = abs(m.power)
+
+    def repeated(surface, p):
+        for _ in range(n):
+            p = unit(surface, p)
+        return p
+
+    return repeated
 
 
 def apply_move(surface: Surface, m: Move, p: Point3) -> Point3:
     """Apply one move; raises MoveMismatch if it is undefined on the surface."""
-    kind = m.kind
-    if kind == "V":
-        x, y, z = p
-        axis = m.arg
-        if isinstance(surface, Markoff11):
-            if axis == 0:
-                return Point3(y * z - x, y, z)
-            if axis == 1:
-                return Point3(x, x * z - y, z)
-            return Point3(x, y, x * y - z)
-        if axis == 0:
-            return Point3(surface.a - y * z - x, y, z)
-        if axis == 1:
-            return Point3(x, surface.b - x * z - y, z)
-        return Point3(x, y, surface.c - x * y - z)
-    if kind == "P":
-        if not isinstance(surface, Markoff11):
-            raise MoveMismatch("permutations act only on the torus surface")
-        s = m.arg
-        return Point3(p[s[0]], p[s[1]], p[s[2]])
-    if kind == "S":
-        if not isinstance(surface, Markoff11):
-            raise MoveMismatch("sign changes act only on the torus surface")
-        i, j = m.arg
-        q = list(p)
-        q[i] = -q[i]
-        q[j] = -q[j]
-        return Point3(*q)
-    if kind == "T11":
-        if not isinstance(surface, Markoff11):
-            raise MoveMismatch("torus twists act only on the torus surface")
-        direction = 1 if m.power > 0 else -1
-        for _ in range(abs(m.power)):
-            p = dehn_twist_11(m.arg, direction, p)
-        return p
-    if kind == "T04":
-        if not isinstance(surface, Cubic04):
-            raise MoveMismatch("sphere twists act only on the four-holed sphere")
-        direction = 1 if m.power > 0 else -1
-        for _ in range(abs(m.power)):
-            p = dehn_twist_04(surface, m.arg, direction, p)
-        return p
-    raise ValueError(f"unknown move kind {kind!r}")
+    try:
+        f = _MOVE_TABLES[type(surface)][m]
+    except KeyError:
+        f = move_function(surface, m)
+    return f(surface, p)
+
+
+def dehn_twist_11(which: str, direction: int, p: Point3) -> Point3:
+    """One torus Dehn twist (direction +1) or its inverse (-1)."""
+    f = _TORUS_MOVES.get(Move("T11", which, 1 if direction > 0 else -1))
+    if f is None:
+        raise ValueError(f"unknown torus twist curve {which!r}")
+    return f(None, p)  # torus moves read nothing from the surface
+
+
+def dehn_twist_04(surface: Cubic04, index: int, direction: int, p: Point3) -> Point3:
+    """One four-holed sphere Dehn twist; each is two Vieta involutions."""
+    f = _SPHERE_MOVES.get(Move("T04", index, 1 if direction > 0 else -1))
+    if f is None:
+        raise ValueError(f"unknown sphere twist index {index!r}")
+    return f(surface, p)
 
 
 def apply_word(surface: Surface, w: MoveWord, p: Point3) -> Point3:
@@ -341,14 +505,16 @@ def normalize_11(p: Point3) -> tuple:
     return Point3(*best), MoveWord("11", best_word)
 
 
+VIETA_MOVES = (Move("V", 0), Move("V", 1), Move("V", 2))
+
+
 def gamma_prime_generators(surface_kind: str) -> tuple:
     """Vieta involutions, plus transpositions and sign changes on the torus."""
-    vietas = tuple(vieta(i) for i in range(3))
     if surface_kind == "04":
-        return vietas
+        return VIETA_MOVES
     perms = (transposition(0, 1), transposition(1, 2), transposition(0, 2))
     signs = (even_sign(0, 1), even_sign(1, 2), even_sign(0, 2))
-    return vietas + perms + signs
+    return VIETA_MOVES + perms + signs
 
 
 def gamma_poly_generators(surface_kind: str) -> tuple:

@@ -45,15 +45,15 @@ from .surfaces import (
     residual,
 )
 from .moves import (
+    VIETA_MOVES,
     MoveWord,
-    apply_move,
     apply_word,
     concat_words,
     generators,
     identity_word,
+    move_function,
     normalize_11,
     transposition,
-    vieta,
 )
 from .descent import exceptional_axis
 
@@ -74,6 +74,12 @@ def _resolve_gens(surface: Surface, gens):
     return tuple(gens)
 
 
+def _compile(surface: Surface, gens) -> tuple:
+    """(move, function) pairs, so a search calls each generator's
+    function directly instead of going through apply_move."""
+    return tuple((g, move_function(surface, g)) for g in gens)
+
+
 def _require_exact(surface: Surface, p: Point3 | None = None) -> None:
     if surface.domain != EXACT:
         raise DomainMismatch("this operation requires an exact integer surface")
@@ -89,9 +95,6 @@ def _require_on_surface(surface: Surface, p: Point3) -> None:
 
 # ---------------------------------------------------------------------------
 # integer point enumeration
-
-_VIETA = tuple(vieta(axis) for axis in range(3))
-
 
 def _sphere_form(surface: Surface) -> tuple:
     """(s, (a, b, c), d) with the surface x^2+y^2+z^2 + s*xyz = ax+by+cz+d."""
@@ -252,10 +255,11 @@ def enumerate_points(surface: Surface, B: int) -> list:
         for v in {u, -u}
         for p in _slice(form, axis, v, r)
     )
+    steps = _compile(surface, VIETA_MOVES)
     points = set()
     for seed in itertools.chain(seeds, roots):
         if seed not in points:
-            points.update(_search(surface, _VIETA, seed, B, math.inf)[0])
+            points.update(_search(surface, steps, seed, B, math.inf)[0])
     return sorted(points)
 
 
@@ -263,8 +267,9 @@ def enumerate_points(surface: Surface, B: int) -> list:
 # breadth-first orbit machinery
 
 
-def _search(surface: Surface, gens, start: Point3, cap_height, cap_count, stop=None):
-    """BFS closure of start; returns (parents, hit, pruned, truncated).
+def _search(surface: Surface, steps, start: Point3, cap_height, cap_count, stop=None):
+    """BFS closure of start under the (move, function) pairs of _compile;
+    returns (parents, hit, pruned, truncated).
 
     parents maps point -> (parent point, move); the start is always kept,
     even above the height cap.  The search ends early at the first
@@ -275,11 +280,12 @@ def _search(surface: Surface, gens, start: Point3, cap_height, cap_count, stop=N
     pruned = False
     while queue:
         node = queue.popleft()
-        for g in gens:
-            child = apply_move(surface, g, node)
+        for g, f in steps:
+            child = f(surface, node)
             if child in parents:
                 continue
-            if linf_height(child) > cap_height:
+            x, y, z = child
+            if max(abs(x), abs(y), abs(z)) > cap_height:
                 pruned = True
                 continue
             if len(parents) >= cap_count:
@@ -329,8 +335,8 @@ def orbit_bfs(
     point of sup-norm above cap_height."""
     _require_exact(surface, start)
     _require_on_surface(surface, start)
-    gens = _resolve_gens(surface, gens)
-    parents, _, pruned, truncated = _search(surface, gens, start, cap_height, cap_count)
+    steps = _compile(surface, _resolve_gens(surface, gens))
+    parents, _, pruned, truncated = _search(surface, steps, start, cap_height, cap_count)
     return OrbitRun(surface, start, parents, pruned or truncated)
 
 
@@ -377,22 +383,26 @@ def equivalent(
             raise MarkoffError("equivalence certificate failed to replay")
         return EquivalenceResult(True, word, False, pruned)
 
+    steps = _compile(surface, gens)
+    cap_height, cap_count = caps.height, caps.count
     while sides[0]["frontier"] and sides[1]["frontier"]:
         side = sides[0] if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else sides[1]
         other = sides[1] if side is sides[0] else sides[0]
+        seen, other_seen = side["parents"], other["parents"]
         new_frontier = []
         for node in side["frontier"]:
-            for g in gens:
-                child = apply_move(surface, g, node)
-                if child in side["parents"]:
+            for g, f in steps:
+                child = f(surface, node)
+                if child in seen:
                     continue
-                if linf_height(child) > caps.height:
+                x, y, z = child
+                if max(abs(x), abs(y), abs(z)) > cap_height:
                     pruned = True
                     continue
-                side["parents"][child] = (node, g)
-                if child in other["parents"]:
+                seen[child] = (node, g)
+                if child in other_seen:
                     return finish(child)
-                if len(sides[0]["parents"]) + len(sides[1]["parents"]) >= caps.count:
+                if len(seen) + len(other_seen) >= cap_count:
                     return EquivalenceResult(False, None, False, pruned)
                 new_frontier.append(child)
         side["frontier"] = new_frontier
@@ -417,9 +427,9 @@ def is_exceptional(surface: Surface, p: Point3, caps: Caps = DEFAULT_CAPS) -> Ex
     _require_on_surface(surface, p)
     if exceptional_axis(p) is not None:
         return ExceptionalSearch(True, identity_word(surface.kind), False, False)
-    gens = generators(surface.kind, "gamma_prime")
+    steps = _compile(surface, generators(surface.kind, "gamma_prime"))
     parents, hit, pruned, truncated = _search(
-        surface, gens, p, caps.height, caps.count,
+        surface, steps, p, caps.height, caps.count,
         stop=lambda q: exceptional_axis(q) is not None,
     )
     if hit is None:
@@ -465,7 +475,7 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
     """class_number on the already enumerated box points, so a caller that
     needs both generator sets enumerates the box once."""
     cap_height = max(caps.height, B)
-    gens = generators(surface.kind, gens_name)
+    steps = _compile(surface, generators(surface.kind, gens_name))
     kind = surface.kind
     identity = identity_word(kind)
     # box point -> index into classes, or its witness word once exceptional
@@ -479,7 +489,7 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
     for p in points:
         if p in label:
             continue
-        parents, hit, _, truncated = _search(surface, gens, p, cap_height, caps.count, stop)
+        parents, hit, _, truncated = _search(surface, steps, p, cap_height, caps.count, stop)
         caps_hit = caps_hit or truncated
         reached = [m for m in parents if m not in label and linf_height(m) <= B]
         mark = len(classes) if hit is None else label.get(hit, identity)

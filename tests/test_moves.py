@@ -1,17 +1,22 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from markoff.surfaces import (
+    Cubic04,
     Markoff11,
     MoveMismatch,
     Point3,
     boundary_trace_11,
+    linf_height,
     make_cubic04,
     residual,
 )
 from markoff.moves import (
+    Move,
     MoveWord,
     apply_move,
     apply_word,
@@ -21,6 +26,7 @@ from markoff.moves import (
     even_sign,
     generators,
     identity_word,
+    move_function,
     normalize_11,
     parse_word,
     permute,
@@ -29,6 +35,7 @@ from markoff.moves import (
     twist11,
     vieta,
 )
+from markoff.orbits import equivalent, orbit_bfs
 
 ZEROS04 = make_cubic04(0, 0, 0, 0)
 
@@ -282,3 +289,277 @@ def test_generator_sets():
     assert len(generators("04", "gamma_poly")) == 6
     with pytest.raises(ValueError):
         generators("11", "gamma")
+
+
+# --- the move tables against the former dispatch ------------------------------
+
+
+def _oracle_twist_11(which, direction, p):
+    x, y, z = p
+    if which == "a":
+        return Point3(x, z, x * z - y) if direction > 0 else Point3(x, x * y - z, y)
+    if which == "b":
+        return Point3(x * y - z, y, x) if direction > 0 else Point3(z, y, y * z - x)
+    if which == "ab":
+        return Point3(y, y * z - x, z) if direction > 0 else Point3(x * z - y, x, z)
+    raise ValueError(f"unknown torus twist curve {which!r}")
+
+
+def _oracle_twist_04(surface, index, direction, p):
+    a, b, c = surface.a, surface.b, surface.c
+    x, y, z = p
+    if index == 1:
+        if direction > 0:
+            y1 = b - x * z - y
+            return Point3(x, y1, c - x * y1 - z)
+        z1 = c - x * y - z
+        return Point3(x, b - x * z1 - y, z1)
+    if index == 2:
+        if direction > 0:
+            z1 = c - x * y - z
+            return Point3(a - y * z1 - x, y, z1)
+        x1 = a - y * z - x
+        return Point3(x1, y, c - x1 * y - z)
+    if index == 3:
+        if direction > 0:
+            x1 = a - y * z - x
+            return Point3(x1, b - x1 * z - y, z)
+        y1 = b - x * z - y
+        return Point3(a - y1 * z - x, y1, z)
+    raise ValueError(f"unknown sphere twist index {index!r}")
+
+
+def _oracle_apply_move(surface, m, p):
+    """apply_move as it was before the move tables: an if-chain on m.kind."""
+    kind = m.kind
+    if kind == "V":
+        x, y, z = p
+        axis = m.arg
+        if isinstance(surface, Markoff11):
+            if axis == 0:
+                return Point3(y * z - x, y, z)
+            if axis == 1:
+                return Point3(x, x * z - y, z)
+            return Point3(x, y, x * y - z)
+        if axis == 0:
+            return Point3(surface.a - y * z - x, y, z)
+        if axis == 1:
+            return Point3(x, surface.b - x * z - y, z)
+        return Point3(x, y, surface.c - x * y - z)
+    if kind == "P":
+        if not isinstance(surface, Markoff11):
+            raise MoveMismatch("permutations act only on the torus surface")
+        s = m.arg
+        return Point3(p[s[0]], p[s[1]], p[s[2]])
+    if kind == "S":
+        if not isinstance(surface, Markoff11):
+            raise MoveMismatch("sign changes act only on the torus surface")
+        i, j = m.arg
+        q = list(p)
+        q[i] = -q[i]
+        q[j] = -q[j]
+        return Point3(*q)
+    if kind == "T11":
+        if not isinstance(surface, Markoff11):
+            raise MoveMismatch("torus twists act only on the torus surface")
+        direction = 1 if m.power > 0 else -1
+        for _ in range(abs(m.power)):
+            p = _oracle_twist_11(m.arg, direction, p)
+        return p
+    if kind == "T04":
+        if not isinstance(surface, Cubic04):
+            raise MoveMismatch("sphere twists act only on the four-holed sphere")
+        direction = 1 if m.power > 0 else -1
+        for _ in range(abs(m.power)):
+            p = _oracle_twist_04(surface, m.arg, direction, p)
+        return p
+    raise ValueError(f"unknown move kind {kind!r}")
+
+
+BIG = 2**70
+
+_DIFF_MOVES = (
+    generators("11", "gamma_prime") + generators("11", "gamma_poly")
+    + generators("04", "gamma_prime") + generators("04", "gamma_poly")
+    + (permute((2, 0, 1)), permute((1, 2, 0)))
+    + tuple(twist11(c, n) for c in ("a", "b", "ab") for n in (1, -1, 2, -2, 3, -3))
+    + tuple(twist04(i, n) for i in (1, 2, 3) for n in (1, -1, 2, -2, 3, -3))
+    + (Move("X", 0),)
+)
+
+
+def _diff_cases():
+    rng = random.Random(12)
+    exact = [Markoff11(BIG + 3), Markoff11(-2), make_cubic04(BIG, -3, 5, BIG // 2),
+             make_cubic04(1, 2, 3, 4)]
+    approx = [Markoff11(1.5 + 0.5j), make_cubic04(0.5j, 1.25, -2.0 + 1j, 3.0)]
+    for surface in exact:
+        for _ in range(25):
+            yield surface, Point3(*(rng.randint(-BIG, BIG) for _ in range(3)))
+    for surface in approx:
+        for _ in range(25):
+            yield surface, Point3(*(complex(rng.uniform(-9, 9), rng.uniform(-9, 9))
+                                    for _ in range(3)))
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (MoveMismatch, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_move_tables_match_if_chain_oracle():
+    for surface, p in _diff_cases():
+        for m in _DIFF_MOVES:
+            want = _outcome(lambda: _oracle_apply_move(surface, m, p))
+            got = _outcome(lambda: apply_move(surface, m, p))
+            fetched = _outcome(lambda: move_function(surface, m)(surface, p))
+            assert got == want and fetched == want, (surface, m, p)
+            if isinstance(want, Point3):
+                assert type(got) is Point3 and type(fetched) is Point3
+
+
+def test_move_tables_mismatch_and_unknown_errors():
+    torus, sphere, p = Markoff11(-2), make_cubic04(1, 2, 3, 4), Point3(3, 3, 3)
+    for m in generators("11", "gamma_prime")[3:] + generators("11", "gamma_poly"):
+        with pytest.raises(MoveMismatch):
+            apply_move(sphere, m, p)
+        with pytest.raises(MoveMismatch):
+            move_function(sphere, m)
+    for m in generators("04", "gamma_poly"):
+        with pytest.raises(MoveMismatch):
+            apply_move(torus, m, p)
+    for surface in (torus, sphere):
+        with pytest.raises(ValueError, match="unknown move kind"):
+            apply_move(surface, Move("X", 0), p)
+    with pytest.raises(ValueError, match="unknown torus twist curve"):
+        dehn_twist_11("c", 1, p)
+    with pytest.raises(ValueError, match="unknown sphere twist index"):
+        dehn_twist_04(sphere, 4, 1, p)
+
+
+def test_dehn_twists_match_oracle():
+    rng = random.Random(13)
+    sphere = make_cubic04(BIG, -3, 5, 7)
+    for _ in range(50):
+        p = Point3(*(rng.randint(-BIG, BIG) for _ in range(3)))
+        for direction in (1, -1):
+            for which in ("a", "b", "ab"):
+                q = dehn_twist_11(which, direction, p)
+                assert q == _oracle_twist_11(which, direction, p) and type(q) is Point3
+            for index in (1, 2, 3):
+                q = dehn_twist_04(sphere, index, direction, p)
+                assert q == _oracle_twist_04(sphere, index, direction, p)
+
+
+def _oracle_bfs(surface, gens, start, cap_height):
+    seen = {start}
+    queue = deque([start])
+    pruned = False
+    while queue:
+        node = queue.popleft()
+        for g in gens:
+            child = _oracle_apply_move(surface, g, node)
+            if child in seen:
+                continue
+            if linf_height(child) > cap_height:
+                pruned = True
+                continue
+            seen.add(child)
+            queue.append(child)
+    return seen, pruned
+
+
+def test_search_with_twist_powers_matches_oracle_bfs():
+    s = Markoff11(-2)
+    gens = (twist11("a", 2), twist11("a", -2), twist11("b", 3))
+    for start in (Point3(3, 3, 3), Point3(3, 6, 15)):
+        for cap in (10**3, 10**6):
+            run = orbit_bfs(s, gens, start, cap_height=cap)
+            seen, pruned = _oracle_bfs(s, gens, start, cap)
+            assert set(run.points()) == seen and run.caps_hit == pruned
+            for q in run.points():
+                assert apply_word(s, run.word_to(q), start) == q
+    run = orbit_bfs(s, gens[:2], Point3(3, 3, 3), cap_height=10**6)
+    for q in run.points():
+        res = equivalent(s, gens[:2], Point3(3, 3, 3), q)
+        assert res.equivalent and apply_word(s, res.word, Point3(3, 3, 3)) == q
+    far = Point3(6, 3, 3)  # twists on a fix x
+    assert far not in run.parents
+    assert not equivalent(s, gens[:2], Point3(3, 3, 3), far).equivalent
+
+
+def test_search_with_torus_only_generator_on_sphere_raises():
+    sphere = make_cubic04(0, 0, 0, 0)
+    p, q = Point3(2, 0, 0), Point3(0, 2, 0)
+    for m in (transposition(0, 1), even_sign(0, 1), twist11("a")):
+        with pytest.raises(MoveMismatch):
+            orbit_bfs(sphere, (vieta(0), m), p, cap_height=10)
+        with pytest.raises(MoveMismatch):
+            equivalent(sphere, (vieta(0), m), p, q)
+
+
+# --- properties ---------------------------------------------------------------
+
+_ints = st.one_of(st.integers(-50, 50), st.integers(-BIG, BIG))
+
+
+@st.composite
+def _surfaces(draw):
+    if draw(st.booleans()):
+        return Markoff11(draw(_ints))
+    return make_cubic04(*(draw(_ints) for _ in range(4)))
+
+
+def _unit_and_powered_moves(kind):
+    units = generators(kind, "gamma_prime") + generators(kind, "gamma_poly")
+    if kind == "11":
+        powered = tuple(twist11(c, n) for c in ("a", "b", "ab") for n in (2, -2, 3))
+        return units + (permute((2, 0, 1)), permute((1, 2, 0))) + powered
+    return units + tuple(twist04(i, n) for i in (1, 2, 3) for n in (2, -3))
+
+
+@st.composite
+def _words(draw, kind):
+    moves = draw(st.lists(st.sampled_from(_unit_and_powered_moves(kind)), max_size=8))
+    return MoveWord(kind, tuple(moves))
+
+
+_points = st.builds(Point3, _ints, _ints, _ints)
+_property = settings(deadline=None, max_examples=150)
+
+
+@_property
+@given(st.data())
+def test_property_word_inverse_replays(data):
+    s = data.draw(_surfaces())
+    w = data.draw(_words(s.kind))
+    p = data.draw(_points)
+    assert apply_word(s, w.inverse(), apply_word(s, w, p)) == p
+
+
+def _expand_powers(w):
+    moves = []
+    for m in w.moves:
+        if m.kind in ("T11", "T04"):
+            moves.extend([m._replace(power=1 if m.power > 0 else -1)] * abs(m.power))
+        else:
+            moves.append(m)
+    return MoveWord(w.surface_kind, tuple(moves))
+
+
+@_property
+@given(st.data())
+def test_property_parse_word_round_trip(data):
+    kind = data.draw(st.sampled_from(("11", "04")))
+    w = data.draw(_words(kind))
+    assert parse_word(str(w), kind) == _expand_powers(w)
+
+
+@_property
+@given(_surfaces(), _points)
+def test_property_residual_invariant_under_generators(s, p):
+    r = residual(s, p)
+    for m in _unit_and_powered_moves(s.kind):
+        assert residual(s, apply_move(s, m, p)) == r
