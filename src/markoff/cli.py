@@ -17,6 +17,11 @@ bounds only reduce and is not in the key.  The cache path comes from
 file is ignored with a warning, and rerunning a warm scan reproduces
 cached rows byte for byte.  Complex literals use the form re+imi, e.g.
 1.5+0.25i.
+
+verify runs each suite of trace_algebra.IDENTITY_SUITES with a fresh
+random.Random(--seed) and prints one pass/FAIL line per suite.  The
+commands read their options from the parsed arguments; argparse holds
+every default and `_check_args` rejects out-of-range values (exit 1).
 """
 
 from __future__ import annotations
@@ -32,40 +37,18 @@ import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional
 
 from . import __version__
 from .surfaces import (
     Markoff11,
     MarkoffError,
     Point3,
-    boundary_trace_11,
     make_cubic04,
     on_surface,
     residual,
 )
-from .moves import (
-    apply_move,
-    apply_word,
-    dehn_twist_04,
-    dehn_twist_11,
-    generators,
-    permute,
-    vieta,
-)
-from .trace_algebra import (
-    commutator_trace,
-    f3_relations,
-    fricke_coords,
-    lift_twist_04,
-    lift_twist_11,
-    make_pair,
-    quad_to_04_point,
-    random_quad,
-    random_sl2,
-    trace_product_identity,
-)
+from .moves import apply_word
+from .trace_algebra import IDENTITY_SUITES
 from .descent import (
     AConfig,
     CAP_HIT,
@@ -89,26 +72,6 @@ EXIT_ERROR = 1
 EXIT_CAPS = 2
 
 CACHE_ENV = "MARKOFF_CACHE"
-
-
-@dataclass
-class RunConfig:
-    """Parsed run options shared by the surface-bound commands."""
-
-    surface_type: str = "11"
-    gens: str = "gamma_prime"
-    box: int = 100
-    cap_height: Optional[int] = None
-    cap_count: int = 10**6
-    cap_steps: int = 10**4
-    fmt: str = "json"
-    cache_path: Optional[str] = None
-    jobs: int = 1
-    complex_mode: bool = False
-
-    def caps(self, default_height) -> Caps:
-        height = self.cap_height if self.cap_height is not None else default_height
-        return Caps(height=height, count=self.cap_count)
 
 
 def parse_complex_literal(text: str) -> complex:
@@ -164,11 +127,10 @@ def parse_k_range(text: str) -> range:
 
 
 def cmd_reduce(args) -> int:
-    config = _config_from_args(args)
     try:
-        params = parse_params(args, config.complex_mode)
-        point = parse_point(args.point, config.complex_mode)
-        surface = build_surface(config.surface_type, params)
+        params = parse_params(args, args.complex)
+        point = parse_point(args.point, args.complex)
+        surface = build_surface(args.type, params)
     except (ValueError, MarkoffError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -179,13 +141,13 @@ def cmd_reduce(args) -> int:
             file=sys.stderr,
         )
         return EXIT_ERROR
-    if config.complex_mode:
+    if args.complex:
         if isinstance(surface, Markoff11):
-            res = reduce_min_complex_11(surface, point, config.cap_steps)
+            res = reduce_min_complex_11(surface, point, args.cap_steps)
         else:
-            res = reduce_min_complex_04(surface, point, config.cap_steps)
+            res = reduce_min_complex_04(surface, point, args.cap_steps)
     else:
-        res = reduce_compact(surface, AConfig(INTEGER_STAR), point, config.cap_steps)
+        res = reduce_compact(surface, AConfig(INTEGER_STAR), point, args.cap_steps)
     replay = apply_word(surface, res.word, point)
     if replay != res.reduced:
         print("error: certificate failed to replay", file=sys.stderr)
@@ -205,7 +167,7 @@ def cmd_reduce(args) -> int:
         payload["terminal_condition"] = res.terminal_condition
     if res.bound is not None:
         payload["bound"] = res.bound
-    if config.fmt == "json":
+    if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"reduced: {_point_text(res.reduced)}")
@@ -309,9 +271,8 @@ def _store_cache(path: str, entries: dict) -> None:
 
 
 def cmd_scan(args) -> int:
-    config = _config_from_args(args)
     try:
-        if config.surface_type == "11":
+        if args.type == "11":
             if args.k_range is not None:
                 ks = [(k,) for k in parse_k_range(args.k_range)]
             else:
@@ -322,7 +283,7 @@ def cmd_scan(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    cache_path = config.cache_path or os.environ.get(CACHE_ENV)
+    cache_path = args.cache or os.environ.get(CACHE_ENV)
     entries = {}
     if cache_path:
         try:
@@ -330,15 +291,13 @@ def cmd_scan(args) -> int:
         except MarkoffError as exc:
             print(f"warning: {exc}; computing every row", file=sys.stderr)
 
-    caps = config.caps(default_height=config.box)
+    caps = _caps(args, default_height=args.box)
     code = _source_hash()
     tasks = []
     keys = []
     for params in ks:
-        keys.append(
-            _row_key(config.surface_type, params, config.gens, config.box, caps, code)
-        )
-        tasks.append((config.surface_type, params, config.gens, config.box, tuple(caps)))
+        keys.append(_row_key(args.type, params, args.gens, args.box, caps, code))
+        tasks.append((args.type, params, args.gens, args.box, tuple(caps)))
 
     missing = [(i, t) for i, (key, t) in enumerate(zip(keys, tasks)) if key not in entries]
     rows: list = [None] * len(tasks)
@@ -346,8 +305,8 @@ def cmd_scan(args) -> int:
         if key in entries:
             rows[i] = entries[key]
     if missing:
-        if config.jobs > 1 and len(missing) > 1:
-            with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+        if args.jobs > 1 and len(missing) > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 for (i, _), row in zip(missing, pool.map(_scan_one, [t for _, t in missing])):
                     rows[i] = row
         else:
@@ -362,7 +321,7 @@ def cmd_scan(args) -> int:
                 print(f"error: cannot write cache {cache_path}: {exc}", file=sys.stderr)
                 return EXIT_ERROR
 
-    if config.fmt == "csv":
+    if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(
@@ -383,9 +342,9 @@ def cmd_scan(args) -> int:
         sys.stdout.write(out.getvalue())
     else:
         doc = {
-            "surface": {"type": config.surface_type},
-            "generators": config.gens,
-            "box": config.box,
+            "surface": {"type": args.type},
+            "generators": args.gens,
+            "box": args.box,
             "rows": rows,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
@@ -396,136 +355,15 @@ def cmd_scan(args) -> int:
 # verify
 
 
-def _suite_trace_identity(rng, trials):
-    for _ in range(trials):
-        a = random_sl2(rng)
-        b = random_sl2(rng)
-        if trace_product_identity(a, b) != 0:
-            return False
-    return True
-
-
-def _suite_f3(rng, trials):
-    for _ in range(trials):
-        r1, r2 = f3_relations(random_sl2(rng), random_sl2(rng), random_sl2(rng))
-        if r1 != 0 or r2 != 0:
-            return False
-    return True
-
-
-def _suite_commutator(rng, trials):
-    for _ in range(trials):
-        a = random_sl2(rng)
-        b = random_sl2(rng)
-        if commutator_trace(a, b) != boundary_trace_11(fricke_coords(a, b)):
-            return False
-    return True
-
-
-def _suite_quad_residual(rng, trials):
-    for _ in range(trials):
-        surface, p = quad_to_04_point(random_quad(rng))
-        if residual(surface, p) != 0:
-            return False
-    return True
-
-
-def _suite_lift_11(rng, trials):
-    for _ in range(trials):
-        pair = make_pair(random_sl2(rng), random_sl2(rng))
-        p = fricke_coords(*pair)
-        for which in ("a", "b", "ab"):
-            for direction in (1, -1):
-                lifted = lift_twist_11(which, pair, direction)
-                if fricke_coords(*lifted) != dehn_twist_11(which, direction, p):
-                    return False
-    return True
-
-
-def _suite_lift_04(rng, trials):
-    for _ in range(trials):
-        quad = random_quad(rng)
-        surface, p = quad_to_04_point(quad)
-        for index in (1, 2, 3):
-            for direction in (1, -1):
-                lifted = lift_twist_04(index, quad, direction)
-                if quad_to_04_point(lifted)[1] != dehn_twist_04(
-                    surface, index, direction, p
-                ):
-                    return False
-    return True
-
-
-_DECOMP_11 = {
-    "a": (permute((0, 2, 1)), vieta(2)),
-    "b": (permute((2, 1, 0)), vieta(0)),
-    "ab": (permute((1, 0, 2)), vieta(1)),
-}
-
-
-def _suite_decomposition_11(rng, trials):
-    surface = Markoff11(0)  # the maps do not read k
-    for _ in range(trials):
-        p = Point3(*(rng.randint(-50, 50) for _ in range(3)))
-        for which, word in _DECOMP_11.items():
-            q = p
-            for m in word:
-                q = apply_move(surface, m, q)
-            if q != dehn_twist_11(which, 1, p):
-                return False
-    return True
-
-
-def _suite_decomposition_04(rng, trials):
-    for _ in range(trials):
-        surface = make_cubic04(*(rng.randint(-5, 5) for _ in range(4)))
-        p = Point3(*(rng.randint(-50, 50) for _ in range(3)))
-        for index, axes in ((1, (1, 2)), (2, (2, 0)), (3, (0, 1))):
-            q = p
-            for axis in axes:
-                q = apply_move(surface, vieta(axis), q)
-            if q != dehn_twist_04(surface, index, 1, p):
-                return False
-    return True
-
-
-def _suite_invariance(rng, trials):
-    for _ in range(trials):
-        p = Point3(*(rng.randint(-30, 30) for _ in range(3)))
-        surface = Markoff11(boundary_trace_11(p))
-        gens = generators("11", rng.choice(("gamma_prime", "gamma_poly")))
-        if residual(surface, apply_move(surface, rng.choice(gens), p)) != 0:
-            return False
-        quad = random_quad(rng, 5)
-        surface04, p04 = quad_to_04_point(quad)
-        gens04 = generators("04", rng.choice(("gamma_prime", "gamma_poly")))
-        if residual(surface04, apply_move(surface04, rng.choice(gens04), p04)) != 0:
-            return False
-    return True
-
-
-_SUITES = (
-    ("trace-product identity", _suite_trace_identity),
-    ("rank-3 trace relations", _suite_f3),
-    ("commutator boundary law", _suite_commutator),
-    ("quad boundary residual", _suite_quad_residual),
-    ("torus lift square", _suite_lift_11),
-    ("sphere lift square", _suite_lift_04),
-    ("torus twist decomposition", _suite_decomposition_11),
-    ("sphere twist decomposition", _suite_decomposition_04),
-    ("move invariance", _suite_invariance),
-)
-
-
 def cmd_verify(args) -> int:
     trials = args.trials
     failures = 0
-    for name, suite in _SUITES:
+    for name, suite in IDENTITY_SUITES:
         rng = random.Random(args.seed)
         ok = suite(rng, trials)
         print(f"{'pass' if ok else 'FAIL'}  {name} ({trials} trials)")
         failures += 0 if ok else 1
-    print(f"{len(_SUITES) - failures}/{len(_SUITES)} suites passed")
+    print(f"{len(IDENTITY_SUITES) - failures}/{len(IDENTITY_SUITES)} suites passed")
     return EXIT_OK if failures == 0 else EXIT_ERROR
 
 
@@ -579,17 +417,13 @@ def _line_z_text(line) -> str:
 
 
 def cmd_orbit(args) -> int:
-    config = _config_from_args(args)
     try:
         params = parse_params(args)
-        surface = build_surface(config.surface_type, params)
+        surface = build_surface(args.type, params)
         start = parse_point(args.start, complex_mode=False)
+        caps = _caps(args, default_height=10**6)
         run = orbit_bfs(
-            surface,
-            config.gens,
-            start,
-            cap_height=config.cap_height if config.cap_height is not None else 10**6,
-            cap_count=config.cap_count,
+            surface, args.gens, start, cap_height=caps.height, cap_count=caps.count
         )
     except (ValueError, MarkoffError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -601,7 +435,7 @@ def cmd_orbit(args) -> int:
             print("error: orbit certificate failed to replay", file=sys.stderr)
             return EXIT_ERROR
         rows.append((p, str(word)))
-    if config.fmt == "csv":
+    if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
         writer.writerow(["x", "y", "z", "word"])
@@ -619,15 +453,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    config = _config_from_args(args)
     try:
         params = parse_params(args)
-        surface = build_surface(config.surface_type, params)
+        surface = build_surface(args.type, params)
         p = parse_point(args.p, complex_mode=False)
         q = parse_point(args.q, complex_mode=False)
-        res = equivalent(
-            surface, config.gens, p, q, config.caps(default_height=10**6)
-        )
+        res = equivalent(surface, args.gens, p, q, _caps(args, default_height=10**6))
     except (ValueError, MarkoffError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -647,26 +478,24 @@ def cmd_equiv(args) -> int:
 # argument plumbing
 
 
-def _config_from_args(args) -> RunConfig:
-    config = RunConfig(
-        surface_type=getattr(args, "type", "11"),
-        gens=getattr(args, "gens", "gamma_prime"),
-        box=getattr(args, "box", 100),
-        cap_height=getattr(args, "cap_height", None),
-        cap_count=getattr(args, "cap_count", 10**6),
-        cap_steps=getattr(args, "cap_steps", 10**4),
-        fmt=getattr(args, "format", "json"),
-        cache_path=getattr(args, "cache", None),
-        jobs=getattr(args, "jobs", 1),
-        complex_mode=getattr(args, "complex", False),
-    )
-    if config.box < 0:
+def _check_args(args) -> None:
+    """Reject negative boxes and height caps and non-positive caps or jobs;
+    commands without such an option pass."""
+    if getattr(args, "box", 0) < 0:
         raise ValueError("--box must be nonnegative")
-    if config.cap_height is not None and config.cap_height < 0:
+    if (getattr(args, "cap_height", None) or 0) < 0:
         raise ValueError("--cap-height must be nonnegative")
-    if config.cap_count < 1 or config.cap_steps < 0 or config.jobs < 1:
+    if (
+        getattr(args, "cap_count", 1) < 1
+        or getattr(args, "cap_steps", 0) < 0
+        or getattr(args, "jobs", 1) < 1
+    ):
         raise ValueError("caps and --jobs must be positive")
-    return config
+
+
+def _caps(args, default_height) -> Caps:
+    height = args.cap_height if args.cap_height is not None else default_height
+    return Caps(height=height, count=args.cap_count)
 
 
 def _add_surface_args(sub, with_range=False):
@@ -748,6 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_args(args)
         return args.func(args)
     except (MarkoffError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

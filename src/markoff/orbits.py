@@ -364,7 +364,8 @@ def equivalent(
     _require_exact(surface, q)
     _require_on_surface(surface, p)
     _require_on_surface(surface, q)
-    gens = _resolve_gens(surface, gens)
+    # compiled before the p == q answer, so a foreign generator always raises
+    steps = _compile(surface, _resolve_gens(surface, gens))
     kind = surface.kind
     if p == q:
         return EquivalenceResult(True, identity_word(kind), True, False)
@@ -383,7 +384,6 @@ def equivalent(
             raise MarkoffError("equivalence certificate failed to replay")
         return EquivalenceResult(True, word, False, pruned)
 
-    steps = _compile(surface, gens)
     cap_height, cap_count = caps.height, caps.count
     while sides[0]["frontier"] and sides[1]["frontier"]:
         side = sides[0] if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else sides[1]

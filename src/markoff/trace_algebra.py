@@ -26,6 +26,13 @@ fricke o lift == twist o fricke on random exact inputs:
 Each lift preserves the defining product relation and all boundary
 traces, and the direction signs below are the ones that make the
 commuting square hold with `dehn_twist_11` / `dehn_twist_04` direction +1.
+
+`IDENTITY_SUITES` is the one registry of randomized cross-checks: the
+trace identities, the boundary-trace laws, both commuting squares, the
+twist = Vieta/permutation decompositions of `moves` and residual
+invariance under every generator.  Each entry is (name, suite) with
+suite(rng, trials) -> bool.  `markoff verify` runs every suite and the
+acceptance tests run them by name at their own seeds and trial counts.
 """
 
 from __future__ import annotations
@@ -33,11 +40,22 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .surfaces import (
+    Markoff11,
     Point3,
     RelationViolation,
     Scalar,
+    boundary_trace_11,
     common_domain,
     make_cubic04,
+    residual,
+)
+from .moves import (
+    apply_move,
+    apply_word,
+    dehn_twist_04,
+    dehn_twist_11,
+    generators,
+    parse_word,
 )
 
 DET_TOL = 1e-9
@@ -59,18 +77,19 @@ UNIPOTENT_UPPER = Mat2(1, 1, 0, 1)
 UNIPOTENT_LOWER = Mat2(1, 0, 1, 1)
 
 
+_new = tuple.__new__  # builds a Mat2 without the NamedTuple __new__ wrapper
+
+
 def mat_mul(m: Mat2, n: Mat2) -> Mat2:
-    return Mat2(
-        m.m11 * n.m11 + m.m12 * n.m21,
-        m.m11 * n.m12 + m.m12 * n.m22,
-        m.m21 * n.m11 + m.m22 * n.m21,
-        m.m21 * n.m12 + m.m22 * n.m22,
-    )
+    a, b, c, d = m
+    e, f, g, h = n
+    return _new(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h))
 
 
 def mat_inv(m: Mat2) -> Mat2:
     """Adjugate inverse; exact, valid only for determinant one."""
-    return Mat2(m.m22, -m.m12, -m.m21, m.m11)
+    a, b, c, d = m
+    return _new(Mat2, (d, -b, -c, a))
 
 
 def mat_trace(m: Mat2) -> Scalar:
@@ -254,18 +273,20 @@ def lift_twist_04(index: int, q: Quad, direction: int = 1) -> Quad:
     raise ValueError(f"unknown sphere twist index {index!r}")
 
 
+_UNIPOTENTS = (
+    UNIPOTENT_UPPER,
+    UNIPOTENT_LOWER,
+    mat_inv(UNIPOTENT_UPPER),
+    mat_inv(UNIPOTENT_LOWER),
+)
+
+
 def random_sl2(rng, max_len: int = 10) -> Mat2:
     """Random exact SL2(Z) matrix: a bounded word in the two standard
     unipotents and their inverses."""
-    gens = (
-        UNIPOTENT_UPPER,
-        UNIPOTENT_LOWER,
-        mat_inv(UNIPOTENT_UPPER),
-        mat_inv(UNIPOTENT_LOWER),
-    )
     m = IDENTITY
     for _ in range(rng.randint(0, max_len)):
-        m = mat_mul(m, gens[rng.randrange(4)])
+        m = mat_mul(m, _UNIPOTENTS[rng.randrange(4)])
     return m
 
 
@@ -274,3 +295,129 @@ def random_quad(rng, max_len: int = 8) -> Quad:
     return make_quad(
         random_sl2(rng, max_len), random_sl2(rng, max_len), random_sl2(rng, max_len)
     )
+
+
+# ---------------------------------------------------------------------------
+# identity suites
+#
+# One trial of each check draws its own inputs from `rng` and says whether
+# the identity held.  All draws come from one fixed distribution: SL2 and
+# quad words of length at most 6, points in [-100, 100]^3 and sphere
+# parameters in [-8, 8].
+
+
+def _sl2(rng) -> Mat2:
+    return random_sl2(rng, 6)
+
+
+def _quad(rng) -> Quad:
+    return random_quad(rng, 6)
+
+
+def _point(rng) -> Point3:
+    return Point3(*(rng.randint(-100, 100) for _ in range(3)))
+
+
+def _trace_identity(rng) -> bool:
+    return trace_product_identity(_sl2(rng), _sl2(rng)) == 0
+
+
+def _rank3_relations(rng) -> bool:
+    return f3_relations(_sl2(rng), _sl2(rng), _sl2(rng)) == (0, 0)
+
+
+def _commutator_law(rng) -> bool:
+    a, b = _sl2(rng), _sl2(rng)
+    return commutator_trace(a, b) == boundary_trace_11(fricke_coords(a, b))
+
+
+def _quad_residual(rng) -> bool:
+    surface, p = quad_to_04_point(_quad(rng))
+    return residual(surface, p) == 0
+
+
+def _torus_lift_square(rng) -> bool:
+    pair = make_pair(_sl2(rng), _sl2(rng))
+    p = fricke_coords(*pair)
+    return all(
+        fricke_coords(*lift_twist_11(which, pair, d)) == dehn_twist_11(which, d, p)
+        for which in ("a", "b", "ab")
+        for d in (1, -1)
+    )
+
+
+def _sphere_lift_square(rng) -> bool:
+    quad = _quad(rng)
+    surface, p = quad_to_04_point(quad)
+    return all(
+        quad_to_04_point(lift_twist_04(index, quad, d))[1]
+        == dehn_twist_04(surface, index, d, p)
+        for index in (1, 2, 3)
+        for d in (1, -1)
+    )
+
+
+# Each twist as a move word: a transposition then a Vieta move on the
+# torus, two Vieta moves on the sphere.
+_TORUS_TWIST_WORDS = {
+    which: parse_word(text, "11")
+    for which, text in (("a", "Pyz Vz"), ("b", "Pxz Vx"), ("ab", "Pxy Vy"))
+}
+_SPHERE_TWIST_WORDS = {
+    index: parse_word(text, "04")
+    for index, text in ((1, "Vy Vz"), (2, "Vz Vx"), (3, "Vx Vy"))
+}
+
+
+def _torus_twist_decomposition(rng) -> bool:
+    surface = Markoff11(0)  # the maps do not read k
+    p = _point(rng)
+    return all(
+        apply_word(surface, word, p) == dehn_twist_11(which, 1, p)
+        for which, word in _TORUS_TWIST_WORDS.items()
+    )
+
+
+def _sphere_twist_decomposition(rng) -> bool:
+    surface = make_cubic04(*(rng.randint(-8, 8) for _ in range(4)))
+    p = _point(rng)
+    return all(
+        apply_word(surface, word, p) == dehn_twist_04(surface, index, 1, p)
+        for index, word in _SPHERE_TWIST_WORDS.items()
+    )
+
+
+def _move_invariance(rng) -> bool:
+    p = _point(rng)
+    torus = Markoff11(boundary_trace_11(p))
+    gens = generators("11", rng.choice(("gamma_prime", "gamma_poly")))
+    if residual(torus, apply_move(torus, rng.choice(gens), p)) != 0:
+        return False
+    sphere, q = quad_to_04_point(_quad(rng))
+    gens = generators("04", rng.choice(("gamma_prime", "gamma_poly")))
+    return residual(sphere, apply_move(sphere, rng.choice(gens), q)) == 0
+
+
+def _trials(check):
+    def suite(rng, trials: int) -> bool:
+        return all(check(rng) for _ in range(trials))
+
+    return suite
+
+
+# (name, suite(rng, trials) -> bool): True iff every trial held.  Run by
+# `markoff verify` and by acceptance criteria 2-5.
+IDENTITY_SUITES = tuple(
+    (name, _trials(check))
+    for name, check in (
+        ("trace-product identity", _trace_identity),
+        ("rank-3 trace relations", _rank3_relations),
+        ("commutator boundary law", _commutator_law),
+        ("quad boundary residual", _quad_residual),
+        ("torus lift square", _torus_lift_square),
+        ("sphere lift square", _sphere_lift_square),
+        ("torus twist decomposition", _torus_twist_decomposition),
+        ("sphere twist decomposition", _sphere_twist_decomposition),
+        ("move invariance", _move_invariance),
+    )
+)

@@ -16,30 +16,10 @@ from markoff.surfaces import (
     make_cubic04,
     residual,
 )
-from markoff.moves import (
-    apply_move,
-    apply_word,
-    dehn_twist_04,
-    dehn_twist_11,
-    generators,
-    transposition,
-    vieta,
-)
-from markoff.trace_algebra import (
-    commutator_trace,
-    f3_relations,
-    fricke_coords,
-    lift_twist_04,
-    lift_twist_11,
-    make_pair,
-    quad_to_04_point,
-    random_quad,
-    random_sl2,
-    trace_product_identity,
-)
+from markoff.moves import apply_move, generators
+from markoff.trace_algebra import IDENTITY_SUITES, quad_to_04_point, random_quad
 from markoff.descent import (
     CAP_HIT,
-    EXCEPTIONAL_HIT,
     REDUCED,
     ellipse_bound_04,
     reduce_min_complex_04,
@@ -55,6 +35,7 @@ from markoff.orbits import (
 )
 
 from test_descent import blow_up, surface_point_04, surface_point_11
+from test_orbits import _inbox_component_oracle
 
 
 def report(name, ok, started, limit=None, detail=""):
@@ -103,93 +84,40 @@ def test_c01_surface_invariance():
     report("criterion 1: surface invariance, 1e5 triples per type", ok, started, 10)
 
 
+def _suites_pass(seed, runs):
+    """Run registry suites by name, each on a fresh Random(seed)."""
+    suites = dict(IDENTITY_SUITES)
+    return all(suites[name](random.Random(seed), trials) for name, trials in runs)
+
+
 def test_c02_trace_identity_suite():
     started = time.perf_counter()
-    rng = random.Random(102)
-    ok = True
-    for _ in range(10**5):
-        a = random_sl2(rng, 6)
-        b = random_sl2(rng, 6)
-        c = random_sl2(rng, 6)
-        if trace_product_identity(a, b) != 0:
-            ok = False
-            break
-        if f3_relations(a, b, c) != (0, 0):
-            ok = False
-            break
+    ok = _suites_pass(
+        102, (("trace-product identity", 10**5), ("rank-3 trace relations", 10**5))
+    )
     report("criterion 2: trace identities on 1e5 exact inputs", ok, started)
 
 
 def test_c03_boundary_trace_law():
     started = time.perf_counter()
-    rng = random.Random(103)
-    ok = True
-    for _ in range(10**5):
-        a = random_sl2(rng, 6)
-        b = random_sl2(rng, 6)
-        if commutator_trace(a, b) != boundary_trace_11(fricke_coords(a, b)):
-            ok = False
-            break
-    for _ in range(10**4):
-        surface, p = quad_to_04_point(random_quad(rng, 6))
-        if residual(surface, p) != 0:
-            ok = False
-            break
+    ok = _suites_pass(
+        103, (("commutator boundary law", 10**5), ("quad boundary residual", 10**4))
+    )
     report("criterion 3: boundary-trace law and quad residuals", ok, started)
 
 
 def test_c04_lift_descend_square():
     started = time.perf_counter()
-    rng = random.Random(104)
-    ok = True
-    for _ in range(10**4):
-        pair = make_pair(random_sl2(rng, 6), random_sl2(rng, 6))
-        p = fricke_coords(*pair)
-        for which in ("a", "b", "ab"):
-            for direction in (1, -1):
-                lifted = lift_twist_11(which, pair, direction)
-                if fricke_coords(*lifted) != dehn_twist_11(which, direction, p):
-                    ok = False
-    for _ in range(10**4):
-        quad = random_quad(rng, 5)
-        surface, p = quad_to_04_point(quad)
-        for index in (1, 2, 3):
-            for direction in (1, -1):
-                lifted = lift_twist_04(index, quad, direction)
-                if quad_to_04_point(lifted)[1] != dehn_twist_04(
-                    surface, index, direction, p
-                ):
-                    ok = False
+    ok = _suites_pass(104, (("torus lift square", 10**4), ("sphere lift square", 10**4)))
     report("criterion 4: lift/descend commuting squares", ok, started)
 
 
 def test_c05_twist_decomposition():
     started = time.perf_counter()
-    rng = random.Random(105)
-    ok = True
-    s11 = Markoff11(0)
-    words11 = {
-        "a": (transposition(1, 2), vieta(2)),
-        "b": (transposition(0, 2), vieta(0)),
-        "ab": (transposition(0, 1), vieta(1)),
-    }
-    for _ in range(10**4):
-        p = Point3(*(rng.randint(-100, 100) for _ in range(3)))
-        for which, moves in words11.items():
-            q = p
-            for m in moves:
-                q = apply_move(s11, m, q)
-            if q != dehn_twist_11(which, 1, p):
-                ok = False
-    for _ in range(10**4):
-        s = make_cubic04(*(rng.randint(-8, 8) for _ in range(4)))
-        p = Point3(*(rng.randint(-100, 100) for _ in range(3)))
-        for index, axes in ((1, (1, 2)), (2, (2, 0)), (3, (0, 1))):
-            q = p
-            for axis in axes:
-                q = apply_move(s, vieta(axis), q)
-            if q != dehn_twist_04(s, index, 1, p):
-                ok = False
+    ok = _suites_pass(
+        105,
+        (("torus twist decomposition", 10**4), ("sphere twist decomposition", 10**4)),
+    )
     report("criterion 5: twist = Vieta/permutation decompositions", ok, started)
 
 
@@ -224,34 +152,6 @@ def test_c06_complex_descent_bound():
     )
 
 
-def _inbox_union_find_count(surface, gens_name, B, points):
-    """Brute-force oracle: components of the raw in-box move graph; a
-    component counts iff it contains no coordinate equal to +-2."""
-    index = {p: i for i, p in enumerate(points)}
-    parent = list(range(len(points)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    gens = generators(surface.kind, gens_name)
-    for p, i in index.items():
-        for g in gens:
-            j = index.get(apply_move(surface, g, p))
-            if j is not None:
-                parent[find(i)] = find(j)
-    tainted = set()
-    roots = set()
-    for p, i in index.items():
-        r = find(i)
-        roots.add(r)
-        if 2 in (abs(p.x), abs(p.y), abs(p.z)):
-            tainted.add(r)
-    return len(roots - tainted)
-
-
 def test_c07_class_number_shadow():
     started = time.perf_counter()
     ok = True
@@ -260,8 +160,7 @@ def test_c07_class_number_shadow():
         s = Markoff11(k)
         counts = {}
         for B in (1000, 2000):
-            pts = enumerate_points(s, B)
-            oracle = _inbox_union_find_count(s, "gamma_prime", B, pts)
+            oracle, _ = _inbox_component_oracle(s, "gamma_prime", B)
             rep = class_number(s, "gamma_prime", B)
             if rep.class_number_star != oracle:
                 ok = False

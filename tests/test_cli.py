@@ -4,6 +4,7 @@ import pytest
 
 from markoff import cli, orbits
 from markoff.cli import main, parse_complex_literal, parse_k_range
+from markoff.trace_algebra import IDENTITY_SUITES
 
 
 def run_cli(capsys, *argv):
@@ -251,6 +252,14 @@ def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "60", "--seed", "3")
     assert code == 0
     assert "9/9 suites passed" in out
+
+
+def test_verify_runs_every_registry_suite(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--trials", "5")
+    assert code == 0
+    assert out.splitlines() == [
+        f"pass  {name} (5 trials)" for name, _ in IDENTITY_SUITES
+    ] + ["9/9 suites passed"]
 
 
 def test_lines_text(capsys):

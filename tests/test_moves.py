@@ -498,6 +498,8 @@ def test_search_with_torus_only_generator_on_sphere_raises():
             orbit_bfs(sphere, (vieta(0), m), p, cap_height=10)
         with pytest.raises(MoveMismatch):
             equivalent(sphere, (vieta(0), m), p, q)
+        with pytest.raises(MoveMismatch):  # also when p == q needs no move
+            equivalent(sphere, (vieta(0), m), p, p)
 
 
 # --- properties ---------------------------------------------------------------

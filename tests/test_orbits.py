@@ -1,7 +1,6 @@
 import functools
 import itertools
 import math
-import random
 import time
 
 import pytest
