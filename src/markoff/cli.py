@@ -519,7 +519,10 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\d")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no state
+    in it, so every main call can share it."""
     parser = _Parser(
         prog="markoff",
         description="Descent, orbits and class numbers on Markoff-type cubic surfaces",

@@ -11,8 +11,9 @@ lowers the sup-norm stays in the box, so every box point is reached,
 inside the box, from a point with a coordinate +2 or -2 or from a point
 no Vieta move lowers.  The latter have height and smallest coordinate
 bounded by the surface parameters alone (_root_heights proves the
-bounds), so enumerate_points seeds one in-box Vieta search per unreached
-+-2 point or root and never scans the B^2 grid.
+bounds), so enumerate_points inserts the +-2 points whole, runs one
+in-box Vieta search from each unreached point one move off them and from
+each unreached root, and never scans the B^2 grid.
 
 A class count labels the enumerated box points of an exact surface by
 connected component of the move graph capped at the box height (or at a
@@ -47,6 +48,7 @@ from .surfaces import (
 from .moves import (
     VIETA_MOVES,
     MoveWord,
+    _new,
     apply_word,
     concat_words,
     generators,
@@ -103,23 +105,54 @@ def _sphere_form(surface: Surface) -> tuple:
     return 1, (surface.a, surface.b, surface.c), surface.d
 
 
+def _square_values(c2: int, c1: int, c0: int, bound: int):
+    """(w, r) for every |w| <= bound at which c2*w^2 + c1*w + c0 = r^2 with
+    r >= 0.  A linear form (c2 = 0) is solved from the squares it can take,
+    which are the r^2 within |c1|*bound of c0: w = (r^2 - c0)/c1 when that is
+    exact, or every w when c1 = 0 and c0 is a square.  That costs
+    O(sqrt(|c1|*bound)) steps, and the pass over every w runs only where it
+    is cheaper."""
+    if c2 == 0:
+        if c1 == 0:
+            r = math.isqrt(c0) if c0 >= 0 else -1
+            if r * r == c0:
+                yield from ((w, r) for w in range(-bound, bound + 1))
+            return
+        low, high = c0 - abs(c1) * bound, c0 + abs(c1) * bound
+        r_low = math.isqrt(low - 1) + 1 if low > 0 else 0
+        r_high = math.isqrt(high) if high >= 0 else -1
+        if r_high - r_low < 2 * bound:
+            for r in range(r_low, r_high + 1):
+                w, rem = divmod(r * r - c0, c1)
+                if rem == 0:
+                    yield w, r
+            return
+    for w in range(-bound, bound + 1):
+        disc = (c2 * w + c1) * w + c0
+        if disc >= 0:
+            r = math.isqrt(disc)
+            if r * r == disc:
+                yield w, r
+
+
 def _slice(form: tuple, axis: int, value: int, bound: int):
     """Surface points with `value` on `axis` and both other coordinates of
-    modulus at most bound: the next axis runs over [-bound, bound] and the
-    third is solved from its monic quadratic."""
+    modulus at most bound.  The third coordinate t solves a monic quadratic
+    whose discriminant is a quadratic in the second one, w; it is linear
+    when value is +-2, so those slices cost O(sqrt(bound)) steps, or their
+    output when they are lines."""
     s, gamma, d = form
     j, l = (axis + 1) % 3, (axis + 2) % 3
     slope, g_j, g_l = s * value, gamma[j], gamma[l]
     rest = value * value - gamma[axis] * value - d
-    for w in range(-bound, bound + 1):
+    # (slope*w - g_l)^2 - 4*(w^2 - g_j*w + rest), expanded in w
+    square = _square_values(
+        value * value - 4, 4 * g_j - 2 * slope * g_l, g_l * g_l - 4 * rest, bound
+    )
+    for w, r in square:
         q1 = slope * w - g_l
-        disc = q1 * q1 - 4 * (w * w - g_j * w + rest)
-        if disc < 0:
-            continue
-        r = math.isqrt(disc)
-        if r * r != disc:
-            continue
-        for t in ((r - q1) // 2, (-r - q1) // 2):  # disc = q1^2 (mod 4): exact
+        # disc = q1^2 (mod 4), so t is exact; r = 0 is one double root
+        for t in ((r - q1) // 2, (-r - q1) // 2) if r else (-q1 // 2,):
             if abs(t) <= bound:
                 p = [value, value, value]
                 p[j], p[l] = w, t
@@ -205,18 +238,23 @@ def _root_heights(form: tuple, B: int) -> list:
     return heights
 
 
-def _parabolic_points(k: int, B: int):
-    """Box points with a coordinate +-2 on the torus: parabolic_lines_11
-    gives those with x = +-2 in closed form; the torus equation is
-    symmetric, so moving that coordinate to y or z gives the rest."""
+def _parabolic_points(k: int, B: int) -> tuple:
+    """Box points with a coordinate +-2 on the torus, in three lists by
+    the axis of that coordinate.  parabolic_lines_11 gives those with
+    x = +-2 in closed form; the torus equation is symmetric, so moving
+    that coordinate to y or z gives the rest."""
+    on_axis = ([], [], [])
     for line in parabolic_lines_11(k).lines:
-        # the box cuts the line at |t| <= B and |z0 + t*dz| <= B
-        center = -line.origin.z * line.direction.z
-        for t in range(max(-B, center - B), min(B, center + B) + 1):
-            e, y, z = line.point_at(t)
-            yield Point3(e, y, z)
-            yield Point3(y, e, z)
-            yield Point3(z, y, e)
+        # the line is y -> (e, y, z0 + dz*y); the box cuts it at |y| <= B
+        # and |z| <= B
+        e, z0, dz = line.value, line.origin.z, line.direction.z
+        center = -z0 * dz
+        for y in range(max(-B, center - B), min(B, center + B) + 1):
+            z = z0 + dz * y
+            on_axis[0].append(_new(Point3, (e, y, z)))
+            on_axis[1].append(_new(Point3, (y, e, z)))
+            on_axis[2].append(_new(Point3, (z, y, e)))
+    return on_axis
 
 
 def enumerate_points(surface: Surface, B: int) -> list:
@@ -227,39 +265,45 @@ def enumerate_points(surface: Surface, B: int) -> list:
     greedy descent from any box point ends, inside the box, at a point
     with a coordinate +-2 or at a point no Vieta move lowers.  Reversing
     the descent, every box point is in the in-box Vieta closure of such
-    a point.  The seeds are every box point with a coordinate +-2 (torus:
-    closed form from parabolic_lines_11; sphere: a pass over one free
-    coordinate per axis and sign) and every box point in the root region
-    of _root_heights, whose bounds depend on the parameters and not on B:
+    a point.  The box points with a coordinate +-2 go in whole, from the
+    integral parabolic lines on the torus and from _slice on the sphere,
+    where a +-2 slice costs O(sqrt(B)) steps, or its output when it is
+    lines.  A move on an axis other than a +-2 one keeps that
+    coordinate, so from those points only the move on a +-2 axis is
+    applied.  The other seeds are the box points in the root region of
+    _root_heights, whose bounds depend on the parameters and not on B:
     for each modulus u, each axis and each sign, one pass over a second
-    coordinate with the third solved exactly.  One _search per seed not
-    yet reached gives the closure, so the work tracks the number of
-    points, not B^2.  Huge boxes are cheap on the torus; on the sphere the
-    +-2 passes stay linear in B.
+    coordinate with the third solved exactly.  One _search from each
+    such move's result and each seed not yet reached gives the closure.
+    The searches share one visited map, so no point is expanded twice,
+    +-2 points never, and the work tracks the number of points, not B^2.
     """
     _require_exact(surface)
     if B < 0:
         raise ValueError("box bound must be nonnegative")
     form = _sphere_form(surface)
-    if B < 2:
-        seeds = []
-    elif isinstance(surface, Markoff11):
-        seeds = _parabolic_points(surface.k, B)
-    else:
-        seeds = (p for axis in range(3) for e in (2, -2) for p in _slice(form, axis, e, B))
-    roots = (
-        p
-        for u, r in enumerate(_root_heights(form, B))
-        if u != 2 and r >= 0
-        for axis in range(3)
-        for v in {u, -u}
-        for p in _slice(form, axis, v, r)
-    )
     steps = _compile(surface, VIETA_MOVES)
-    points = set()
-    for seed in itertools.chain(seeds, roots):
-        if seed not in points:
-            points.update(_search(surface, steps, seed, B, math.inf)[0])
+    if B < 2:
+        locus = ()
+    elif isinstance(surface, Markoff11):
+        locus = _parabolic_points(surface.k, B)
+    else:
+        locus = [[p for e in (2, -2) for p in _slice(form, axis, e, B)] for axis in range(3)]
+    points = dict.fromkeys(itertools.chain.from_iterable(locus))  # shared by every _search
+    for axis, on_axis in enumerate(locus):
+        move = steps[axis][1]
+        for p in on_axis:
+            q = move(surface, p)
+            if abs(q[axis]) <= B and q not in points:
+                _search(surface, steps, q, B, math.inf, parents=points)
+    for u, r in enumerate(_root_heights(form, B)):
+        if u == 2 or r < 0:
+            continue
+        for axis in range(3):
+            for v in {u, -u}:
+                for p in _slice(form, axis, v, r):
+                    if p not in points:
+                        _search(surface, steps, p, B, math.inf, parents=points)
     return sorted(points)
 
 
@@ -267,15 +311,21 @@ def enumerate_points(surface: Surface, B: int) -> list:
 # breadth-first orbit machinery
 
 
-def _search(surface: Surface, steps, start: Point3, cap_height, cap_count, stop=None):
+def _search(
+    surface: Surface, steps, start: Point3, cap_height, cap_count, stop=None, parents=None
+):
     """BFS closure of start under the (move, function) pairs of _compile;
     returns (parents, hit, pruned, truncated).
 
     parents maps point -> (parent point, move); the start is always kept,
     even above the height cap.  The search ends early at the first
     inserted point for which stop is true, returned as hit (else None).
+    A parents map passed in is extended in place: its points count as
+    reached, so they are never expanded, and cap_count counts them too.
     """
-    parents = {start: (None, None)}
+    if parents is None:
+        parents = {}
+    parents[start] = (None, None)
     queue = deque((start,))
     pruned = False
     while queue:
@@ -479,10 +529,10 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
     kind = surface.kind
     identity = identity_word(kind)
     # box point -> index into classes, or its witness word once exceptional
-    label = {p: identity for p in points if exceptional_axis(p) is not None}
+    label = {p: identity for p in points if 2 in p or -2 in p}
 
     def stop(q):
-        return q in label or exceptional_axis(q) is not None
+        return q in label or 2 in q or -2 in q
 
     classes = []
     caps_hit = False
@@ -517,7 +567,8 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
         rep = min(normalize_11(m)[0] for m in lows) if canonical else min(lows)
         reps.append((rep, len(members)))
     reps.sort(key=lambda r: (linf_height(r[0]), r[0]))
-    exceptional = sorted(e for e in label.items() if not isinstance(e[1], int))
+    # every label key is a box point, so walking the sorted points sorts them
+    exceptional = [(p, label[p]) for p in points if not isinstance(label[p], int)]
 
     return OrbitReport(
         surface=surface,

@@ -248,6 +248,21 @@ def test_scan_parallel_matches_serial(capsys):
     assert serial == parallel
 
 
+def test_main_calls_share_no_state(capsys):
+    # one parser serves every call in a process; no option may leak
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["scan", "--k", "-2", "--box", "5"]
+    code, out, _ = run_cli(capsys, *argv, "--gens", "gamma_poly")
+    assert code == 0 and json.loads(out)["generators"] == "gamma_poly"
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["generators"] == "gamma_prime"
+    with pytest.raises(SystemExit):
+        main(["scan", "--gens", "no-such-set"])
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)["generators"] == "gamma_prime"
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "60", "--seed", "3")
     assert code == 0

@@ -224,24 +224,28 @@ def test_concat_words():
 # --- normalize_11 -----------------------------------------------------------
 
 
+def _orbit24(p):
+    """The images of p under the 24 permutations and even sign changes."""
+    return {
+        Point3(*(p[i] * s for i, s in zip(perm, signs)))
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product((1, -1), repeat=3)
+        if signs.count(-1) % 2 == 0
+    }
+
+
+def _normal_key(q):
+    return (
+        0 if abs(q[0]) <= abs(q[1]) <= abs(q[2]) else 1,
+        sum(1 for v in q if v < 0),
+        tuple(1 if v < 0 else 0 for v in q),
+        tuple(q),
+    )
+
+
 def _oracle_normalize(p):
     """Independent brute force over the 24 permutation/even-sign images."""
-    best = None
-    for perm in itertools.permutations(range(3)):
-        q0 = tuple(p[i] for i in perm)
-        for signs in itertools.product((1, -1), repeat=3):
-            if signs.count(-1) % 2 != 0:
-                continue
-            q = tuple(v * s for v, s in zip(q0, signs))
-            key = (
-                0 if abs(q[0]) <= abs(q[1]) <= abs(q[2]) else 1,
-                sum(1 for v in q if v < 0),
-                tuple(1 if v < 0 else 0 for v in q),
-                q,
-            )
-            if best is None or key < best:
-                best = key
-    return Point3(*best[3])
+    return min(_orbit24(p), key=_normal_key)
 
 
 def test_normalize_examples():
@@ -565,3 +569,14 @@ def test_property_residual_invariant_under_generators(s, p):
     r = residual(s, p)
     for m in _unit_and_powered_moves(s.kind):
         assert residual(s, apply_move(s, m, p)) == r
+
+
+@_property
+@given(_points)
+def test_property_normalize_idempotent_and_orbit_minimal(p):
+    form, word = normalize_11(p)
+    orbit = _orbit24(p)
+    assert normalize_11(form)[0] == form
+    assert form in orbit
+    assert all(_normal_key(form) <= _normal_key(q) for q in orbit)
+    assert apply_word(Markoff11(0), word, p) == form  # symmetries ignore k

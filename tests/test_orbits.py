@@ -4,6 +4,7 @@ import math
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from markoff.surfaces import (
     DomainMismatch,
@@ -17,6 +18,7 @@ from markoff.surfaces import (
 from markoff.moves import apply_move, apply_word, generators, vieta
 from markoff.orbits import (
     _root_heights,
+    _slice,
     _sphere_form,
     Caps,
     class_number,
@@ -117,7 +119,7 @@ def _scan_points(surface, B):
     return sorted(found)
 
 
-@pytest.mark.parametrize(
+BIG_PARAMS = pytest.mark.parametrize(
     "surface, B",
     [
         (Markoff11(2**30), 4),
@@ -128,6 +130,9 @@ def _scan_points(surface, B):
     ],
     ids=["torus-2^30", "torus-2^40", "sphere-2^13", "sphere-2^26", "sphere-2222"],
 )
+
+
+@BIG_PARAMS
 def test_enumerate_big_params_matches_scan(surface, B):
     # parameters far beyond 2^52 in the discriminants, and a +-2-rich sphere
     assert enumerate_points(surface, B) == _scan_points(surface, B)
@@ -146,6 +151,64 @@ def test_enumerate_matches_scan_sphere_grid():
     for ks in SPHERE_GRID:
         s = make_cubic04(*ks)
         assert enumerate_points(s, 24) == _scan_points(s, 24), ks
+
+
+def _slice_pass(surface, axis, value, B):
+    """The O(B) slice, the oracle for _slice on +-2: every w in [-B, B] on
+    the next axis, t on the third from its monic quadratic."""
+    s, gamma, d = _sphere_form(surface)
+    j, l = (axis + 1) % 3, (axis + 2) % 3
+    found = set()
+    for w in range(-B, B + 1):
+        q1 = s * value * w - gamma[l]
+        q0 = w * w - gamma[j] * w + value * value - gamma[axis] * value - d
+        disc = q1 * q1 - 4 * q0
+        r = math.isqrt(disc) if disc >= 0 else -1
+        if r >= 0 and r * r == disc:
+            for t in ((r - q1) // 2, (-r - q1) // 2):
+                if abs(t) <= B:
+                    p = [value] * 3
+                    p[j], p[l] = w, t
+                    found.add(Point3(*p))
+    return found
+
+
+def _assert_locus_slices(surface, B):
+    form = _sphere_form(surface)
+    for axis in range(3):
+        for e in (2, -2):
+            got = list(_slice(form, axis, e, B))
+            assert set(got) == _slice_pass(surface, axis, e, B), (surface, B, axis, e)
+            assert len(got) == len(set(got))  # a double root is listed once
+            assert all(residual(surface, p) == 0 for p in got)
+
+
+def test_locus_slice_matches_pass_sphere_grid():
+    # each small box puts other squares at its edge, the first or last r
+    for ks in SPHERE_GRID:
+        for B in (*range(2, 13), 24, 200):
+            _assert_locus_slices(make_cubic04(*ks), B)
+
+
+@pytest.mark.parametrize(
+    "surface",
+    [make_cubic04(-4, -4, -1, -1), make_cubic04(-4, -4, -3, 2)]
+    + [Markoff11(k) for k in (-3, 0, 2, 3, 6, 7, 11, 38)],
+    ids=repr,
+)
+def test_locus_slice_matches_pass_alpha_zero(surface):
+    # b = c on the sphere, and every torus: the discriminant on x = +-2 is
+    # constant, so the slice is lines (a square) or empty
+    for B in (2, 24, 200):
+        _assert_locus_slices(surface, B)
+
+
+@BIG_PARAMS
+def test_locus_slice_matches_pass_big_params(surface, B):
+    # discriminants far beyond 2^52, where _slice lists the squares by r
+    # on some slices and passes over w, being cheaper there, on others
+    for box in (B, 200):
+        _assert_locus_slices(surface, box)
 
 
 def _unlowered(surface, points):
@@ -209,10 +272,8 @@ def test_enumerate_requires_exact():
         enumerate_points(Markoff11(-2.0), 3)
 
 
-@pytest.mark.parametrize("k, B", [(20, 10**6), (-2, 10**30)])
-def test_enumerate_huge_box(k, B):
+def _assert_huge_box(s, B, small):
     # output-sensitive: far beyond any B^2 scan, inside a generous budget
-    s = Markoff11(k)
     started = time.perf_counter()
     points = enumerate_points(s, B)
     elapsed = time.perf_counter() - started
@@ -224,7 +285,17 @@ def test_enumerate_huge_box(k, B):
         for axis in range(3):
             q = apply_move(s, vieta(axis), p)
             assert linf_height(q) > B or q in found
-    assert [p for p in points if linf_height(p) <= 1000] == enumerate_points(s, 1000)
+    assert [p for p in points if linf_height(p) <= small] == enumerate_points(s, small)
+
+
+@pytest.mark.parametrize("k, B", [(20, 10**6), (-2, 10**30)])
+def test_enumerate_huge_box(k, B):
+    _assert_huge_box(Markoff11(k), B, 1000)
+
+
+def test_enumerate_huge_box_sphere():
+    # the +-2 slices are listed from their squares, not by a pass over B
+    _assert_huge_box(make_cubic04(0, 1, 2, 3), 10**6, 200)
 
 
 # --- orbit BFS --------------------------------------------------------------
@@ -548,6 +619,26 @@ def test_class_number_04_exceptional_accounting():
         assert any(v in (2, -2) for v in hit)
     oracle_good, _ = _inbox_component_oracle(s, "gamma_prime", B)
     assert report.class_number_star == oracle_good
+
+
+@st.composite
+def _small_surfaces(draw):
+    if draw(st.booleans()):
+        return Markoff11(draw(st.integers(-10, 40)))
+    return make_cubic04(*(draw(st.integers(-4, 4)) for _ in range(4)))
+
+
+@settings(deadline=None, max_examples=80)
+@given(_small_surfaces(), st.integers(0, 12), st.sampled_from(["gamma_prime", "gamma_poly"]))
+def test_property_exceptional_witnesses_replay(s, B, gens):
+    report = class_number(s, gens, B)
+    pts = enumerate_points(s, B)
+    listed = [p for p, _ in report.exceptional]
+    assert listed == sorted(set(listed)) and set(listed) <= set(pts)
+    assert len(listed) + sum(n for _, n in report.representatives) == len(pts)
+    for p, word in report.exceptional:
+        hit = apply_word(s, word, p)
+        assert residual(s, hit) == 0 and (2 in hit or -2 in hit)
 
 
 def test_class_number_golden_box100():
