@@ -62,7 +62,7 @@ from .surfaces import (
     linf_height,
     point_domain,
 )
-from .moves import VIETA_MOVES, MoveWord, move_function, normalize_11
+from .moves import VIETA_MOVES, MoveWord, _new, _raw_move, normalize_11
 
 REDUCED = "reduced"
 CAP_HIT = "cap_hit"
@@ -142,21 +142,26 @@ def _descend(surface: Surface, p: Point3, step_cap: int, stop, shrinks):
 
     At each point, in this order: stop(p) ends the run with _STOP, step_cap
     moves end it with _CAP, and a step q with not shrinks(p, q) ends it at
-    p with _STALL.  Returns (point, moves, outcome).
+    p with _STALL.  Returns (point, moves, outcome).  The moves run on
+    plain tuples; only the returned point is built as a Point3.
     """
-    steps = tuple((m, move_function(surface, m)) for m in VIETA_MOVES)
+    steps = tuple((m, _raw_move(surface, m)) for m in VIETA_MOVES)
     moves = []
     while True:
         if stop(p):
-            return p, moves, _STOP
+            outcome = _STOP
+            break
         if len(moves) >= step_cap:
-            return p, moves, _CAP
+            outcome = _CAP
+            break
         m, f = steps[_max_axis(p)]
         q = f(surface, p)
         if not shrinks(p, q):
-            return p, moves, _STALL
+            outcome = _STALL
+            break
         moves.append(m)
         p = q
+    return _new(Point3, p), moves, outcome
 
 
 def _coordinate_shrinks(p: Point3, q: Point3) -> bool:

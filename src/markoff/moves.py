@@ -29,11 +29,13 @@ token string, one token per generator, e.g. "Vz Pyz Ta+ Ta+ Sxy":
 Twist powers compose additively; serialization expands a power-n twist to
 |n| unit tokens, and parsing returns unit-power moves.
 
-Each unit move is one plain function f(surface, p), kept in a table per
-surface class; it is the only place the move arithmetic is written.
-apply_move and the two dehn_twist functions look the move up in that
-table, and a search fetches its generators' functions once with
-move_function and then calls them directly.
+Each unit move is one plain function f(surface, p) returning a plain
+3-tuple, kept in a table per surface class; it is the only place the move
+arithmetic is written.  apply_move, apply_word, move_function and the two
+dehn_twist functions read that table and return Point3.  The searches of
+orbits and the descent loop of descent apply moves many times: they fetch
+their generators' tuple-valued functions once and build a Point3 only for
+the points they keep.
 """
 
 from __future__ import annotations
@@ -154,110 +156,112 @@ def inverse_move(m: Move) -> Move:
 # ---------------------------------------------------------------------------
 # move arithmetic: one plain function f(surface, p) per unit move
 #
-# Results are built with tuple.__new__, which skips the Python-level
-# Point3.__new__ of the NamedTuple and gives an equal Point3.
+# Results are plain tuples, which hash and compare equal to the Point3 of
+# the same coordinates.  Callers that return a point build it with
+# tuple.__new__, which skips the Python-level Point3.__new__ of the
+# NamedTuple and gives an equal Point3.
 
 _new = tuple.__new__
 
 
 def _vx11(s, p):
     x, y, z = p
-    return _new(Point3, (y * z - x, y, z))
+    return y * z - x, y, z
 
 
 def _vy11(s, p):
     x, y, z = p
-    return _new(Point3, (x, x * z - y, z))
+    return x, x * z - y, z
 
 
 def _vz11(s, p):
     x, y, z = p
-    return _new(Point3, (x, y, x * y - z))
+    return x, y, x * y - z
 
 
 def _vx04(s, p):
     x, y, z = p
-    return _new(Point3, (s.a - y * z - x, y, z))
+    return s.a - y * z - x, y, z
 
 
 def _vy04(s, p):
     x, y, z = p
-    return _new(Point3, (x, s.b - x * z - y, z))
+    return x, s.b - x * z - y, z
 
 
 def _vz04(s, p):
     x, y, z = p
-    return _new(Point3, (x, y, s.c - x * y - z))
+    return x, y, s.c - x * y - z
 
 
 def _pxy(s, p):
     x, y, z = p
-    return _new(Point3, (y, x, z))
+    return y, x, z
 
 
 def _pyz(s, p):
     x, y, z = p
-    return _new(Point3, (x, z, y))
+    return x, z, y
 
 
 def _pxz(s, p):
     x, y, z = p
-    return _new(Point3, (z, y, x))
+    return z, y, x
 
 
 def _pxyz(s, p):
     x, y, z = p
-    return _new(Point3, (z, x, y))
+    return z, x, y
 
 
 def _pxzy(s, p):
     x, y, z = p
-    return _new(Point3, (y, z, x))
+    return y, z, x
 
 
 def _sxy(s, p):
     x, y, z = p
-    return _new(Point3, (-x, -y, z))
+    return -x, -y, z
 
 
 def _syz(s, p):
     x, y, z = p
-    return _new(Point3, (x, -y, -z))
+    return x, -y, -z
 
 
 def _sxz(s, p):
     x, y, z = p
-    return _new(Point3, (-x, y, -z))
+    return -x, y, -z
 
 
 def _ta_fwd(s, p):
     x, y, z = p
-    return _new(Point3, (x, z, x * z - y))
+    return x, z, x * z - y
 
 
 def _ta_inv(s, p):
     x, y, z = p
-    return _new(Point3, (x, x * y - z, y))
+    return x, x * y - z, y
 
 
 def _tb_fwd(s, p):
     x, y, z = p
-    return _new(Point3, (x * y - z, y, x))
+    return x * y - z, y, x
 
 
 def _tb_inv(s, p):
     x, y, z = p
-    return _new(Point3, (z, y, y * z - x))
+    return z, y, y * z - x
 
 
 def _tab_fwd(s, p):
     x, y, z = p
-    return _new(Point3, (y, y * z - x, z))
+    return y, y * z - x, z
 
 
 def _tab_inv(s, p):
     x, y, z = p
-    return _new(Point3, (x * z - y, x, z))
+    return x * z - y, x, z
 
 
 # Each sphere twist is two Vieta involutions: index 1 fixes x, 2 fixes y
@@ -267,37 +271,37 @@ def _tab_inv(s, p):
 def _t1_fwd(s, p):
     x, y, z = p
     y1 = s.b - x * z - y
-    return _new(Point3, (x, y1, s.c - x * y1 - z))
+    return x, y1, s.c - x * y1 - z
 
 
 def _t1_inv(s, p):
     x, y, z = p
     z1 = s.c - x * y - z
-    return _new(Point3, (x, s.b - x * z1 - y, z1))
+    return x, s.b - x * z1 - y, z1
 
 
 def _t2_fwd(s, p):
     x, y, z = p
     z1 = s.c - x * y - z
-    return _new(Point3, (s.a - y * z1 - x, y, z1))
+    return s.a - y * z1 - x, y, z1
 
 
 def _t2_inv(s, p):
     x, y, z = p
     x1 = s.a - y * z - x
-    return _new(Point3, (x1, y, s.c - x1 * y - z))
+    return x1, y, s.c - x1 * y - z
 
 
 def _t3_fwd(s, p):
     x, y, z = p
     x1 = s.a - y * z - x
-    return _new(Point3, (x1, s.b - x1 * z - y, z))
+    return x1, s.b - x1 * z - y, z
 
 
 def _t3_inv(s, p):
     x, y, z = p
     y1 = s.b - x * z - y
-    return _new(Point3, (s.a - y1 * z - x, y1, z))
+    return s.a - y1 * z - x, y1, z
 
 
 _TORUS_MOVES = {
@@ -333,8 +337,9 @@ _ARG_NAMES = {
 }
 
 
-def move_function(surface: Surface, m: Move):
-    """The plain function f with f(surface, p) == apply_move(surface, m, p).
+def _raw_move(surface: Surface, m: Move):
+    """The tuple-valued function f with Point3(*f(surface, p)) ==
+    apply_move(surface, m, p).
 
     A unit move comes straight from the table of the surface's class; a
     twist of power n repeats its unit twist |n| times (involutions and
@@ -368,13 +373,29 @@ def move_function(surface: Surface, m: Move):
     return repeated
 
 
+def move_function(surface: Surface, m: Move):
+    """The plain function f with f(surface, p) == apply_move(surface, m, p),
+    returning a Point3.
+
+    Raises MoveMismatch for a move not defined on the surface and
+    ValueError for an unknown move.  The searches use the tuple-valued
+    _raw_move instead and build a Point3 only for the points they keep.
+    """
+    raw = _raw_move(surface, m)
+
+    def f(surface, p):
+        return _new(Point3, raw(surface, p))
+
+    return f
+
+
 def apply_move(surface: Surface, m: Move, p: Point3) -> Point3:
     """Apply one move; raises MoveMismatch if it is undefined on the surface."""
     try:
         f = _MOVE_TABLES[type(surface)][m]
     except KeyError:
-        f = move_function(surface, m)
-    return f(surface, p)
+        f = _raw_move(surface, m)
+    return _new(Point3, f(surface, p))
 
 
 def dehn_twist_11(which: str, direction: int, p: Point3) -> Point3:
@@ -382,7 +403,7 @@ def dehn_twist_11(which: str, direction: int, p: Point3) -> Point3:
     f = _TORUS_MOVES.get(Move("T11", which, 1 if direction > 0 else -1))
     if f is None:
         raise ValueError(f"unknown torus twist curve {which!r}")
-    return f(None, p)  # torus moves read nothing from the surface
+    return _new(Point3, f(None, p))  # torus moves read nothing from the surface
 
 
 def dehn_twist_04(surface: Cubic04, index: int, direction: int, p: Point3) -> Point3:
@@ -390,18 +411,26 @@ def dehn_twist_04(surface: Cubic04, index: int, direction: int, p: Point3) -> Po
     f = _SPHERE_MOVES.get(Move("T04", index, 1 if direction > 0 else -1))
     if f is None:
         raise ValueError(f"unknown sphere twist index {index!r}")
-    return f(surface, p)
+    return _new(Point3, f(surface, p))
 
 
 def apply_word(surface: Surface, w: MoveWord, p: Point3) -> Point3:
-    """Left-to-right application of a move word."""
+    """Left-to-right application of a move word.
+
+    The surface's move table is looked up once per word, the moves run on
+    plain tuples, and one Point3 is built at the end.
+    """
     if w.surface_kind != surface.kind:
         raise MoveMismatch(
             f"word tagged for surface type {w.surface_kind}, got {surface.kind}"
         )
+    table = _MOVE_TABLES.get(type(surface), {})
     for m in w.moves:
-        p = apply_move(surface, m, p)
-    return p
+        f = table.get(m)
+        if f is None:
+            f = _raw_move(surface, m)
+        p = f(surface, p)
+    return _new(Point3, p)
 
 
 def _move_tokens(m: Move):

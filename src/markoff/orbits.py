@@ -49,11 +49,11 @@ from .moves import (
     VIETA_MOVES,
     MoveWord,
     _new,
+    _raw_move,
     apply_word,
     concat_words,
     generators,
     identity_word,
-    move_function,
     normalize_11,
     transposition,
 )
@@ -78,8 +78,8 @@ def _resolve_gens(surface: Surface, gens):
 
 def _compile(surface: Surface, gens) -> tuple:
     """(move, function) pairs, so a search calls each generator's
-    function directly instead of going through apply_move."""
-    return tuple((g, move_function(surface, g)) for g in gens)
+    tuple-valued function directly instead of going through apply_move."""
+    return tuple((g, _raw_move(surface, g)) for g in gens)
 
 
 def _require_exact(surface: Surface, p: Point3 | None = None) -> None:
@@ -156,7 +156,7 @@ def _slice(form: tuple, axis: int, value: int, bound: int):
             if abs(t) <= bound:
                 p = [value, value, value]
                 p[j], p[l] = w, t
-                yield Point3(*p)
+                yield _new(Point3, p)
 
 
 def _largest_root(p2: int, p1: int, p0: int) -> int:
@@ -322,12 +322,17 @@ def _search(
     inserted point for which stop is true, returned as hit (else None).
     A parents map passed in is extended in place: its points count as
     reached, so they are never expanded, and cap_count counts them too.
+    The move functions return plain tuples, which look up equal to the
+    Point3 keys; the start and each child become a Point3 only when they
+    are inserted.
     """
     if parents is None:
         parents = {}
+    start = _new(Point3, start)
     parents[start] = (None, None)
     queue = deque((start,))
     pruned = False
+    low = -cap_height
     while queue:
         node = queue.popleft()
         for g, f in steps:
@@ -335,11 +340,13 @@ def _search(
             if child in parents:
                 continue
             x, y, z = child
-            if max(abs(x), abs(y), abs(z)) > cap_height:
+            if not (low <= x <= cap_height and low <= y <= cap_height
+                    and low <= z <= cap_height):
                 pruned = True
                 continue
             if len(parents) >= cap_count:
                 return parents, None, pruned, True
+            child = _new(Point3, child)
             parents[child] = (node, g)
             if stop is not None and stop(child):
                 return parents, child, pruned, False
@@ -435,6 +442,7 @@ def equivalent(
         return EquivalenceResult(True, word, False, pruned)
 
     cap_height, cap_count = caps.height, caps.count
+    low = -cap_height
     while sides[0]["frontier"] and sides[1]["frontier"]:
         side = sides[0] if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else sides[1]
         other = sides[1] if side is sides[0] else sides[0]
@@ -442,18 +450,23 @@ def equivalent(
         new_frontier = []
         for node in side["frontier"]:
             for g, f in steps:
-                child = f(surface, node)
+                child = f(surface, node)  # a plain tuple, as in _search
                 if child in seen:
                     continue
                 x, y, z = child
-                if max(abs(x), abs(y), abs(z)) > cap_height:
+                if not (low <= x <= cap_height and low <= y <= cap_height
+                        and low <= z <= cap_height):
                     pruned = True
                     continue
-                seen[child] = (node, g)
-                if child in other_seen:
-                    return finish(child)
-                if len(seen) + len(other_seen) >= cap_count:
+                # a point the other side holds is a meet, not a new point;
+                # a new one is counted before it goes in, as in _search
+                meet = child in other_seen
+                if not meet and len(seen) + len(other_seen) >= cap_count:
                     return EquivalenceResult(False, None, False, pruned)
+                child = _new(Point3, child)
+                seen[child] = (node, g)
+                if meet:
+                    return finish(child)
                 new_frontier.append(child)
         side["frontier"] = new_frontier
     # one side ran out of new points: definitive for the capped graph

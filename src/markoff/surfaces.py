@@ -184,7 +184,8 @@ def boundary_trace_11(p: Point3) -> Scalar:
 
 def linf_height(p: Point3) -> Scalar:
     """max(|x|, |y|, |z|), using the complex modulus in the approx domain."""
-    return max(abs(p.x), abs(p.y), abs(p.z))
+    x, y, z = p
+    return max(abs(x), abs(y), abs(z))
 
 
 def height(params) -> Scalar:

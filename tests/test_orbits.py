@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,35 @@ from markoff.surfaces import (
     make_cubic04,
     residual,
 )
-from markoff.moves import apply_move, apply_word, generators, vieta
+from markoff.moves import (
+    GENERATOR_SETS,
+    MoveWord,
+    apply_move,
+    apply_word,
+    concat_words,
+    generators,
+    identity_word,
+    move_function,
+    twist04,
+    twist11,
+    vieta,
+)
+from markoff.descent import (
+    INTEGER_STAR,
+    REAL_AWAY2,
+    AConfig,
+    reduce_compact,
+    reduce_min_complex_04,
+    reduce_min_complex_11,
+)
 from markoff.orbits import (
+    _compile,
     _root_heights,
+    _search,
     _slice,
     _sphere_form,
     Caps,
+    EquivalenceResult,
     class_number,
     enumerate_points,
     equivalent,
@@ -363,6 +387,24 @@ def test_equivalent_respects_count_cap():
     assert not res.equivalent and not res.exhausted
 
 
+@pytest.mark.parametrize(
+    "gens, p, q, visited",
+    [
+        ("gamma_prime", (-32, -6, -7), (-52, 6, 10), 9),
+        ("gamma_poly", (-4, -48, -14), (-52, 6, 10), 3),
+    ],
+)
+def test_equivalent_count_cap_fits_exactly(gens, p, q, visited):
+    # both sides together visit `visited` points below height 60: a count
+    # cap of that size holds them all, one less cuts the search short
+    s = make_cubic04(0, 1, 2, 3)
+    p, q = Point3(*p), Point3(*q)
+    fits = equivalent(s, gens, p, q, Caps(60, visited))
+    assert not fits.equivalent and fits.exhausted
+    cut = equivalent(s, gens, p, q, Caps(60, visited - 1))
+    assert not cut.equivalent and not cut.exhausted
+
+
 # --- exceptional search -----------------------------------------------------
 
 
@@ -661,3 +703,222 @@ def test_class_number_golden_box100():
         poly = class_number(s, "gamma_poly", 100)
         assert (poly.class_number_star, prime.class_number_star) == (h_poly, h_prime)
         assert len(prime.exceptional) == n_exc
+
+
+# --- the searches against their Point3-building form --------------------------
+
+
+def _oracle_steps(surface, gens):
+    """(move, function) pairs whose functions return Point3."""
+    return tuple((g, move_function(surface, g)) for g in gens)
+
+
+def _oracle_search(surface, steps, start, cap_height, cap_count, stop=None, parents=None):
+    """orbits._search as it was when every child was built as a Point3 and
+    tested against the height cap with max(abs(...))."""
+    if parents is None:
+        parents = {}
+    parents[start] = (None, None)
+    queue = deque((start,))
+    pruned = False
+    while queue:
+        node = queue.popleft()
+        for g, f in steps:
+            child = f(surface, node)
+            if child in parents:
+                continue
+            x, y, z = child
+            if max(abs(x), abs(y), abs(z)) > cap_height:
+                pruned = True
+                continue
+            if len(parents) >= cap_count:
+                return parents, None, pruned, True
+            parents[child] = (node, g)
+            if stop is not None and stop(child):
+                return parents, child, pruned, False
+            queue.append(child)
+    return parents, None, pruned, False
+
+
+def _oracle_word(parents, kind, target):
+    moves = []
+    while parents[target][0] is not None:
+        target, move = parents[target]
+        moves.append(move)
+    return MoveWord(kind, tuple(reversed(moves)))
+
+
+def _oracle_equivalent(surface, gens, p, q, caps):
+    """orbits.equivalent's bidirectional loop on Point3 children, with a new
+    point counted before it goes in and a meet not counted."""
+    steps = _oracle_steps(surface, gens)
+    kind = surface.kind
+    if p == q:
+        return EquivalenceResult(True, identity_word(kind), True, False)
+    sides = ({"parents": {p: (None, None)}, "frontier": [p]},
+             {"parents": {q: (None, None)}, "frontier": [q]})
+    pruned = False
+    while sides[0]["frontier"] and sides[1]["frontier"]:
+        side = sides[0] if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else sides[1]
+        other = sides[1] if side is sides[0] else sides[0]
+        seen, other_seen = side["parents"], other["parents"]
+        new_frontier = []
+        for node in side["frontier"]:
+            for g, f in steps:
+                child = f(surface, node)
+                if child in seen:
+                    continue
+                x, y, z = child
+                if max(abs(x), abs(y), abs(z)) > caps.height:
+                    pruned = True
+                    continue
+                if child not in other_seen and len(seen) + len(other_seen) >= caps.count:
+                    return EquivalenceResult(False, None, False, pruned)
+                seen[child] = (node, g)
+                if child in other_seen:
+                    w_p = _oracle_word(sides[0]["parents"], kind, child)
+                    w_q = _oracle_word(sides[1]["parents"], kind, child)
+                    return EquivalenceResult(
+                        True, concat_words(w_p, w_q.inverse()), False, pruned)
+                new_frontier.append(child)
+        side["frontier"] = new_frontier
+    return EquivalenceResult(False, None, True, pruned)
+
+
+def _has_two(p):
+    return 2 in p or -2 in p
+
+
+def _assert_search_matches(surface, gens, start, cap_height, cap_count, stop=None, parents=None):
+    got = _search(surface, _compile(surface, gens), start, cap_height, cap_count, stop,
+                  None if parents is None else dict(parents))
+    want = _oracle_search(surface, _oracle_steps(surface, gens), start, cap_height,
+                          cap_count, stop, None if parents is None else dict(parents))
+    assert list(got[0].items()) == list(want[0].items())
+    assert got[1:] == want[1:]
+    assert all(type(p) is Point3 for p in got[0])
+    assert got[1] is None or type(got[1]) is Point3
+    return got
+
+
+def _differential_cases():
+    """(surface, generator set, start, height cap): both surfaces, both named
+    generator sets and powered twists, over small and big-int parameters."""
+    torus_powers = (twist11("a", 2), twist11("a", -2), twist11("b", 3), twist11("ab", -1))
+    sphere_powers = (twist04(1, 2), twist04(2, -3), twist04(3, 1))
+    surfaces = [(Markoff11(-2), 30), (Markoff11(6), 12), (Markoff11(3), 10),
+                (make_cubic04(0, 1, 2, 3), 25), (make_cubic04(1, 1, 1, 1), 8),
+                (Markoff11(2**30), 4), (Markoff11(2**40), 2), (make_cubic04(2**13, 3, -5, 7), 6),
+                (make_cubic04(2**26, 1, 1, 1), 2), (make_cubic04(2, 2, 2, 2), 10)]
+    for surface, B in surfaces:
+        powers = torus_powers if isinstance(surface, Markoff11) else sphere_powers
+        points = enumerate_points(surface, B)
+        starts = points[:: max(1, len(points) // 4)]
+        for gens in ("gamma_prime", "gamma_poly", powers):
+            gens = generators(surface.kind, gens) if isinstance(gens, str) else gens
+            for start in starts:
+                yield surface, gens, start, B
+
+
+def test_search_matches_point3_oracle():
+    for surface, gens, start, B in _differential_cases():
+        full = _assert_search_matches(surface, gens, start, B, 10**6)
+        n = len(full[0])
+        for count in (n, n - 1, 1):  # the count cap fits exactly, or is hit
+            _assert_search_matches(surface, gens, start, B, count)
+        _assert_search_matches(surface, gens, start, B, 10**6, _has_two)
+        last = list(full[0])[-1]
+        _assert_search_matches(surface, gens, start, B, 10**6, lambda q: q == last)
+        # a start above the height cap, and a map passed in
+        _assert_search_matches(surface, gens, start, linf_height(start) - 1, 10**6)
+        _assert_search_matches(surface, gens, start, B, 10**6, parents=dict.fromkeys(
+            list(full[0])[n // 2:], (None, None)))
+
+
+def _beyond_int64(surface, p):
+    """p moved up the Vieta tree until its height passes 2^80."""
+    while linf_height(p) <= 2**80:
+        p = max((apply_move(surface, vieta(axis), p) for axis in range(3)), key=linf_height)
+    return p
+
+
+# a torus whose parameter is beyond int64 too: k = x^2 + y^2 + z^2 - xyz - 2
+_X, _Y, _Z = 3, 5, 2**35
+BIG_STARTS = ((Markoff11(-2), Point3(3, 3, 3)), (make_cubic04(0, 1, 2, 3), Point3(-4, -48, -14)),
+              (Markoff11(_X * _X + _Y * _Y + _Z * _Z - _X * _Y * _Z - 2), Point3(_X, _Y, _Z)))
+
+
+def test_search_matches_point3_oracle_beyond_int64():
+    # starts and height caps far beyond int64, until the count cap stops
+    # the search
+    for surface, p in BIG_STARTS:
+        start = _beyond_int64(surface, p)
+        for gens in GENERATOR_SETS:
+            gens = generators(surface.kind, gens)
+            got = _assert_search_matches(surface, gens, start, 10**60, 600)
+            assert got[3] and sum(linf_height(q) > 2**64 for q in got[0]) > 300
+            _assert_search_matches(surface, gens, start, 10**60, 600,
+                                   lambda q: linf_height(q) < 2**40)
+            _assert_search_matches(surface, gens, start, 2**80, 600)
+
+
+def test_equivalent_matches_point3_oracle():
+    for surface, gens, start, B in _differential_cases():
+        orbit = list(_search(surface, _compile(surface, gens), start, B, 10**6)[0])
+        others = enumerate_points(surface, B)
+        targets = {orbit[-1], orbit[len(orbit) // 2], others[0], others[-1]}
+        for q in sorted(targets):
+            for caps in [Caps(B, 10**6), Caps(linf_height(start) - 1, 10**6)] + [
+                    Caps(B, count) for count in range(1, 12)]:
+                got = equivalent(surface, gens, start, q, caps)
+                assert got == _oracle_equivalent(surface, gens, start, q, caps)
+    for surface, p in BIG_STARTS:
+        p = _beyond_int64(surface, p)
+        for gens in GENERATOR_SETS:
+            gens = generators(surface.kind, gens)
+            orbit = list(_search(surface, _compile(surface, gens), p, 10**60, 200)[0])
+            for q in (orbit[-1], orbit[-7], _beyond_int64(surface, orbit[-1])):
+                for count in (50, 200, 400):
+                    caps = Caps(10**60, count)
+                    got = equivalent(surface, gens, p, q, caps)
+                    assert got == _oracle_equivalent(surface, gens, p, q, caps)
+
+
+# --- the library hands out Point3 ---------------------------------------------
+
+
+def test_points_handed_out_are_point3():
+    surfaces = (Markoff11(-2), Markoff11(6), make_cubic04(0, 1, 2, 3), make_cubic04(1, 1, 1, 1))
+    for surface in surfaces:
+        points = enumerate_points(surface, 20)
+        assert points and all(type(p) is Point3 for p in points)
+        for gens, start in itertools.product(GENERATOR_SETS, (points[len(points) // 2],
+                                                               tuple(points[-1]))):
+            run = orbit_bfs(surface, gens, start, cap_height=40)
+            for p, (parent, _) in run.parents.items():
+                assert type(p) is Point3 and (parent is None or type(parent) is Point3)
+            report = class_number(surface, gens, 20)
+            for p, _ in report.representatives + report.exceptional:
+                assert type(p) is Point3
+            word = run.word_to(list(run.parents)[-1])
+            for p in (run.start, tuple(run.start)):
+                assert type(apply_word(surface, word, p)) is Point3
+                assert type(apply_word(surface, identity_word(surface.kind), p)) is Point3
+    star = AConfig(INTEGER_STAR)
+    starts = [Point3(3, 3, 3), Point3(6, 15, 87), (6, 15, 87), Point3(0, 0, 0)]
+    for p in starts:
+        for step_cap in (0, 1, 10**4):
+            reduced = reduce_compact(MARKOFF, star, p, step_cap).reduced
+            assert type(reduced) is Point3
+    assert type(reduce_compact(Markoff11(6), star, Point3(1, 3, 1)).reduced) is Point3
+    sphere = make_cubic04(0, 1, 2, 3)
+    assert type(reduce_compact(sphere, star, Point3(-52, 6, 10)).reduced) is Point3
+    far = Point3(1299, 15, 87)  # on MARKOFF, with every coordinate above B(-2) = 8
+    approx = tuple(complex(v) for v in far)
+    assert type(reduce_compact(MARKOFF, AConfig(REAL_AWAY2), approx).reduced) is Point3
+    for p in (approx, (1 + 0j, 2 + 0j, 3 + 0j)):
+        assert type(reduce_min_complex_11(Markoff11(-2.0 + 0j), p).reduced) is Point3
+    q = apply_word(sphere, MoveWord("04", (twist04(1, 3), twist04(2, 3))), Point3(-52, 6, 10))
+    for p in (tuple(complex(v) for v in q), (1 + 0j, 2 + 0j, 3 + 0j)):
+        res = reduce_min_complex_04(make_cubic04(0j, 1 + 0j, 2 + 0j, 3 + 0j), p)
+        assert type(res.reduced) is Point3
