@@ -9,19 +9,22 @@
     markoff orbit  --type 11 --k -2 --start 3,3,3 --gens gamma_poly --cap-height 100
     markoff equiv  --type 11 --k -2 --p 3,3,3 --q 3,6,15
 
-Exit codes: 0 success, 1 input or math error, 2 caps hit (for scan: some
-row says caps_hit).  Scan rows are cached per (surface, generator set,
-box, height and count caps, hash of the package sources); --cap-steps
-bounds only reduce and is not in the key.  The cache path comes from
---cache or the MARKOFF_CACHE environment variable, an unreadable cache
-file is ignored with a warning, and rerunning a warm scan reproduces
-cached rows byte for byte.  Complex literals use the form re+imi, e.g.
-1.5+0.25i.
+Exit codes: 0 success, 1 usage, input or math error, 2 caps hit (for
+scan: some row says caps_hit).  reduce takes the step cap --cap-steps;
+scan, orbit and equiv take the search caps --cap-height and --cap-count.
+Scan rows are cached per (surface, generator set, box, height and count
+caps, hash of the package sources).  The cache path comes from --cache
+or the MARKOFF_CACHE environment variable, an unreadable cache file or
+a malformed row in it is ignored with a warning, and rerunning a warm
+scan reproduces cached rows byte for byte.  Complex literals use the
+form re+imi, e.g. 1.5+0.25i.
 
 verify runs each suite of trace_algebra.IDENTITY_SUITES with a fresh
 random.Random(--seed) and prints one pass/FAIL line per suite.  The
-commands read their options from the parsed arguments; argparse holds
-every default and `_check_args` rejects out-of-range values (exit 1).
+commands read their options from the parsed arguments; each command
+declares only the options it reads, argparse holds every default and
+`_check_args` rejects out-of-range values (exit 1).  main reports every
+input or math error a command raises.
 """
 
 from __future__ import annotations
@@ -52,6 +55,7 @@ from .trace_algebra import IDENTITY_SUITES
 from .descent import (
     AConfig,
     CAP_HIT,
+    DEFAULT_STEP_CAP,
     EXCEPTIONAL_HIT,
     INTEGER_STAR,
     reduce_compact,
@@ -59,6 +63,7 @@ from .descent import (
     reduce_min_complex_11,
 )
 from .orbits import (
+    DEFAULT_CAPS,
     Caps,
     _label_classes,
     enumerate_points,
@@ -127,13 +132,9 @@ def parse_k_range(text: str) -> range:
 
 
 def cmd_reduce(args) -> int:
-    try:
-        params = parse_params(args, args.complex)
-        point = parse_point(args.point, args.complex)
-        surface = build_surface(args.type, params)
-    except (ValueError, MarkoffError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    params = parse_params(args, args.complex)
+    point = parse_point(args.point, args.complex)
+    surface = build_surface(args.type, params)
     if not on_surface(surface, point):
         print(
             f"error: point {args.point} is not on the surface; "
@@ -222,6 +223,14 @@ def _row_key(surface_type, params, gens, box, caps, code) -> str:
     )
 
 
+# the fields of every scan row, in CSV column order (CSV leaves out the
+# representatives); a cached row with other fields is recomputed
+_ROW_FIELDS = (
+    "k", "h_star_gamma_poly", "h_star_gamma_prime", "exceptional", "caps_hit",
+    "representatives",
+)
+
+
 def _scan_one(task) -> dict:
     surface_type, params, gens, box, caps = task
     surface = build_surface(surface_type, params)
@@ -271,17 +280,12 @@ def _store_cache(path: str, entries: dict) -> None:
 
 
 def cmd_scan(args) -> int:
-    try:
-        if args.type == "11":
-            if args.k_range is not None:
-                ks = [(k,) for k in parse_k_range(args.k_range)]
-            else:
-                ks = [parse_params(args)]
-        else:
-            ks = [parse_params(args)]
-    except (ValueError, MarkoffError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    if args.k_range is None:
+        ks = [parse_params(args)]
+    elif args.type == "11":
+        ks = [(k,) for k in parse_k_range(args.k_range)]
+    else:
+        raise ValueError("--k-range needs --type 11")
 
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     entries = {}
@@ -299,11 +303,17 @@ def cmd_scan(args) -> int:
         keys.append(_row_key(args.type, params, args.gens, args.box, caps, code))
         tasks.append((args.type, params, args.gens, args.box, tuple(caps)))
 
-    missing = [(i, t) for i, (key, t) in enumerate(zip(keys, tasks)) if key not in entries]
     rows: list = [None] * len(tasks)
-    for i, key in enumerate(keys):
+    missing = []
+    for i, (key, task) in enumerate(zip(keys, tasks)):
+        row = entries.get(key)
+        if isinstance(row, dict) and row.keys() == set(_ROW_FIELDS):
+            rows[i] = row
+            continue
         if key in entries:
-            rows[i] = entries[key]
+            print(f"warning: malformed row in cache {cache_path}; recomputing it",
+                  file=sys.stderr)
+        missing.append((i, task))
     if missing:
         if args.jobs > 1 and len(missing) > 1:
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -324,21 +334,11 @@ def cmd_scan(args) -> int:
     if args.format == "csv":
         out = io.StringIO()
         writer = csv.writer(out)
-        writer.writerow(
-            ["k", "h_star_gamma_poly", "h_star_gamma_prime", "exceptional", "caps_hit"]
-        )
+        writer.writerow(_ROW_FIELDS[:-1])
         for row in rows:
             k = row["k"]
             k_text = " ".join(str(v) for v in k) if isinstance(k, list) else k
-            writer.writerow(
-                [
-                    k_text,
-                    row["h_star_gamma_poly"],
-                    row["h_star_gamma_prime"],
-                    row["exceptional"],
-                    row["caps_hit"],
-                ]
-            )
+            writer.writerow([k_text] + [row[field] for field in _ROW_FIELDS[1:-1]])
         sys.stdout.write(out.getvalue())
     else:
         doc = {
@@ -417,17 +417,11 @@ def _line_z_text(line) -> str:
 
 
 def cmd_orbit(args) -> int:
-    try:
-        params = parse_params(args)
-        surface = build_surface(args.type, params)
-        start = parse_point(args.start, complex_mode=False)
-        caps = _caps(args, default_height=10**6)
-        run = orbit_bfs(
-            surface, args.gens, start, cap_height=caps.height, cap_count=caps.count
-        )
-    except (ValueError, MarkoffError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    params = parse_params(args)
+    surface = build_surface(args.type, params)
+    start = parse_point(args.start, complex_mode=False)
+    caps = _caps(args, default_height=DEFAULT_CAPS.height)
+    run = orbit_bfs(surface, args.gens, start, cap_height=caps.height, cap_count=caps.count)
     rows = []
     for p in run.points():
         word = run.word_to(p)
@@ -453,15 +447,12 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_equiv(args) -> int:
-    try:
-        params = parse_params(args)
-        surface = build_surface(args.type, params)
-        p = parse_point(args.p, complex_mode=False)
-        q = parse_point(args.q, complex_mode=False)
-        res = equivalent(surface, args.gens, p, q, _caps(args, default_height=10**6))
-    except (ValueError, MarkoffError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    params = parse_params(args)
+    surface = build_surface(args.type, params)
+    p = parse_point(args.p, complex_mode=False)
+    q = parse_point(args.q, complex_mode=False)
+    caps = _caps(args, default_height=DEFAULT_CAPS.height)
+    res = equivalent(surface, args.gens, p, q, caps)
     if res.equivalent:
         print(json.dumps({"equivalent": True, "word": str(res.word)}, sort_keys=True))
         return EXIT_OK
@@ -500,23 +491,30 @@ def _caps(args, default_height) -> Caps:
 
 def _add_surface_args(sub, with_range=False):
     sub.add_argument("--type", choices=("11", "04"), default="11")
-    sub.add_argument("--k", help="k for --type 11, k1,k2,k3,k4 for --type 04")
+    k_args = sub.add_mutually_exclusive_group() if with_range else sub
+    k_args.add_argument("--k", help="k for --type 11, k1,k2,k3,k4 for --type 04")
     if with_range:
-        sub.add_argument("--k-range", dest="k_range", help="inclusive range LO..HI")
+        k_args.add_argument(
+            "--k-range", dest="k_range", help="inclusive range LO..HI, --type 11 only"
+        )
 
 
 def _add_caps_args(sub):
     sub.add_argument("--cap-height", dest="cap_height", type=int, default=None)
-    sub.add_argument("--cap-count", dest="cap_count", type=int, default=10**6)
-    sub.add_argument("--cap-steps", dest="cap_steps", type=int, default=10**4)
+    sub.add_argument("--cap-count", dest="cap_count", type=int, default=DEFAULT_CAPS.count)
 
 
 class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that accepts values like -2..2 or -3,6,15."""
+    """ArgumentParser that accepts values like -2..2 or -3,6,15 and exits
+    with EXIT_ERROR on a usage error, since exit code 2 means a cap was hit."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"^-\d")
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
@@ -535,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--point", required=True, help="x,y,z")
     p.add_argument("--complex", action="store_true", help="complex-domain descent")
     p.add_argument("--format", choices=("json", "text"), default="text")
-    _add_caps_args(p)
+    p.add_argument("--cap-steps", dest="cap_steps", type=int, default=DEFAULT_STEP_CAP)
     p.set_defaults(func=cmd_reduce)
 
     p = subs.add_parser("scan", help="tabulate class numbers over a range of k")

@@ -62,7 +62,7 @@ from .surfaces import (
     linf_height,
     point_domain,
 )
-from .moves import VIETA_MOVES, MoveWord, _new, _raw_move, normalize_11
+from .moves import VIETA_MOVES, MoveWord, _compile, _new, normalize_11
 
 REDUCED = "reduced"
 CAP_HIT = "cap_hit"
@@ -145,7 +145,7 @@ def _descend(surface: Surface, p: Point3, step_cap: int, stop, shrinks):
     p with _STALL.  Returns (point, moves, outcome).  The moves run on
     plain tuples; only the returned point is built as a Point3.
     """
-    steps = tuple((m, _raw_move(surface, m)) for m in VIETA_MOVES)
+    steps = _compile(surface, VIETA_MOVES)
     moves = []
     while True:
         if stop(p):

@@ -31,11 +31,11 @@ Twist powers compose additively; serialization expands a power-n twist to
 
 Each unit move is one plain function f(surface, p) returning a plain
 3-tuple, kept in a table per surface class; it is the only place the move
-arithmetic is written.  apply_move, apply_word, move_function and the two
-dehn_twist functions read that table and return Point3.  The searches of
-orbits and the descent loop of descent apply moves many times: they fetch
-their generators' tuple-valued functions once and build a Point3 only for
-the points they keep.
+arithmetic is written.  apply_move, apply_word and the two dehn_twist
+functions read that table and return Point3.  The searches of orbits and
+the descent loop of descent apply moves many times: they fetch their
+generators' tuple-valued functions once, through _compile, and build a
+Point3 only for the points they keep.
 """
 
 from __future__ import annotations
@@ -373,20 +373,13 @@ def _raw_move(surface: Surface, m: Move):
     return repeated
 
 
-def move_function(surface: Surface, m: Move):
-    """The plain function f with f(surface, p) == apply_move(surface, m, p),
-    returning a Point3.
-
-    Raises MoveMismatch for a move not defined on the surface and
-    ValueError for an unknown move.  The searches use the tuple-valued
-    _raw_move instead and build a Point3 only for the points they keep.
-    """
-    raw = _raw_move(surface, m)
-
-    def f(surface, p):
-        return _new(Point3, raw(surface, p))
-
-    return f
+def _compile(surface: Surface, gens) -> tuple:
+    """(move, tuple-valued function) pairs for a generator-set name or a
+    sequence of moves, so a loop that applies moves many times calls each
+    function directly instead of going through apply_move."""
+    if isinstance(gens, str):
+        gens = generators(surface.kind, gens)
+    return tuple((g, _raw_move(surface, g)) for g in gens)
 
 
 def apply_move(surface: Surface, m: Move, p: Point3) -> Point3:

@@ -48,16 +48,14 @@ from .surfaces import (
 from .moves import (
     VIETA_MOVES,
     MoveWord,
+    _compile,
     _new,
-    _raw_move,
     apply_word,
     concat_words,
-    generators,
     identity_word,
     normalize_11,
     transposition,
 )
-from .descent import exceptional_axis
 
 
 class Caps(NamedTuple):
@@ -68,18 +66,6 @@ class Caps(NamedTuple):
 
 
 DEFAULT_CAPS = Caps()
-
-
-def _resolve_gens(surface: Surface, gens):
-    if isinstance(gens, str):
-        return generators(surface.kind, gens)
-    return tuple(gens)
-
-
-def _compile(surface: Surface, gens) -> tuple:
-    """(move, function) pairs, so a search calls each generator's
-    tuple-valued function directly instead of going through apply_move."""
-    return tuple((g, _raw_move(surface, g)) for g in gens)
 
 
 def _require_exact(surface: Surface, p: Point3 | None = None) -> None:
@@ -392,7 +378,7 @@ def orbit_bfs(
     point of sup-norm above cap_height."""
     _require_exact(surface, start)
     _require_on_surface(surface, start)
-    steps = _compile(surface, _resolve_gens(surface, gens))
+    steps = _compile(surface, gens)
     parents, _, pruned, truncated = _search(surface, steps, start, cap_height, cap_count)
     return OrbitRun(surface, start, parents, pruned or truncated)
 
@@ -422,7 +408,7 @@ def equivalent(
     _require_on_surface(surface, p)
     _require_on_surface(surface, q)
     # compiled before the p == q answer, so a foreign generator always raises
-    steps = _compile(surface, _resolve_gens(surface, gens))
+    steps = _compile(surface, gens)
     kind = surface.kind
     if p == q:
         return EquivalenceResult(True, identity_word(kind), True, False)
@@ -488,12 +474,11 @@ def is_exceptional(surface: Surface, p: Point3, caps: Caps = DEFAULT_CAPS) -> Ex
     equal to +2 or -2.  A hit is certified; a miss is cap-relative."""
     _require_exact(surface, p)
     _require_on_surface(surface, p)
-    if exceptional_axis(p) is not None:
+    if 2 in p or -2 in p:
         return ExceptionalSearch(True, identity_word(surface.kind), False, False)
-    steps = _compile(surface, generators(surface.kind, "gamma_prime"))
+    steps = _compile(surface, "gamma_prime")
     parents, hit, pruned, truncated = _search(
-        surface, steps, p, caps.height, caps.count,
-        stop=lambda q: exceptional_axis(q) is not None,
+        surface, steps, p, caps.height, caps.count, stop=lambda q: 2 in q or -2 in q
     )
     if hit is None:
         return ExceptionalSearch(False, None, not truncated, pruned)
@@ -538,7 +523,7 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
     """class_number on the already enumerated box points, so a caller that
     needs both generator sets enumerates the box once."""
     cap_height = max(caps.height, B)
-    steps = _compile(surface, generators(surface.kind, gens_name))
+    steps = _compile(surface, gens_name)
     kind = surface.kind
     identity = identity_word(kind)
     # box point -> index into classes, or its witness word once exceptional
@@ -566,7 +551,8 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
         to_hit = concat_words(_word_from_parents(parents, kind, hit), mark)
         for m in reached:
             word = concat_words(_word_from_parents(parents, kind, m).inverse(), to_hit)
-            if exceptional_axis(apply_word(surface, word, m)) is None:
+            q = apply_word(surface, word, m)
+            if not (2 in q or -2 in q):
                 raise MarkoffError("exceptional witness failed to replay")
             label[m] = word
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -56,6 +57,12 @@ def test_reduce_off_surface_exit_one(capsys):
     )
     assert code == 1
     assert "residual = 2" in err
+
+
+def test_reduce_malformed_point_exit_one(capsys):
+    code, out, err = run_cli(capsys, "reduce", "--k", "-2", "--point", "1,2")
+    assert (code, out) == (1, "")
+    assert err == "error: expected three comma-separated coordinates, got '1,2'\n"
 
 
 def test_reduce_cap_hit_exit_two(capsys):
@@ -122,6 +129,18 @@ def test_scan_empty_range_header_only(capsys):
     ]
 
 
+def test_scan_04_csv_row(capsys):
+    # a sphere row's k is its four parameters joined by spaces
+    code, out, err = run_cli(
+        capsys, "scan", "--type", "04", "--k", "0,1,2,3", "--box", "30", "--format", "csv"
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "k,h_star_gamma_poly,h_star_gamma_prime,exceptional,caps_hit",
+        "0 1 2 3,3,2,32,False",
+    ]
+
+
 def test_scan_04_single_row(capsys):
     code, out, _ = run_cli(
         capsys, "scan", "--type", "04", "--k", "0,0,0,0", "--box", "8"
@@ -165,13 +184,17 @@ def test_scan_cache_key_includes_box(tmp_path, capsys):
     assert len(entries) == 2
 
 
-def test_scan_cache_key_ignores_cap_steps(tmp_path, capsys):
-    # --cap-steps bounds only reduce; a scan row does not depend on it
+def test_scan_rejects_cap_steps(tmp_path, capsys):
+    # --cap-steps bounds only reduce; scan refuses it instead of ignoring it
     cache = tmp_path / "cache.json"
     argv = ["scan", "--k", "-2", "--box", "10", "--cache", str(cache)]
     code1, out1, _ = run_cli(capsys, *argv)
     stamp = cache.read_text()
-    code2, out2, _ = run_cli(capsys, *argv, "--cap-steps", "5")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--cap-steps", "5"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --cap-steps 5" in capsys.readouterr().err
+    code2, out2, _ = run_cli(capsys, *argv)
     assert (code1, code2) == (0, 0)
     assert out1 == out2
     assert cache.read_text() == stamp
@@ -201,6 +224,20 @@ def test_scan_unreadable_cache_is_miss(tmp_path, capsys, garbage):
     assert code == 0
     assert out == fresh
     assert "warning" in err and "cache" in err
+
+
+@pytest.mark.parametrize("entry", [3, None, {"k": -2}])
+def test_scan_malformed_cache_row_is_miss(tmp_path, capsys, entry):
+    argv = ["scan", "--k", "-2", "--box", "10"]
+    _, fresh, _ = run_cli(capsys, *argv)
+    cache = tmp_path / "cache.json"
+    key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], cli._source_hash())
+    cache.write_text(json.dumps({"entries": {key: entry}}))
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert code == 0
+    assert out == fresh
+    assert err.startswith("warning:") and "cache" in err
+    assert json.loads(cache.read_text())["entries"][key] == json.loads(fresh)["rows"][0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -263,6 +300,98 @@ def test_main_calls_share_no_state(capsys):
     assert code == 0 and json.loads(out)["generators"] == "gamma_prime"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    (["scan", "--gens", "nope"], "argument --gens: invalid choice: 'nope'"),
+    (["scan", "--k", "-2", "--bogus"], "unrecognized arguments: --bogus"),
+    (["scan", "--box", "x"], "argument --box: invalid int value: 'x'"),
+    (["reduce", "--k", "-2", "--point", "3,6,15", "--cap-height", "5"],
+     "unrecognized arguments: --cap-height 5"),
+    (["reduce", "--k", "-2", "--point", "3,6,15", "--cap-count", "5"],
+     "unrecognized arguments: --cap-count 5"),
+    (["orbit", "--k", "-2", "--start", "0,0,0", "--cap-steps", "5"],
+     "unrecognized arguments: --cap-steps 5"),
+    (["equiv", "--k", "-2", "--p", "0,0,0", "--q", "0,0,0", "--cap-steps", "5"],
+     "unrecognized arguments: --cap-steps 5"),
+    (["scan", "--type", "11", "--k", "7", "--k-range", "0..1"],
+     "argument --k-range: not allowed with argument --k"),
+    (["scan", "--type", "04", "--k", "0,0,0,0", "--k-range", "0..3"],
+     "argument --k-range: not allowed with argument --k"),
+], ids=[
+    "no-command", "unknown-command", "bad-choice", "unknown-flag", "bad-int",
+    "reduce-cap-height", "reduce-cap-count", "orbit-cap-steps", "equiv-cap-steps",
+    "k-with-k-range", "sphere-k-with-k-range",
+])
+def test_usage_errors_exit_one(capsys, argv, message):
+    # exit code 2 means a cap was hit, so a usage error must not use it
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: markoff")
+    assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["scan", "--help"]])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
+# a few valid argv per command; together they take every branch that reads an option
+_GUARD_ARGV = [
+    ["reduce", "--k", "-2", "--point", "3,6,15", "--format", "json", "--cap-steps", "9"],
+    ["reduce", "--type", "04", "--k", "0.0,0.0,0.0,0.0", "--point", "2.0,0.0,0.0",
+     "--complex"],
+    ["scan", "--k", "-2", "--box", "5", "--format", "csv", "--cap-count", "99"],
+    ["scan", "--k-range", "-1..0", "--box", "5", "--gens", "gamma_poly", "--cap-height", "9"],
+    ["verify", "--trials", "2", "--seed", "1"],
+    ["lines", "--k", "6", "--format", "json"],
+    ["orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6", "--format", "csv"],
+    ["equiv", "--k", "-2", "--p", "3,3,3", "--q", "3,6,15", "--gens", "gamma_poly"],
+]
+
+
+def _options_read(argv):
+    """(option dests the command declares, attributes its function reads).
+
+    Reads are recorded only while args.func runs, so the range checks of
+    _check_args do not count as a use."""
+    reads = None
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            if reads is not None:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    args = cli.build_parser().parse_args(argv, namespace=Recording())
+    declared = set(vars(args)) - {"command", "func"}
+    cli._check_args(args)
+    reads = set()
+    args.func(args)
+    return declared, reads
+
+
+def test_every_declared_option_is_read(capsys, monkeypatch):
+    # an option a command accepts and never reads silently changes nothing
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    declared, read = {}, {}
+    for argv in _GUARD_ARGV:
+        options, reads = _options_read(argv)
+        declared.setdefault(argv[0], set()).update(options)
+        read.setdefault(argv[0], set()).update(reads)
+    capsys.readouterr()
+    assert set(declared) == {"reduce", "scan", "verify", "lines", "orbit", "equiv"}
+    assert {cmd: options - read[cmd] for cmd, options in declared.items()} == {
+        cmd: set() for cmd in declared
+    }
+
+
 def test_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--trials", "60", "--seed", "3")
     assert code == 0
@@ -306,6 +435,28 @@ def test_orbit_dump(capsys):
     assert doc["caps_hit"] is True
     assert {"point": [3, 3, 3], "word": ""} in doc["points"]
     assert any(p["point"] == [3, 3, 6] for p in doc["points"])
+
+
+def test_orbit_csv(capsys):
+    code, out, err = run_cli(
+        capsys, "orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6",
+        "--format", "csv",
+    )
+    assert (code, err) == (2, "")
+    assert out.splitlines() == [
+        "x,y,z,word",
+        "3,3,3,", "6,3,3,Vx", "3,6,3,Vy", "3,3,6,Vz",
+        "-3,-3,3,Sxy", "3,-3,-3,Syz", "-3,3,-3,Sxz",
+        "-6,-3,3,Vx Sxy", "6,-3,-3,Vx Syz", "-6,3,-3,Vx Sxz",
+        "-3,-6,3,Vy Sxy", "3,-6,-3,Vy Syz", "-3,6,-3,Vy Sxz",
+        "-3,-3,6,Vz Sxy", "3,-3,-6,Vz Syz", "-3,3,-6,Vz Sxz",
+    ]
+
+
+def test_orbit_off_surface_error(capsys):
+    code, out, err = run_cli(capsys, "orbit", "--k", "-2", "--start", "1,1,1")
+    assert (code, out) == (1, "")
+    assert err == "error: point (1, 1, 1) is not on the surface (residual 2)\n"
 
 
 def test_orbit_closed_exit_zero(capsys):
@@ -373,3 +524,5 @@ def test_invalid_config_exits_one(capsys):
         capsys, "equiv", "--k", "-2", "--p", "0,0,0", "--q", "0,0,0", "--cap-count", "0"
     )
     assert code == 1
+    code, _, err = run_cli(capsys, "scan", "--type", "04", "--k-range", "0..3")
+    assert code == 1 and err == "error: --k-range needs --type 11\n"

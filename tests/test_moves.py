@@ -26,7 +26,6 @@ from markoff.moves import (
     even_sign,
     generators,
     identity_word,
-    move_function,
     normalize_11,
     parse_word,
     permute,
@@ -418,10 +417,9 @@ def test_move_tables_match_if_chain_oracle():
         for m in _DIFF_MOVES:
             want = _outcome(lambda: _oracle_apply_move(surface, m, p))
             got = _outcome(lambda: apply_move(surface, m, p))
-            fetched = _outcome(lambda: move_function(surface, m)(surface, p))
-            assert got == want and fetched == want, (surface, m, p)
+            assert got == want, (surface, m, p)
             if isinstance(want, Point3):
-                assert type(got) is Point3 and type(fetched) is Point3
+                assert type(got) is Point3
 
 
 def test_move_tables_mismatch_and_unknown_errors():
@@ -429,8 +427,6 @@ def test_move_tables_mismatch_and_unknown_errors():
     for m in generators("11", "gamma_prime")[3:] + generators("11", "gamma_poly"):
         with pytest.raises(MoveMismatch):
             apply_move(sphere, m, p)
-        with pytest.raises(MoveMismatch):
-            move_function(sphere, m)
     for m in generators("04", "gamma_poly"):
         with pytest.raises(MoveMismatch):
             apply_move(torus, m, p)

@@ -19,12 +19,12 @@ from markoff.surfaces import (
 from markoff.moves import (
     GENERATOR_SETS,
     MoveWord,
+    _compile,
     apply_move,
     apply_word,
     concat_words,
     generators,
     identity_word,
-    move_function,
     twist04,
     twist11,
     vieta,
@@ -38,7 +38,6 @@ from markoff.descent import (
     reduce_min_complex_11,
 )
 from markoff.orbits import (
-    _compile,
     _root_heights,
     _search,
     _slice,
@@ -710,7 +709,7 @@ def test_class_number_golden_box100():
 
 def _oracle_steps(surface, gens):
     """(move, function) pairs whose functions return Point3."""
-    return tuple((g, move_function(surface, g)) for g in gens)
+    return tuple((g, lambda surface, p, g=g: apply_move(surface, g, p)) for g in gens)
 
 
 def _oracle_search(surface, steps, start, cap_height, cap_count, stop=None, parents=None):
