@@ -224,11 +224,22 @@ def _row_key(surface_type, params, gens, box, caps, code) -> str:
 
 
 # the fields of every scan row, in CSV column order (CSV leaves out the
-# representatives); a cached row with other fields is recomputed
+# representatives), with the type of each but k
 _ROW_FIELDS = (
     "k", "h_star_gamma_poly", "h_star_gamma_prime", "exceptional", "caps_hit",
     "representatives",
 )
+_ROW_TYPES = dict(zip(_ROW_FIELDS[1:], (int, int, int, bool, list)))
+
+
+def _row_k(surface_type, params):
+    return params[0] if surface_type == "11" else list(params)
+
+
+def _is_row(row, k) -> bool:
+    """True for a scan row of parameter k with every field of its type."""
+    return (isinstance(row, dict) and row.keys() == set(_ROW_FIELDS) and row["k"] == k
+            and all(type(row[field]) is kind for field, kind in _ROW_TYPES.items()))
 
 
 def _scan_one(task) -> dict:
@@ -242,7 +253,7 @@ def _scan_one(task) -> dict:
     }
     main_report = by_gens[gens]
     return {
-        "k": params[0] if surface_type == "11" else list(params),
+        "k": _row_k(surface_type, params),
         "h_star_gamma_poly": by_gens["gamma_poly"].class_number_star,
         "h_star_gamma_prime": by_gens["gamma_prime"].class_number_star,
         "exceptional": len(main_report.exceptional),
@@ -305,9 +316,9 @@ def cmd_scan(args) -> int:
 
     rows: list = [None] * len(tasks)
     missing = []
-    for i, (key, task) in enumerate(zip(keys, tasks)):
+    for i, (key, task, params) in enumerate(zip(keys, tasks, ks)):
         row = entries.get(key)
-        if isinstance(row, dict) and row.keys() == set(_ROW_FIELDS):
+        if _is_row(row, _row_k(args.type, params)):
             rows[i] = row
             continue
         if key in entries:
@@ -328,7 +339,9 @@ def cmd_scan(args) -> int:
             try:
                 _store_cache(cache_path, entries)
             except OSError as exc:
-                print(f"error: cannot write cache {cache_path}: {exc}", file=sys.stderr)
+                # strerror, not exc: the error may name the random temp file
+                print(f"error: cannot write cache {cache_path}: {exc.strerror or exc}",
+                      file=sys.stderr)
                 return EXIT_ERROR
 
     if args.format == "csv":
@@ -469,19 +482,18 @@ def cmd_equiv(args) -> int:
 # argument plumbing
 
 
+# the least value of each numeric option that has one
+_LEAST = {"box": 0, "cap_height": 0, "cap_steps": 0, "cap_count": 1, "jobs": 1}
+
+
 def _check_args(args) -> None:
-    """Reject negative boxes and height caps and non-positive caps or jobs;
-    commands without such an option pass."""
-    if getattr(args, "box", 0) < 0:
-        raise ValueError("--box must be nonnegative")
-    if (getattr(args, "cap_height", None) or 0) < 0:
-        raise ValueError("--cap-height must be nonnegative")
-    if (
-        getattr(args, "cap_count", 1) < 1
-        or getattr(args, "cap_steps", 0) < 0
-        or getattr(args, "jobs", 1) < 1
-    ):
-        raise ValueError("caps and --jobs must be positive")
+    """Reject an option value below its least value; an option the command
+    lacks, or left unset, passes."""
+    for dest, least in _LEAST.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            bound = "positive" if least else "nonnegative"
+            raise ValueError(f"--{dest.replace('_', '-')} must be {bound}")
 
 
 def _caps(args, default_height) -> Caps:

@@ -530,34 +530,28 @@ def normalize_11(p: Point3) -> tuple:
 VIETA_MOVES = (Move("V", 0), Move("V", 1), Move("V", 2))
 
 
-def gamma_prime_generators(surface_kind: str) -> tuple:
-    """Vieta involutions, plus transpositions and sign changes on the torus."""
-    if surface_kind == "04":
-        return VIETA_MOVES
-    perms = (transposition(0, 1), transposition(1, 2), transposition(0, 2))
-    signs = (even_sign(0, 1), even_sign(1, 2), even_sign(0, 2))
-    return VIETA_MOVES + perms + signs
-
-
-def gamma_poly_generators(surface_kind: str) -> tuple:
-    """The Dehn-twist maps and their inverses."""
-    if surface_kind == "11":
-        return tuple(
-            twist11(curve, power)
-            for curve in TWIST_CURVES_11
-            for power in (1, -1)
-        )
-    return tuple(
-        twist04(index, power) for index in TWIST_INDICES_04 for power in (1, -1)
-    )
-
+# the generator sets, by (surface kind, name): "gamma_prime" is the Vieta
+# involutions, plus the transpositions and even sign changes on the torus;
+# "gamma_poly" is the Dehn twists and their inverses
+_GENERATORS = {
+    ("11", "gamma_prime"): VIETA_MOVES + (
+        Move("P", (1, 0, 2)), Move("P", (0, 2, 1)), Move("P", (2, 1, 0)),
+        Move("S", (0, 1)), Move("S", (1, 2)), Move("S", (0, 2)),
+    ),
+    ("04", "gamma_prime"): VIETA_MOVES,
+    ("11", "gamma_poly"): tuple(
+        Move("T11", curve, power) for curve in TWIST_CURVES_11 for power in (1, -1)
+    ),
+    ("04", "gamma_poly"): tuple(
+        Move("T04", index, power) for index in TWIST_INDICES_04 for power in (1, -1)
+    ),
+}
 
 GENERATOR_SETS = ("gamma_prime", "gamma_poly")
 
 
 def generators(surface_kind: str, name: str) -> tuple:
-    if name == "gamma_prime":
-        return gamma_prime_generators(surface_kind)
-    if name == "gamma_poly":
-        return gamma_poly_generators(surface_kind)
-    raise ValueError(f"unknown generator set {name!r}")
+    try:
+        return _GENERATORS[surface_kind, name]
+    except KeyError:
+        raise ValueError(f"unknown generator set {name!r}") from None

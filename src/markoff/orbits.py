@@ -6,31 +6,39 @@ answer means "not within the caps", and reports carry a caps_hit flag.
 Every positive answer (equivalence, exceptional hit) is certified by a
 move word that is replayed before being returned.
 
+Every search grows by one primitive, _expand, which adds one BFS level
+under both caps.  _search is a loop of levels from one start (it serves
+enumeration, orbit_bfs, is_exceptional and class counts), and equivalent
+grows a tree from each end, one level of the smaller frontier at a time.
+A child that answers the search (a stop hit, or a meet of the two trees)
+is kept even when the count cap is full; the count cap refuses only a
+child that would merely grow the search.
+
 Box points are enumerated by descent read backwards: a Vieta move that
 lowers the sup-norm stays in the box, so every box point is reached,
 inside the box, from a point with a coordinate +2 or -2 or from a point
 no Vieta move lowers.  The latter have height and smallest coordinate
 bounded by the surface parameters alone (_root_heights proves the
-bounds), so enumerate_points inserts the +-2 points whole, runs one
-in-box Vieta search from each unreached point one move off them and from
-each unreached root, and never scans the B^2 grid.
+bounds), so enumerate_points inserts the +-2 points whole (one slice
+solver, _slice, lists them on both surfaces), runs one in-box Vieta
+search from each unreached point one move off them and from each
+unreached root, and never scans the B^2 grid.
 
 A class count labels the enumerated box points of an exact surface by
 connected component of the move graph capped at the box height (or at a
-higher height cap, when one is given).  One BFS per unlabelled point does
-it, and the same search serves orbit_bfs and is_exceptional.  Box points
-with a coordinate equal to +2 or -2 are exceptional from the start and are
-never expanded; a search that reaches one (or any point with such a
-coordinate) marks every box point it reached exceptional, with a replayed
-witness word, since a component is exceptional iff some trace in it hits
-+-2.  Any other search has found a whole component, which is one class.
+higher height cap, when one is given).  One _search per unlabelled point
+does it.  Box points with a coordinate equal to +2 or -2 are exceptional
+from the start and are never expanded; a search that reaches one (or any
+point with such a coordinate) marks every box point it reached
+exceptional, with a replayed witness word, since a component is
+exceptional iff some trace in it hits +-2.  Any other search has found a
+whole component, which is one class.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -135,13 +143,20 @@ def _slice(form: tuple, axis: int, value: int, bound: int):
     square = _square_values(
         value * value - 4, 4 * g_j - 2 * slope * g_l, g_l * g_l - 4 * rest, bound
     )
+    p = [value, value, value]  # copied into each Point3, so reused
+    low = -bound
     for w, r in square:
-        q1 = slope * w - g_l
-        # disc = q1^2 (mod 4), so t is exact; r = 0 is one double root
-        for t in ((r - q1) // 2, (-r - q1) // 2) if r else (-q1 // 2,):
-            if abs(t) <= bound:
-                p = [value, value, value]
-                p[j], p[l] = w, t
+        # disc = q1^2 (mod 4) for q1 = slope*w - g_l, so both roots are
+        # exact and differ by r; r = 0 is one double root
+        t = (r - slope * w + g_l) // 2
+        p[j] = w
+        if low <= t <= bound:
+            p[l] = t
+            yield _new(Point3, p)
+        if r:
+            t -= r
+            if low <= t <= bound:
+                p[l] = t
                 yield _new(Point3, p)
 
 
@@ -224,25 +239,6 @@ def _root_heights(form: tuple, B: int) -> list:
     return heights
 
 
-def _parabolic_points(k: int, B: int) -> tuple:
-    """Box points with a coordinate +-2 on the torus, in three lists by
-    the axis of that coordinate.  parabolic_lines_11 gives those with
-    x = +-2 in closed form; the torus equation is symmetric, so moving
-    that coordinate to y or z gives the rest."""
-    on_axis = ([], [], [])
-    for line in parabolic_lines_11(k).lines:
-        # the line is y -> (e, y, z0 + dz*y); the box cuts it at |y| <= B
-        # and |z| <= B
-        e, z0, dz = line.value, line.origin.z, line.direction.z
-        center = -z0 * dz
-        for y in range(max(-B, center - B), min(B, center + B) + 1):
-            z = z0 + dz * y
-            on_axis[0].append(_new(Point3, (e, y, z)))
-            on_axis[1].append(_new(Point3, (y, e, z)))
-            on_axis[2].append(_new(Point3, (z, y, e)))
-    return on_axis
-
-
 def enumerate_points(surface: Surface, B: int) -> list:
     """All integer surface points with sup-norm at most B, sorted and
     duplicate-free.
@@ -251,15 +247,16 @@ def enumerate_points(surface: Surface, B: int) -> list:
     greedy descent from any box point ends, inside the box, at a point
     with a coordinate +-2 or at a point no Vieta move lowers.  Reversing
     the descent, every box point is in the in-box Vieta closure of such
-    a point.  The box points with a coordinate +-2 go in whole, from the
-    integral parabolic lines on the torus and from _slice on the sphere,
-    where a +-2 slice costs O(sqrt(B)) steps, or its output when it is
-    lines.  A move on an axis other than a +-2 one keeps that
-    coordinate, so from those points only the move on a +-2 axis is
-    applied.  The other seeds are the box points in the root region of
-    _root_heights, whose bounds depend on the parameters and not on B:
-    for each modulus u, each axis and each sign, one pass over a second
-    coordinate with the third solved exactly.  One _search from each
+    a point.  The box points with a coordinate +-2 go in whole, from
+    _slice, where a +-2 slice costs O(sqrt(B)) steps, or its output when
+    it is lines; on the torus its discriminant is the constant 4(k - 2),
+    so it is whole lines when k - 2 is a square and empty otherwise.  A
+    move on an axis other than a +-2 one keeps that coordinate, so from
+    those points only the move on a +-2 axis is applied.  The other
+    seeds are the box points in the root region of _root_heights, whose
+    bounds depend on the parameters and not on B: for each modulus u,
+    each axis and each sign, one pass over a second coordinate with the
+    third solved exactly.  One _search from each
     such move's result and each seed not yet reached gives the closure.
     The searches share one visited map, so no point is expanded twice,
     +-2 points never, and the work tracks the number of points, not B^2.
@@ -269,12 +266,10 @@ def enumerate_points(surface: Surface, B: int) -> list:
         raise ValueError("box bound must be nonnegative")
     form = _sphere_form(surface)
     steps = _compile(surface, VIETA_MOVES)
-    if B < 2:
-        locus = ()
-    elif isinstance(surface, Markoff11):
-        locus = _parabolic_points(surface.k, B)
-    else:
-        locus = [[p for e in (2, -2) for p in _slice(form, axis, e, B)] for axis in range(3)]
+    # _slice bounds the two free coordinates; the +-2 one is in the box iff B >= 2
+    locus = [] if B < 2 else [
+        [p for e in (2, -2) for p in _slice(form, axis, e, B)] for axis in range(3)
+    ]
     points = dict.fromkeys(itertools.chain.from_iterable(locus))  # shared by every _search
     for axis, on_axis in enumerate(locus):
         move = steps[axis][1]
@@ -297,30 +292,22 @@ def enumerate_points(surface: Surface, B: int) -> list:
 # breadth-first orbit machinery
 
 
-def _search(
-    surface: Surface, steps, start: Point3, cap_height, cap_count, stop=None, parents=None
-):
-    """BFS closure of start under the (move, function) pairs of _compile;
-    returns (parents, hit, pruned, truncated).
+def _expand(surface, steps, frontier, parents, cap_height, cap_count, stop):
+    """One BFS level: the children of the frontier points under the
+    (move, function) pairs of _compile, in order; returns (next frontier,
+    hit, pruned, truncated).  parents maps point -> (parent point, move).
 
-    parents maps point -> (parent point, move); the start is always kept,
-    even above the height cap.  The search ends early at the first
-    inserted point for which stop is true, returned as hit (else None).
-    A parents map passed in is extended in place: its points count as
-    reached, so they are never expanded, and cap_count counts them too.
+    A child parents already holds is skipped, and one above the height cap
+    is pruned.  The first child for which stop (None: never) is true goes
+    in and ends the level as hit, even when the count cap is full; any
+    other goes in only while parents holds fewer than cap_count points.
     The move functions return plain tuples, which look up equal to the
-    Point3 keys; the start and each child become a Point3 only when they
-    are inserted.
+    Point3 keys; a child becomes a Point3 only when it is inserted.
     """
-    if parents is None:
-        parents = {}
-    start = _new(Point3, start)
-    parents[start] = (None, None)
-    queue = deque((start,))
+    children = []
     pruned = False
     low = -cap_height
-    while queue:
-        node = queue.popleft()
+    for node in frontier:
         for g, f in steps:
             child = f(surface, node)
             if child in parents:
@@ -330,13 +317,38 @@ def _search(
                     and low <= z <= cap_height):
                 pruned = True
                 continue
-            if len(parents) >= cap_count:
-                return parents, None, pruned, True
+            hit = stop is not None and stop(child)
+            if not hit and len(parents) >= cap_count:
+                return children, None, pruned, True
             child = _new(Point3, child)
             parents[child] = (node, g)
-            if stop is not None and stop(child):
-                return parents, child, pruned, False
-            queue.append(child)
+            if hit:
+                return children, child, pruned, False
+            children.append(child)
+    return children, None, pruned, False
+
+
+def _search(
+    surface: Surface, steps, start: Point3, cap_height, cap_count, stop=None, parents=None
+):
+    """BFS closure of start by _expand levels; returns (parents, hit,
+    pruned, truncated).  The start is always kept, even above the height
+    cap, and is not passed to stop; the hit, the first child stop accepts,
+    is kept even when the count cap is full.  A parents map passed in is
+    extended in place: its points count as reached, so they are never
+    expanded, and cap_count counts them too.
+    """
+    if parents is None:
+        parents = {}
+    start = _new(Point3, start)
+    parents[start] = (None, None)
+    frontier, pruned = [start], False
+    while frontier:
+        frontier, hit, cut, truncated = _expand(surface, steps, frontier, parents,
+                                                cap_height, cap_count, stop)
+        pruned = pruned or cut
+        if hit is not None or truncated:
+            return parents, hit, pruned, truncated
     return parents, None, pruned, False
 
 
@@ -413,48 +425,28 @@ def equivalent(
     if p == q:
         return EquivalenceResult(True, identity_word(kind), True, False)
 
-    sides = (
-        {"parents": {p: (None, None)}, "frontier": [p]},
-        {"parents": {q: (None, None)}, "frontier": [q]},
-    )
+    # a BFS tree from each end; the smaller frontier grows by one level, a
+    # child the other tree holds is a meet, and both trees share the count cap
+    sides = ({p: (None, None)}, {q: (None, None)})
+    frontiers = [[p], [q]]
     pruned = False
-
-    def finish(meet: Point3) -> EquivalenceResult:
-        w_p = _word_from_parents(sides[0]["parents"], kind, meet)
-        w_q = _word_from_parents(sides[1]["parents"], kind, meet)
-        word = concat_words(w_p, w_q.inverse())
-        if apply_word(surface, word, p) != q:  # pragma: no cover - safety net
-            raise MarkoffError("equivalence certificate failed to replay")
-        return EquivalenceResult(True, word, False, pruned)
-
-    cap_height, cap_count = caps.height, caps.count
-    low = -cap_height
-    while sides[0]["frontier"] and sides[1]["frontier"]:
-        side = sides[0] if len(sides[0]["frontier"]) <= len(sides[1]["frontier"]) else sides[1]
-        other = sides[1] if side is sides[0] else sides[0]
-        seen, other_seen = side["parents"], other["parents"]
-        new_frontier = []
-        for node in side["frontier"]:
-            for g, f in steps:
-                child = f(surface, node)  # a plain tuple, as in _search
-                if child in seen:
-                    continue
-                x, y, z = child
-                if not (low <= x <= cap_height and low <= y <= cap_height
-                        and low <= z <= cap_height):
-                    pruned = True
-                    continue
-                # a point the other side holds is a meet, not a new point;
-                # a new one is counted before it goes in, as in _search
-                meet = child in other_seen
-                if not meet and len(seen) + len(other_seen) >= cap_count:
-                    return EquivalenceResult(False, None, False, pruned)
-                child = _new(Point3, child)
-                seen[child] = (node, g)
-                if meet:
-                    return finish(child)
-                new_frontier.append(child)
-        side["frontier"] = new_frontier
+    while frontiers[0] and frontiers[1]:
+        i = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
+        other = sides[1 - i]
+        frontiers[i], meet, cut, truncated = _expand(
+            surface, steps, frontiers[i], sides[i], caps.height,
+            caps.count - len(other), other.__contains__,
+        )
+        pruned = pruned or cut
+        if truncated:
+            return EquivalenceResult(False, None, False, pruned)
+        if meet is not None:
+            w_p = _word_from_parents(sides[0], kind, meet)
+            w_q = _word_from_parents(sides[1], kind, meet)
+            word = concat_words(w_p, w_q.inverse())
+            if apply_word(surface, word, p) != q:  # pragma: no cover - safety net
+                raise MarkoffError("equivalence certificate failed to replay")
+            return EquivalenceResult(True, word, False, pruned)
     # one side ran out of new points: definitive for the capped graph
     return EquivalenceResult(False, None, True, pruned)
 

@@ -226,7 +226,13 @@ def test_scan_unreadable_cache_is_miss(tmp_path, capsys, garbage):
     assert "warning" in err and "cache" in err
 
 
-@pytest.mark.parametrize("entry", [3, None, {"k": -2}])
+@pytest.mark.parametrize("entry", [
+    3, None, {"k": -2},
+    # every field present, but k is another row's and the values have the
+    # wrong types ("no" is truthy, so it read as a caps hit)
+    {"k": 99, "h_star_gamma_poly": "x", "h_star_gamma_prime": None, "exceptional": 0,
+     "caps_hit": "no", "representatives": 5},
+])
 def test_scan_malformed_cache_row_is_miss(tmp_path, capsys, entry):
     argv = ["scan", "--k", "-2", "--box", "10"]
     _, fresh, _ = run_cli(capsys, *argv)
@@ -268,14 +274,14 @@ def test_scan_caps_hit_exit_two(capsys):
     assert json.loads(out)["rows"][0]["caps_hit"] is True
 
 
-def test_scan_unwritable_cache(capsys):
-    code, _, err = run_cli(
-        capsys,
-        "scan", "--k", "-2", "--box", "5",
-        "--cache", "/nonexistent-dir/cache.json",
-    )
+def test_scan_unwritable_cache(tmp_path, capsys):
+    cache = tmp_path / "missing-dir" / "cache.json"
+    argv = ["scan", "--k", "-2", "--box", "5", "--cache", str(cache)]
+    code, _, err = run_cli(capsys, *argv)
     assert code == 1
-    assert "cache" in err
+    assert err == f"error: cannot write cache {cache}: No such file or directory\n"
+    # the message names no temp file, so every run prints the same text
+    assert run_cli(capsys, *argv) == (1, "", err)
 
 
 def test_scan_parallel_matches_serial(capsys):
@@ -511,6 +517,17 @@ def test_scan_gamma_poly_rows(capsys):
     # representatives come from the poly run; both counts still reported
     assert row["h_star_gamma_poly"] == len(row["representatives"])
     assert row["h_star_gamma_prime"] == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--k", "-2", "--point", "3,6,15", "--cap-steps", "-1"],
+     "--cap-steps must be nonnegative"),
+    (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-count", "0"],
+     "--cap-count must be positive"),
+    (["scan", "--k", "-2", "--box", "5", "--jobs", "0"], "--jobs must be positive"),
+], ids=["cap-steps", "cap-count", "jobs"])
+def test_cap_and_jobs_bounds_named(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
 def test_invalid_config_exits_one(capsys):

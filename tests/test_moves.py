@@ -286,11 +286,17 @@ def test_normalize_idempotent_and_orbit_constant():
 
 
 def test_generator_sets():
-    assert len(generators("11", "gamma_prime")) == 9
-    assert len(generators("04", "gamma_prime")) == 3
-    assert len(generators("11", "gamma_poly")) == 6
-    assert len(generators("04", "gamma_poly")) == 6
-    with pytest.raises(ValueError):
+    # the sets built from the move constructors, in their fixed order
+    vietas = tuple(vieta(axis) for axis in range(3))
+    pairs = ((0, 1), (1, 2), (0, 2))
+    assert generators("11", "gamma_prime") == vietas + tuple(
+        transposition(i, j) for i, j in pairs) + tuple(even_sign(i, j) for i, j in pairs)
+    assert generators("04", "gamma_prime") == vietas
+    assert generators("11", "gamma_poly") == tuple(
+        twist11(curve, power) for curve in ("a", "b", "ab") for power in (1, -1))
+    assert generators("04", "gamma_poly") == tuple(
+        twist04(index, power) for index in (1, 2, 3) for power in (1, -1))
+    with pytest.raises(ValueError, match="unknown generator set 'gamma'"):
         generators("11", "gamma")
 
 

@@ -290,6 +290,22 @@ def test_root_region_binding_cases(surface):
     _assert_in_root_region(surface, 40, _scan_points(surface, 40))
 
 
+@pytest.mark.parametrize("k", [2, 3, 6, 11, 18, 27])
+def test_torus_locus_matches_parabolic_lines(k):
+    # the box points with a coordinate +-2 are the in-box points of the
+    # integral lines with x = +-2 and of their coordinate permutations
+    lines = parabolic_lines_11(k).lines
+    for B in (0, 1, 2, 3, 50, 1000):
+        want = set()
+        for line in lines:
+            for t in range(-B, B + 1):  # t is the y coordinate
+                p = line.point_at(t)
+                if linf_height(p) <= B:
+                    want.update(Point3(*q) for q in itertools.permutations(p))
+        got = [p for p in enumerate_points(Markoff11(k), B) if 2 in p or -2 in p]
+        assert set(got) == want, (k, B)
+
+
 def test_enumerate_requires_exact():
     with pytest.raises(DomainMismatch):
         enumerate_points(Markoff11(-2.0), 3)
@@ -419,6 +435,15 @@ def test_is_exceptional_one_step():
     assert res.found
     hit = apply_word(s, res.word, Point3(1, 3, 1))
     assert 2 in (abs(hit.x), abs(hit.y), abs(hit.z))
+
+
+def test_is_exceptional_hit_at_count_cap():
+    # the start fills the count cap; the child that answers the search is
+    # still kept
+    s = Markoff11(6)
+    res = is_exceptional(s, Point3(1, 3, 1), Caps(height=100, count=1))
+    assert res.found and str(res.word) == "Vx"
+    assert apply_word(s, res.word, Point3(1, 3, 1)) == Point3(2, 3, 1)
 
 
 def test_is_exceptional_origin():
@@ -573,6 +598,16 @@ def test_class_number_count_cap_sets_caps_hit():
     assert report.caps_hit
     counted = sum(n for _, n in report.representatives) + len(report.exceptional)
     assert counted == len(enumerate_points(MARKOFF, 30))
+
+
+def test_class_number_count_cap_keeps_hits():
+    # k - 2 = 4: every box point is one move from a point already labelled
+    # or with a coordinate +-2, so a count cap of 1 cuts no search short
+    s = Markoff11(6)
+    capped = class_number(s, "gamma_prime", 20, Caps(20, count=1))
+    full = class_number(s, "gamma_prime", 20)
+    assert (capped.class_number_star, len(capped.exceptional), capped.caps_hit) == (0, 480, False)
+    assert capped == full
 
 
 def test_class_number_small_scale_stability():
@@ -730,11 +765,12 @@ def _oracle_search(surface, steps, start, cap_height, cap_count, stop=None, pare
             if max(abs(x), abs(y), abs(z)) > cap_height:
                 pruned = True
                 continue
+            if stop is not None and stop(child):
+                parents[child] = (node, g)
+                return parents, child, pruned, False
             if len(parents) >= cap_count:
                 return parents, None, pruned, True
             parents[child] = (node, g)
-            if stop is not None and stop(child):
-                return parents, child, pruned, False
             queue.append(child)
     return parents, None, pruned, False
 
@@ -828,6 +864,8 @@ def test_search_matches_point3_oracle():
         _assert_search_matches(surface, gens, start, B, 10**6, _has_two)
         last = list(full[0])[-1]
         _assert_search_matches(surface, gens, start, B, 10**6, lambda q: q == last)
+        # the stop point arrives with the count cap full
+        _assert_search_matches(surface, gens, start, B, n - 1, lambda q: q == last)
         # a start above the height cap, and a map passed in
         _assert_search_matches(surface, gens, start, linf_height(start) - 1, 10**6)
         _assert_search_matches(surface, gens, start, B, 10**6, parents=dict.fromkeys(
