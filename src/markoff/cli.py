@@ -1,7 +1,7 @@
 """Command-line front end.
 
     markoff reduce --type 11 --k -2 --point 3,6,15
-    markoff reduce --type 11 --k -2 --point 3.0,3.0,3.1+0.2i --complex
+    markoff reduce --type 11 --k -2 --point -7+4i,4+7i,-56-33i --complex
     markoff scan   --type 11 --k-range -2..2 --box 100 --format csv
     markoff scan   --type 04 --k 0,0,0,0 --box 20
     markoff verify --trials 1000 --seed 7
@@ -16,7 +16,9 @@ Scan rows are cached per (surface, generator set, box, height and count
 caps, hash of the package sources).  The cache path comes from --cache
 or the MARKOFF_CACHE environment variable, an unreadable cache file or
 a malformed row in it is ignored with a warning, and rerunning a warm
-scan reproduces cached rows byte for byte.  Complex literals use the
+scan reproduces cached rows byte for byte.  Scans that share a cache
+write it one at a time, under a lock on the file <cache>.lock, each
+keeping the rows the others wrote.  Complex literals use the
 form re+imi, e.g. 1.5+0.25i.
 
 verify runs each suite of trace_algebra.IDENTITY_SUITES with a fresh
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import functools
 import io
 import json
@@ -50,7 +53,7 @@ from .surfaces import (
     on_surface,
     residual,
 )
-from .moves import apply_word
+from .moves import GENERATOR_SETS, apply_word
 from .trace_algebra import IDENTITY_SUITES
 from .descent import (
     AConfig,
@@ -277,17 +280,27 @@ def _load_cache(path: str) -> dict:
 
 
 def _store_cache(path: str, entries: dict) -> None:
-    payload = json.dumps({"version": __version__, "entries": entries}, sort_keys=True)
+    """Write entries to the cache, adding the rows another scan stored
+    since this one read it.  The lock on <path>.lock makes the re-read and
+    the atomic rename one step, so concurrent scans lose no rows."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".markoff-cache-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except OSError:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    with open(path + ".lock", "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        try:
+            for key, row in _load_cache(path).items():
+                entries.setdefault(key, row)
+        except MarkoffError:
+            pass  # an unreadable cache is replaced, as on a scan's first read
+        payload = json.dumps({"version": __version__, "entries": entries}, sort_keys=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".markoff-cache-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except OSError:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
 
 
 def cmd_scan(args) -> int:
@@ -483,7 +496,7 @@ def cmd_equiv(args) -> int:
 
 
 # the least value of each numeric option that has one
-_LEAST = {"box": 0, "cap_height": 0, "cap_steps": 0, "cap_count": 1, "jobs": 1}
+_LEAST = {"box": 0, "cap_height": 0, "cap_steps": 0, "cap_count": 1, "jobs": 1, "trials": 1}
 
 
 def _check_args(args) -> None:
@@ -551,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("scan", help="tabulate class numbers over a range of k")
     _add_surface_args(p, with_range=True)
     p.add_argument("--box", type=int, default=100)
-    p.add_argument("--gens", choices=("gamma_prime", "gamma_poly"), default="gamma_prime")
+    p.add_argument("--gens", choices=GENERATOR_SETS, default="gamma_prime")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--cache", help=f"cache file (default: ${CACHE_ENV})")
     p.add_argument("--jobs", type=int, default=1)
@@ -571,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("orbit", help="dump a capped orbit BFS with certificates")
     _add_surface_args(p)
     p.add_argument("--start", required=True, help="x,y,z")
-    p.add_argument("--gens", choices=("gamma_prime", "gamma_poly"), default="gamma_prime")
+    p.add_argument("--gens", choices=GENERATOR_SETS, default="gamma_prime")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_caps_args(p)
     p.set_defaults(func=cmd_orbit)
@@ -580,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_surface_args(p)
     p.add_argument("--p", required=True, help="x,y,z")
     p.add_argument("--q", required=True, help="x,y,z")
-    p.add_argument("--gens", choices=("gamma_prime", "gamma_poly"), default="gamma_prime")
+    p.add_argument("--gens", choices=GENERATOR_SETS, default="gamma_prime")
     _add_caps_args(p)
     p.set_defaults(func=cmd_equiv)
 

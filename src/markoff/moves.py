@@ -29,11 +29,13 @@ token string, one token per generator, e.g. "Vz Pyz Ta+ Ta+ Sxy":
 Twist powers compose additively; serialization expands a power-n twist to
 |n| unit tokens, and parsing returns unit-power moves.
 
-Each unit move is one plain function f(surface, p) returning a plain
-3-tuple, kept in a table per surface class; it is the only place the move
-arithmetic is written.  apply_move, apply_word and the two dehn_twist
-functions read that table and return Point3.  The searches of orbits and
-the descent loop of descent apply moves many times: they fetch their
+Each unit move is one row of the registry _UNITS: its token, its Move and
+its plain function f(surface, p) on each surface class, returning a plain
+3-tuple.  The row is the only place the move is named and its arithmetic
+written; the move tables, the token maps and the twist generator sets
+derive from it.  apply_move, apply_word and the two dehn_twist functions
+read the tables and return Point3.  The searches of orbits and the
+descent loop of descent apply moves many times: they fetch their
 generators' tuple-valued functions once, through _compile, and build a
 Point3 only for the points they keep.
 """
@@ -52,28 +54,6 @@ from .surfaces import (
     Surface,
     point_domain,
 )
-
-AXES = "xyz"
-
-# sigma acts by new[i] = p[sigma[i]]
-_PERM_TOKENS = {
-    (1, 0, 2): "Pxy",
-    (0, 2, 1): "Pyz",
-    (2, 1, 0): "Pxz",
-    (2, 0, 1): "Pxyz",
-    (1, 2, 0): "Pxzy",
-}
-_TOKEN_PERMS = {tok: sigma for sigma, tok in _PERM_TOKENS.items()}
-_PERM_INVERSE = {
-    (1, 0, 2): (1, 0, 2),
-    (0, 2, 1): (0, 2, 1),
-    (2, 1, 0): (2, 1, 0),
-    (2, 0, 1): (1, 2, 0),
-    (1, 2, 0): (2, 0, 1),
-}
-
-_SIGN_TOKENS = {(0, 1): "Sxy", (1, 2): "Syz", (0, 2): "Sxz"}
-_TOKEN_SIGNS = {tok: pair for pair, tok in _SIGN_TOKENS.items()}
 
 TWIST_CURVES_11 = ("a", "b", "ab")
 TWIST_INDICES_04 = (1, 2, 3)
@@ -123,10 +103,10 @@ def transposition(i: int, j: int) -> Move:
 
 
 def even_sign(i: int, j: int) -> Move:
-    pair = (min(i, j), max(i, j))
-    if pair not in _SIGN_TOKENS:
+    m = Move("S", (min(i, j), max(i, j)))
+    if m not in _TORUS_MOVES:
         raise ValueError(f"invalid sign-change pair {(i, j)!r}")
-    return Move("S", pair)
+    return m
 
 
 def twist11(curve: str, power: int = 1) -> Move:
@@ -149,7 +129,7 @@ def inverse_move(m: Move) -> Move:
     if m.kind in ("V", "S"):
         return m
     if m.kind == "P":
-        return Move("P", _PERM_INVERSE[m.arg])
+        return Move("P", tuple(m.arg.index(i) for i in range(3)))
     return Move(m.kind, m.arg, -m.power)
 
 
@@ -304,22 +284,43 @@ def _t3_inv(s, p):
     return s.a - y1 * z - x, y1, z
 
 
-_TORUS_MOVES = {
-    Move("V", 0): _vx11, Move("V", 1): _vy11, Move("V", 2): _vz11,
-    Move("P", (1, 0, 2)): _pxy, Move("P", (0, 2, 1)): _pyz, Move("P", (2, 1, 0)): _pxz,
-    Move("P", (2, 0, 1)): _pxyz, Move("P", (1, 2, 0)): _pxzy,
-    Move("S", (0, 1)): _sxy, Move("S", (1, 2)): _syz, Move("S", (0, 2)): _sxz,
-    Move("T11", "a", 1): _ta_fwd, Move("T11", "a", -1): _ta_inv,
-    Move("T11", "b", 1): _tb_fwd, Move("T11", "b", -1): _tb_inv,
-    Move("T11", "ab", 1): _tab_fwd, Move("T11", "ab", -1): _tab_inv,
-}
-_SPHERE_MOVES = {
-    Move("V", 0): _vx04, Move("V", 1): _vy04, Move("V", 2): _vz04,
-    Move("T04", 1, 1): _t1_fwd, Move("T04", 1, -1): _t1_inv,
-    Move("T04", 2, 1): _t2_fwd, Move("T04", 2, -1): _t2_inv,
-    Move("T04", 3, 1): _t3_fwd, Move("T04", 3, -1): _t3_inv,
-}
+# The registry: one row (token, move, torus function, sphere function) per
+# unit move, None where the move is undefined.  Twists of other powers and
+# every word are built from these rows.
+_UNITS = (
+    ("Vx", Move("V", 0), _vx11, _vx04),
+    ("Vy", Move("V", 1), _vy11, _vy04),
+    ("Vz", Move("V", 2), _vz11, _vz04),
+    ("Pxy", Move("P", (1, 0, 2)), _pxy, None),
+    ("Pyz", Move("P", (0, 2, 1)), _pyz, None),
+    ("Pxz", Move("P", (2, 1, 0)), _pxz, None),
+    ("Pxyz", Move("P", (2, 0, 1)), _pxyz, None),
+    ("Pxzy", Move("P", (1, 2, 0)), _pxzy, None),
+    ("Sxy", Move("S", (0, 1)), _sxy, None),
+    ("Syz", Move("S", (1, 2)), _syz, None),
+    ("Sxz", Move("S", (0, 2)), _sxz, None),
+    ("Ta+", Move("T11", "a", 1), _ta_fwd, None),
+    ("Ta-", Move("T11", "a", -1), _ta_inv, None),
+    ("Tb+", Move("T11", "b", 1), _tb_fwd, None),
+    ("Tb-", Move("T11", "b", -1), _tb_inv, None),
+    ("Tab+", Move("T11", "ab", 1), _tab_fwd, None),
+    ("Tab-", Move("T11", "ab", -1), _tab_inv, None),
+    ("T1+", Move("T04", 1, 1), None, _t1_fwd),
+    ("T1-", Move("T04", 1, -1), None, _t1_inv),
+    ("T2+", Move("T04", 2, 1), None, _t2_fwd),
+    ("T2-", Move("T04", 2, -1), None, _t2_inv),
+    ("T3+", Move("T04", 3, 1), None, _t3_fwd),
+    ("T3-", Move("T04", 3, -1), None, _t3_inv),
+)
+_TORUS_MOVES = {m: f for _, m, f, _ in _UNITS if f is not None}
+_SPHERE_MOVES = {m: f for _, m, _, f in _UNITS if f is not None}
 _MOVE_TABLES = {Markoff11: _TORUS_MOVES, Cubic04: _SPHERE_MOVES}
+_TOKENS = {m: tok for tok, m, _, _ in _UNITS}
+_PARSE = {
+    "11": {tok: m for tok, m, f, _ in _UNITS if f is not None},
+    "04": {tok: m for tok, m, _, f in _UNITS if f is not None},
+}
+_KINDS = {m.kind for _, m, _, _ in _UNITS}
 
 # kinds defined on one surface class only, with the error raised elsewhere
 _SURFACE_ONLY = {
@@ -328,46 +329,43 @@ _SURFACE_ONLY = {
     "T11": (Markoff11, "torus twists act only on the torus surface"),
     "T04": (Cubic04, "sphere twists act only on the four-holed sphere"),
 }
-_ARG_NAMES = {
-    "V": "Vieta axis",
-    "P": "permutation",
-    "S": "sign-change pair",
-    "T11": "torus twist curve",
-    "T04": "sphere twist index",
-}
+
+
+def _unit(m: Move) -> tuple:
+    """(unit move, repeat count) of m: a twist of power n is its unit twist
+    |n| times; involutions and permutations ignore the power."""
+    if m.kind in ("T11", "T04"):
+        return m._replace(power=1 if m.power > 0 else -1), abs(m.power)
+    return m._replace(power=1), 1
 
 
 def _raw_move(surface: Surface, m: Move):
     """The tuple-valued function f with Point3(*f(surface, p)) ==
     apply_move(surface, m, p).
 
-    A unit move comes straight from the table of the surface's class; a
-    twist of power n repeats its unit twist |n| times (involutions and
-    permutations ignore the power).  Raises MoveMismatch for a move not
-    defined on the surface and ValueError for an unknown move.
+    A unit move comes straight from the table of the surface's class, any
+    other move from its unit move (see _unit).  Raises MoveMismatch for a
+    move not defined on the surface and ValueError for an unknown move.
     """
     f = _MOVE_TABLES.get(type(surface), {}).get(m)
     if f is not None:
         return f
-    kind = m.kind
-    if kind not in _ARG_NAMES:
-        raise ValueError(f"unknown move kind {kind!r}")
-    only = _SURFACE_ONLY.get(kind)
+    if m.kind not in _KINDS:
+        raise ValueError(f"unknown move kind {m.kind!r}")
+    only = _SURFACE_ONLY.get(m.kind)
     if only is not None and not isinstance(surface, only[0]):
         raise MoveMismatch(only[1])
-    twist = kind in ("T11", "T04")
-    unit_power = (1 if m.power > 0 else -1) if twist else 1
+    unit, n = _unit(m)
     table = _TORUS_MOVES if isinstance(surface, Markoff11) else _SPHERE_MOVES
-    unit = table.get(Move(kind, m.arg, unit_power))
-    if unit is None:
-        raise ValueError(f"unknown {_ARG_NAMES[kind]} {m.arg!r}")
-    if not twist or m.power in (1, -1):
-        return unit
-    n = abs(m.power)
+    f = table.get(unit)
+    if f is None:
+        raise ValueError(f"unknown argument {m.arg!r} of move kind {m.kind!r}")
+    if n == 1:
+        return f
 
     def repeated(surface, p):
         for _ in range(n):
-            p = unit(surface, p)
+            p = f(surface, p)
         return p
 
     return repeated
@@ -384,11 +382,7 @@ def _compile(surface: Surface, gens) -> tuple:
 
 def apply_move(surface: Surface, m: Move, p: Point3) -> Point3:
     """Apply one move; raises MoveMismatch if it is undefined on the surface."""
-    try:
-        f = _MOVE_TABLES[type(surface)][m]
-    except KeyError:
-        f = _raw_move(surface, m)
-    return _new(Point3, f(surface, p))
+    return _new(Point3, _raw_move(surface, m)(surface, p))
 
 
 def dehn_twist_11(which: str, direction: int, p: Point3) -> Point3:
@@ -426,50 +420,24 @@ def apply_word(surface: Surface, w: MoveWord, p: Point3) -> Point3:
     return _new(Point3, p)
 
 
-def _move_tokens(m: Move):
-    if m.kind == "V":
-        yield "V" + AXES[m.arg]
-    elif m.kind == "P":
-        yield _PERM_TOKENS[m.arg]
-    elif m.kind == "S":
-        yield _SIGN_TOKENS[m.arg]
-    elif m.kind == "T11":
-        tok = "T" + m.arg + ("+" if m.power > 0 else "-")
-        for _ in range(abs(m.power)):
-            yield tok
-    elif m.kind == "T04":
-        tok = "T" + str(m.arg) + ("+" if m.power > 0 else "-")
-        for _ in range(abs(m.power)):
-            yield tok
-    else:
-        raise ValueError(f"unknown move kind {m.kind!r}")
-
-
 def word_to_text(w: MoveWord) -> str:
-    return " ".join(tok for m in w.moves for tok in _move_tokens(m))
-
-
-def _parse_token(tok: str, surface_kind: str) -> Move:
-    if tok.startswith("V") and len(tok) == 2 and tok[1] in AXES:
-        return vieta(AXES.index(tok[1]))
-    if tok in _TOKEN_PERMS:
-        return Move("P", _TOKEN_PERMS[tok])
-    if tok in _TOKEN_SIGNS:
-        return Move("S", _TOKEN_SIGNS[tok])
-    if tok.startswith("T") and tok[-1] in "+-":
-        power = 1 if tok[-1] == "+" else -1
-        name = tok[1:-1]
-        if surface_kind == "11" and name in TWIST_CURVES_11:
-            return Move("T11", name, power)
-        if surface_kind == "04" and name in ("1", "2", "3"):
-            return Move("T04", int(name), power)
-    raise ValueError(f"unparseable move token {tok!r} for surface type {surface_kind}")
+    tokens = []
+    for m in w.moves:
+        unit, n = _unit(m)
+        tokens += [_TOKENS[unit]] * n
+    return " ".join(tokens)
 
 
 def parse_word(text: str, surface_kind: str) -> MoveWord:
-    """Inverse of str(word); twist powers come back as unit moves."""
-    moves = tuple(_parse_token(tok, surface_kind) for tok in text.split())
-    return MoveWord(surface_kind, moves)
+    """Inverse of str(word); twist powers come back as unit moves, and a
+    token of a move undefined on the surface type is a ValueError."""
+    table = _PARSE.get(surface_kind, {})
+    moves = []
+    for tok in text.split():
+        if tok not in table:
+            raise ValueError(f"unparseable move token {tok!r} for surface type {surface_kind}")
+        moves.append(table[tok])
+    return MoveWord(surface_kind, tuple(moves))
 
 
 def concat_words(w1: MoveWord, w2: MoveWord) -> MoveWord:
@@ -482,49 +450,33 @@ def identity_word(surface_kind: str) -> MoveWord:
     return MoveWord(surface_kind, ())
 
 
-# The 24-element group of coordinate permutations and even sign changes,
-# enumerated once as (word, action) pairs.  Sign patterns with an even
-# number of minus signs are exactly: none, or one even_sign move.
-_SIGN_ELEMENTS = (((), (1, 1, 1)),) + tuple(
-    ((Move("S", pair),), tuple(-1 if i in pair else 1 for i in range(3)))
-    for pair in ((0, 1), (1, 2), (0, 2))
-)
-_PERM_ELEMENTS = (((), (0, 1, 2)),) + tuple(
-    ((Move("P", sigma),), sigma) for sigma in _PERM_TOKENS
-)
-
-
 def normalize_11(p: Point3) -> tuple:
     """Canonical representative of p under permutations and even sign changes.
 
-    Chosen as the minimum over all 24 group images of the key
-    (is-unsorted-by-modulus, number of negatives, negative positions,
-    coordinates), which realizes: |x| <= |y| <= |z|, at most one negative
-    coordinate, a negative coordinate (if any) placed last, remaining ties
-    broken by lexicographic order.  Returns (canonical point, word).
+    The canonical point has |x| <= |y| <= |z| and a minus on z iff xyz < 0:
+    the least of the 24 group images under the key (is-unsorted-by-modulus,
+    number of negatives, negative positions, coordinates).  Its word is at
+    most one permutation, then at most one sign change, and no longer than
+    any other word to that point.  The permutation sorts the axes stably by
+    modulus, and when xyz < 0 puts a coordinate equal to -max|p| last among
+    equal moduli; the sign change flips the coordinates whose sign is wrong
+    (a lone one pairs with a zero coordinate).  Returns (canonical point,
+    word).
     """
     if point_domain(p) != EXACT:
         raise DomainMismatch("normalize_11 requires an exact point")
-    best = None
-    best_word = None
-    best_key = None
-    for perm_word, sigma in _PERM_ELEMENTS:
-        q0 = (p[sigma[0]], p[sigma[1]], p[sigma[2]])
-        for sign_word, signs in _SIGN_ELEMENTS:
-            q = (q0[0] * signs[0], q0[1] * signs[1], q0[2] * signs[2])
-            word = perm_word + sign_word
-            key = (
-                0 if abs(q[0]) <= abs(q[1]) <= abs(q[2]) else 1,
-                sum(1 for v in q if v < 0),
-                tuple(1 if v < 0 else 0 for v in q),
-                q,
-                len(word),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best = q
-                best_word = word
-    return Point3(*best), MoveWord("11", best_word)
+    odd = p[0] * p[1] * p[2] < 0
+    low = -max(abs(v) for v in p)
+    sigma = tuple(sorted(range(3), key=lambda i: (abs(p[i]), odd and p[i] == low)))
+    q = [p[i] for i in sigma]
+    word = () if sigma == (0, 1, 2) else (Move("P", sigma),)
+    flip = [i for i in range(3) if (q[i] < 0) != (odd and i == 2)]
+    if len(flip) == 1:
+        flip.append(q.index(0))
+    if flip:
+        word += (Move("S", tuple(sorted(flip))),)
+    form = Point3(abs(q[0]), abs(q[1]), -abs(q[2]) if odd else abs(q[2]))
+    return form, MoveWord("11", word)
 
 
 VIETA_MOVES = (Move("V", 0), Move("V", 1), Move("V", 2))
@@ -539,12 +491,8 @@ _GENERATORS = {
         Move("S", (0, 1)), Move("S", (1, 2)), Move("S", (0, 2)),
     ),
     ("04", "gamma_prime"): VIETA_MOVES,
-    ("11", "gamma_poly"): tuple(
-        Move("T11", curve, power) for curve in TWIST_CURVES_11 for power in (1, -1)
-    ),
-    ("04", "gamma_poly"): tuple(
-        Move("T04", index, power) for index in TWIST_INDICES_04 for power in (1, -1)
-    ),
+    ("11", "gamma_poly"): tuple(m for m in _TORUS_MOVES if m.kind == "T11"),
+    ("04", "gamma_poly"): tuple(m for m in _SPHERE_MOVES if m.kind == "T04"),
 }
 
 GENERATOR_SETS = ("gamma_prime", "gamma_poly")

@@ -1,5 +1,9 @@
 import argparse
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -284,6 +288,28 @@ def test_scan_unwritable_cache(tmp_path, capsys):
     assert run_cli(capsys, *argv) == (1, "", err)
 
 
+def test_concurrent_scans_keep_every_row(tmp_path):
+    # two processes that both read the empty cache before either writes it
+    cache = tmp_path / "cache.json"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    env.pop(cli.CACHE_ENV, None)
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "markoff.cli", "scan", "--k-range", ks, "--box", "400",
+             "--cache", str(cache)],
+            stdout=subprocess.DEVNULL, env=env,
+        )
+        for ks in ("-2..9", "10..21")
+    ]
+    try:
+        codes = [proc.wait(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert codes == [0, 0]
+    assert len(json.loads(cache.read_text())["entries"]) == 24
+
+
 def test_scan_parallel_matches_serial(capsys):
     argv = ["scan", "--type", "11", "--k-range", "-1..1", "--box", "20"]
     _, serial, _ = run_cli(capsys, *argv)
@@ -525,7 +551,8 @@ def test_scan_gamma_poly_rows(capsys):
     (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-count", "0"],
      "--cap-count must be positive"),
     (["scan", "--k", "-2", "--box", "5", "--jobs", "0"], "--jobs must be positive"),
-], ids=["cap-steps", "cap-count", "jobs"])
+    (["verify", "--trials", "0"], "--trials must be positive"),
+], ids=["cap-steps", "cap-count", "jobs", "trials"])
 def test_cap_and_jobs_bounds_named(capsys, argv, message):
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
@@ -543,3 +570,21 @@ def test_invalid_config_exits_one(capsys):
     assert code == 1
     code, _, err = run_cli(capsys, "scan", "--type", "04", "--k-range", "0..3")
     assert code == 1 and err == "error: --k-range needs --type 11\n"
+
+
+def _documented_examples():
+    """The `markoff ...` lines of the cli docstring and of README's
+    Command line block."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = cli.__doc__.splitlines() + block.splitlines()
+    return [line.split() for line in lines if line.strip().startswith("markoff ")]
+
+
+def test_documented_examples_run(capsys, monkeypatch):
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    examples = _documented_examples()
+    assert len(examples) >= 16
+    for argv in examples:
+        code, _, err = run_cli(capsys, *argv[1:])
+        assert code != 1, (" ".join(argv), err)

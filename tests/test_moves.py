@@ -26,6 +26,7 @@ from markoff.moves import (
     even_sign,
     generators,
     identity_word,
+    inverse_move,
     normalize_11,
     parse_word,
     permute,
@@ -37,6 +38,7 @@ from markoff.moves import (
 from markoff.orbits import equivalent, orbit_bfs
 
 ZEROS04 = make_cubic04(0, 0, 0, 0)
+BIG = 2**70
 
 
 def random_point(rng, lo=-50, hi=50):
@@ -212,6 +214,44 @@ def test_word_serialization_round_trip():
     )
 
 
+def _unit_moves(kind):
+    """Every unit move defined on a surface type, from the constructors."""
+    if kind == "04":
+        return tuple(vieta(axis) for axis in range(3)) + tuple(
+            twist04(index, power) for index in (1, 2, 3) for power in (1, -1))
+    return (
+        tuple(vieta(axis) for axis in range(3))
+        + tuple(permute(s) for s in itertools.permutations(range(3)) if s != (0, 1, 2))
+        + tuple(even_sign(i, j) for i, j in ((0, 1), (1, 2), (0, 2)))
+        + tuple(twist11(c, power) for c in ("a", "b", "ab") for power in (1, -1))
+    )
+
+
+@pytest.mark.parametrize("kind, surface", [
+    ("11", Markoff11(BIG + 3)), ("04", make_cubic04(BIG, -3, 5, BIG // 2)),
+])
+def test_unit_tokens_parse_back_and_inverse_undoes(kind, surface):
+    units = _unit_moves(kind)
+    tokens = [str(MoveWord(kind, (m,))) for m in units]
+    assert len(set(tokens)) == len(units) == {"11": 17, "04": 9}[kind]
+    assert all(len(t.split()) == 1 for t in tokens)
+    assert parse_word(" ".join(tokens), kind).moves == units
+    rng = random.Random(14)
+    for m in units:
+        for _ in range(20):
+            p = Point3(*(rng.randint(-BIG, BIG) for _ in range(3)))
+            assert apply_move(surface, inverse_move(m), apply_move(surface, m, p)) == p
+
+
+@pytest.mark.parametrize("token, kind", [
+    ("Pxy", "04"), ("Pxyz", "04"), ("Sxz", "04"), ("Ta+", "04"), ("Tab-", "04"),
+    ("T1+", "11"), ("T3-", "11"), ("Vw", "11"), ("T4+", "04"), ("Ta", "11"),
+])
+def test_parse_word_rejects_tokens_of_other_surface(token, kind):
+    with pytest.raises(ValueError, match="unparseable move token"):
+        parse_word(f"Vx {token}", kind)
+
+
 def test_concat_words():
     w1 = MoveWord("11", (vieta(0),))
     w2 = MoveWord("11", (vieta(1),))
@@ -259,6 +299,33 @@ def test_normalize_matches_brute_force_oracle():
     for _ in range(2000):
         p = random_point(rng, -9, 9)
         assert normalize_11(p)[0] == _oracle_normalize(p)
+
+
+def _normalize_cases():
+    yield from (Point3(*v) for v in itertools.product(range(-4, 5), repeat=3))
+    values = (0, 1, -1, BIG, -BIG, BIG + 1, -BIG - 1)
+    yield from (Point3(*v) for v in itertools.product(values, repeat=3))
+
+
+def _shortest_word_length(p, form):
+    """Fewest moves, a permutation then an even sign change, taking p to form."""
+    return min(
+        (perm != (0, 1, 2)) + (signs != (1, 1, 1))
+        for perm in itertools.permutations(range(3))
+        for signs in itertools.product((1, -1), repeat=3)
+        if signs.count(-1) % 2 == 0
+        and Point3(*(p[i] * s for i, s in zip(perm, signs))) == form
+    )
+
+
+def test_normalize_closed_form_matches_oracle():
+    s = Markoff11(0)  # the symmetries ignore k
+    for p in _normalize_cases():
+        form, word = normalize_11(p)
+        assert form == _oracle_normalize(p) and type(form) is Point3, p
+        assert apply_word(s, word, p) == form, p
+        assert [m.kind for m in word.moves] in ([], ["P"], ["S"], ["P", "S"]), p
+        assert len(word.moves) == _shortest_word_length(p, form), p
 
 
 def test_normalize_word_achieves_form():
@@ -385,8 +452,6 @@ def _oracle_apply_move(surface, m, p):
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-BIG = 2**70
-
 _DIFF_MOVES = (
     generators("11", "gamma_prime") + generators("11", "gamma_poly")
     + generators("04", "gamma_prime") + generators("04", "gamma_poly")
@@ -439,6 +504,8 @@ def test_move_tables_mismatch_and_unknown_errors():
     for surface in (torus, sphere):
         with pytest.raises(ValueError, match="unknown move kind"):
             apply_move(surface, Move("X", 0), p)
+        with pytest.raises(ValueError, match="unknown argument 3 of move kind 'V'"):
+            apply_move(surface, Move("V", 3), p)
     with pytest.raises(ValueError, match="unknown torus twist curve"):
         dehn_twist_11("c", 1, p)
     with pytest.raises(ValueError, match="unknown sphere twist index"):
