@@ -265,29 +265,32 @@ def _scan_one(task) -> dict:
     }
 
 
-def _load_cache(path: str) -> dict:
+def _load_cache(path: str, seen: bytes | None = None) -> tuple:
+    """(entries, the bytes parsed) of the cache file; bytes equal to seen
+    are not parsed again and give no entries."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        data = {} if raw == seen else json.loads(raw.decode("utf-8"))
     except FileNotFoundError:
-        return {}
+        return {}, None
     except (OSError, ValueError) as exc:
         raise MarkoffError(f"unreadable cache {path}: {exc}") from exc
     entries = data.get("entries", {}) if isinstance(data, dict) else None
     if not isinstance(entries, dict):
         raise MarkoffError(f"unreadable cache {path}: no entries object")
-    return entries
+    return entries, raw
 
 
-def _store_cache(path: str, entries: dict) -> None:
+def _store_cache(path: str, entries: dict, seen: bytes | None = None) -> None:
     """Write entries to the cache, adding the rows another scan stored
-    since this one read it.  The lock on <path>.lock makes the re-read and
-    the atomic rename one step, so concurrent scans lose no rows."""
+    since this one read the bytes seen.  The lock on <path>.lock makes the
+    re-read and the atomic rename one step, so concurrent scans lose no rows."""
     directory = os.path.dirname(os.path.abspath(path))
     with open(path + ".lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:
-            for key, row in _load_cache(path).items():
+            for key, row in _load_cache(path, seen)[0].items():
                 entries.setdefault(key, row)
         except MarkoffError:
             pass  # an unreadable cache is replaced, as on a scan's first read
@@ -312,10 +315,10 @@ def cmd_scan(args) -> int:
         raise ValueError("--k-range needs --type 11")
 
     cache_path = args.cache or os.environ.get(CACHE_ENV)
-    entries = {}
+    entries, seen = {}, None
     if cache_path:
         try:
-            entries = _load_cache(cache_path)
+            entries, seen = _load_cache(cache_path)
         except MarkoffError as exc:
             print(f"warning: {exc}; computing every row", file=sys.stderr)
 
@@ -350,7 +353,7 @@ def cmd_scan(args) -> int:
             entries[key] = rows[i]
         if cache_path:
             try:
-                _store_cache(cache_path, entries)
+                _store_cache(cache_path, entries, seen)
             except OSError as exc:
                 # strerror, not exc: the error may name the random temp file
                 print(f"error: cannot write cache {cache_path}: {exc.strerror or exc}",

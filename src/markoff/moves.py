@@ -475,8 +475,14 @@ def normalize_11(p: Point3) -> tuple:
         flip.append(q.index(0))
     if flip:
         word += (Move("S", tuple(sorted(flip))),)
-    form = Point3(abs(q[0]), abs(q[1]), -abs(q[2]) if odd else abs(q[2]))
-    return form, MoveWord("11", word)
+    return _new(Point3, _canon_11(p)), MoveWord("11", word)
+
+
+def _canon_11(p) -> tuple:
+    """normalize_11(p)'s point, with no word, as a plain tuple."""
+    x, y, z = p
+    a, b, c = sorted((abs(x), abs(y), abs(z)))
+    return (a, b, -c) if x * y * z < 0 else (a, b, c)
 
 
 VIETA_MOVES = (Move("V", 0), Move("V", 1), Move("V", 2))

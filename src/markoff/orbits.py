@@ -14,6 +14,17 @@ A child that answers the search (a stop hit, or a meet of the two trees)
 is kept even when the count cap is full; the count cap refuses only a
 child that would merely grow the search.
 
+On the torus, gamma_prime holds the group G of the 24 permutations and
+even sign changes, which normalizes the Vieta moves and keeps the height.
+So orbit_bfs, equivalent and is_exceptional search the quotient there
+(the quotient mode of _steps): Vieta moves only, each child keyed by its
+canonical point, which stands for its G-orbit; the raw start grows the
+first level, and a stop hit is the raw child.  Words are replayed only on
+demand (_QuotientRun).  The count cap still counts points: a key goes in
+while fewer than cap_count points are held, with its whole orbit, so a
+run may hold up to 23 points more.  A start above the height cap
+searches plainly.
+
 Box points are enumerated by descent read backwards: a Vieta move that
 lowers the sup-norm stays in the box, so every box point is reached,
 inside the box, from a point with a coordinate +2 or -2 or from a point
@@ -40,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .surfaces import (
@@ -56,10 +68,13 @@ from .surfaces import (
 from .moves import (
     VIETA_MOVES,
     MoveWord,
+    _canon_11,
     _compile,
     _new,
+    apply_move,
     apply_word,
     concat_words,
+    generators,
     identity_word,
     normalize_11,
     transposition,
@@ -101,17 +116,12 @@ def _sphere_form(surface: Surface) -> tuple:
 
 def _square_values(c2: int, c1: int, c0: int, bound: int):
     """(w, r) for every |w| <= bound at which c2*w^2 + c1*w + c0 = r^2 with
-    r >= 0.  A linear form (c2 = 0) is solved from the squares it can take,
-    which are the r^2 within |c1|*bound of c0: w = (r^2 - c0)/c1 when that is
-    exact, or every w when c1 = 0 and c0 is a square.  That costs
-    O(sqrt(|c1|*bound)) steps, and the pass over every w runs only where it
-    is cheaper."""
+    r >= 0, for a form that is not a constant (_slice lists those).  A
+    linear form (c2 = 0) is solved from the squares it can take, which are
+    the r^2 within |c1|*bound of c0: w = (r^2 - c0)/c1 when that is exact.
+    That costs O(sqrt(|c1|*bound)) steps, and the pass over every w runs
+    only where it is cheaper."""
     if c2 == 0:
-        if c1 == 0:
-            r = math.isqrt(c0) if c0 >= 0 else -1
-            if r * r == c0:
-                yield from ((w, r) for w in range(-bound, bound + 1))
-            return
         low, high = c0 - abs(c1) * bound, c0 + abs(c1) * bound
         r_low = math.isqrt(low - 1) + 1 if low > 0 else 0
         r_high = math.isqrt(high) if high >= 0 else -1
@@ -134,15 +144,30 @@ def _slice(form: tuple, axis: int, value: int, bound: int):
     modulus at most bound.  The third coordinate t solves a monic quadratic
     whose discriminant is a quadratic in the second one, w; it is linear
     when value is +-2, so those slices cost O(sqrt(bound)) steps, or their
-    output when they are lines."""
+    output when they are lines, which are listed directly."""
     s, gamma, d = form
     j, l = (axis + 1) % 3, (axis + 2) % 3
     slope, g_j, g_l = s * value, gamma[j], gamma[l]
     rest = value * value - gamma[axis] * value - d
     # (slope*w - g_l)^2 - 4*(w^2 - g_j*w + rest), expanded in w
-    square = _square_values(
-        value * value - 4, 4 * g_j - 2 * slope * g_l, g_l * g_l - 4 * rest, bound
-    )
+    c2, c1, c0 = value * value - 4, 4 * g_j - 2 * slope * g_l, g_l * g_l - 4 * rest
+    if c2 == c1 == 0:
+        # value is +-2, and a square c0 = r^2 gives the lines t = a - m*w,
+        # a = (g_l +- r)/2 (one line when r = 0) and m = slope/2 = +-1, with
+        # |t| <= bound for w in [m*a - bound, m*a + bound]; the lines share
+        # one list of w values, so each w is one int object, as per w
+        r = math.isqrt(c0) if c0 >= 0 else -1
+        m, cols = slope // 2, [itertools.repeat(value)] * 3
+        roots = {(g_l + r) // 2, (g_l - r) // 2} if r * r == c0 else ()
+        spans = [(a, max(-bound, m * a - bound), min(bound, m * a + bound)) for a in roots]
+        spans = [span for span in spans if span[1] <= span[2]]
+        low = min((w0 for _, w0, _ in spans), default=0)
+        ws = list(range(low, max((w1 for _, _, w1 in spans), default=-1) + 1))
+        for a, w0, w1 in spans:
+            cols[j], cols[l] = ws[w0 - low:w1 - low + 1], range(a - m * w0, a - m * w1 - m, -m)
+            yield from map(_new, itertools.repeat(Point3), zip(*cols))
+        return
+    square = _square_values(c2, c1, c0, bound)
     p = [value, value, value]  # copied into each Point3, so reused
     low = -bound
     for w, r in square:
@@ -292,17 +317,19 @@ def enumerate_points(surface: Surface, B: int) -> list:
 # breadth-first orbit machinery
 
 
-def _expand(surface, steps, frontier, parents, cap_height, cap_count, stop):
+def _expand(surface, steps, frontier, parents, cap_height, room, stop, canon):
     """One BFS level: the children of the frontier points under the
     (move, function) pairs of _compile, in order; returns (next frontier,
-    hit, pruned, truncated).  parents maps point -> (parent point, move).
+    hit, pruned, truncated, room).  parents maps key -> (parent, move), a
+    child's key is itself or canon(child), and room is the number of points
+    that may still go in.
 
-    A child parents already holds is skipped, and one above the height cap
-    is pruned.  The first child for which stop (None: never) is true goes
-    in and ends the level as hit, even when the count cap is full; any
-    other goes in only while parents holds fewer than cap_count points.
-    The move functions return plain tuples, which look up equal to the
-    Point3 keys; a child becomes a Point3 only when it is inserted.
+    A child whose key parents already holds is skipped, and one above the
+    height cap is pruned.  The first child whose key stop (None: never)
+    accepts goes in and ends the level as hit, even when room is spent;
+    any other goes in only while room is positive, and takes the points its
+    key stands for.  The move functions return plain tuples, which look up
+    equal to the Point3 keys; a key becomes a Point3 only when inserted.
     """
     children = []
     pruned = False
@@ -310,27 +337,28 @@ def _expand(surface, steps, frontier, parents, cap_height, cap_count, stop):
     for node in frontier:
         for g, f in steps:
             child = f(surface, node)
-            if child in parents:
+            key = child if canon is None else canon(child)
+            if key in parents:
                 continue
             x, y, z = child
             if not (low <= x <= cap_height and low <= y <= cap_height
                     and low <= z <= cap_height):
                 pruned = True
                 continue
-            hit = stop is not None and stop(child)
-            if not hit and len(parents) >= cap_count:
-                return children, None, pruned, True
-            child = _new(Point3, child)
-            parents[child] = (node, g)
+            hit = stop is not None and stop(key)
+            if not hit and room <= 0:
+                return children, None, pruned, True, room
+            key = _new(Point3, key)
+            parents[key] = (node, g)
             if hit:
-                return children, child, pruned, False
-            children.append(child)
-    return children, None, pruned, False
+                return children, _new(Point3, child), pruned, False, room
+            room -= 1 if canon is None else _orbit_size(key)
+            children.append(key)
+    return children, None, pruned, False, room
 
 
-def _search(
-    surface: Surface, steps, start: Point3, cap_height, cap_count, stop=None, parents=None
-):
+def _search(surface: Surface, steps, start: Point3, cap_height, cap_count, stop=None,
+            parents=None, canon=None):
     """BFS closure of start by _expand levels; returns (parents, hit,
     pruned, truncated).  The start is always kept, even above the height
     cap, and is not passed to stop; the hit, the first child stop accepts,
@@ -341,27 +369,37 @@ def _search(
     if parents is None:
         parents = {}
     start = _new(Point3, start)
-    parents[start] = (None, None)
+    root = start if canon is None else _new(Point3, canon(start))
+    parents[root] = (None, None)
+    room = cap_count - (len(parents) if canon is None else _orbit_size(root))
     frontier, pruned = [start], False
     while frontier:
-        frontier, hit, cut, truncated = _expand(surface, steps, frontier, parents,
-                                                cap_height, cap_count, stop)
+        frontier, hit, cut, truncated, room = _expand(
+            surface, steps, frontier, parents, cap_height, room, stop, canon)
         pruned = pruned or cut
         if hit is not None or truncated:
             return parents, hit, pruned, truncated
     return parents, None, pruned, False
 
 
-def _word_from_parents(parents, surface_kind: str, target: Point3) -> MoveWord:
-    moves = []
-    node = target
-    while True:
-        parent, move = parents[node]
-        if parent is None:
-            break
-        moves.append(move)
-        node = parent
-    return MoveWord(surface_kind, tuple(reversed(moves)))
+_PRIME_11 = frozenset(generators("11", "gamma_prime"))
+_EVEN_SIGNS = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
+
+
+def _steps(surface: Surface, gens, cap_height, *ends) -> tuple:
+    """(steps, key function) of a search from ends: the Vieta moves and
+    _canon_11 in the quotient mode, else _compile(surface, gens) and None."""
+    steps = _compile(surface, gens)
+    if (isinstance(surface, Markoff11) and {g for g, _ in steps} == _PRIME_11
+            and max(map(linf_height, ends)) <= cap_height):
+        return _compile(surface, VIETA_MOVES), _canon_11
+    return steps, None
+
+
+def _orbit_size(p) -> int:
+    """|G.p|: the distinct arrangements of the moduli times 4 sign patterns,
+    or 2^(nonzero coordinates) when one is 0."""
+    return (0, 1, 3, 6)[len({abs(v) for v in p})] * (4, 4, 2, 1)[p.count(0)]
 
 
 @dataclass(frozen=True)
@@ -377,10 +415,58 @@ class OrbitRun:
         return list(self.parents)
 
     def word_to(self, p: Point3) -> MoveWord:
-        return _word_from_parents(self.parents, self.surface.kind, p)
+        moves = []
+        while self.parents[p][0] is not None:
+            p, move = self.parents[p]
+            moves.append(move)
+        return MoveWord(self.surface.kind, tuple(reversed(moves)))
 
     def __len__(self):
         return len(self.parents)
+
+
+class _QuotientRun(OrbitRun):
+    """A search tree of the quotient mode, whose keys stand for G-orbits.
+    word_to replays the keys' path from the raw start: G normalizes the
+    Vieta moves, so from a point of one key's orbit one Vieta move reaches
+    the next key's orbit.  normalize_11's words then lead on to p, unless
+    the last point is p (a stop hit).  _replayed keeps each key's (moves,
+    point), with moves a linked list of (moves, move) cells that the keys
+    share, so a run replays each key once and stores one cell per key."""
+
+    @cached_property
+    def _replayed(self) -> dict:
+        return {}
+
+    def points(self):  # each key's G-orbit in turn
+        return [q for key in self.parents for q in dict.fromkeys(
+            _new(Point3, (a * x, b * y, c * z))
+            for x, y, z in itertools.permutations(key) for a, b, c in _EVEN_SIGNS)]
+
+    def word_to(self, p: Point3) -> MoveWord:
+        chain, key = [], _canon_11(p)
+        while key not in self._replayed and self.parents[key][0] is not None:
+            chain.append(key)
+            key = _canon_11(self.parents[key][0])  # the root's children name the raw start
+        moves, node = self._replayed.get(key, ((), self.start))
+        for key in reversed(chain):
+            for g in VIETA_MOVES:
+                child = apply_move(self.surface, g, node)
+                if _canon_11(child) == key:
+                    break
+            moves, node = (moves, g), child
+            self._replayed[key] = moves, node
+        word = []
+        while moves:
+            moves, g = moves
+            word.append(g)
+        word.reverse()
+        if node != p:
+            word += normalize_11(node)[1].moves + normalize_11(p)[1].inverse().moves
+        return MoveWord(self.surface.kind, tuple(word))
+
+    def __len__(self):
+        return sum(map(_orbit_size, self.parents))
 
 
 def orbit_bfs(
@@ -390,9 +476,11 @@ def orbit_bfs(
     point of sup-norm above cap_height."""
     _require_exact(surface, start)
     _require_on_surface(surface, start)
-    steps = _compile(surface, gens)
-    parents, _, pruned, truncated = _search(surface, steps, start, cap_height, cap_count)
-    return OrbitRun(surface, start, parents, pruned or truncated)
+    steps, canon = _steps(surface, gens, cap_height, start)
+    parents, _, pruned, truncated = _search(surface, steps, start, cap_height, cap_count,
+                                            canon=canon)
+    tree = OrbitRun if canon is None else _QuotientRun
+    return tree(surface, start, parents, pruned or truncated)
 
 
 @dataclass(frozen=True)
@@ -420,29 +508,30 @@ def equivalent(
     _require_on_surface(surface, p)
     _require_on_surface(surface, q)
     # compiled before the p == q answer, so a foreign generator always raises
-    steps = _compile(surface, gens)
-    kind = surface.kind
-    if p == q:
-        return EquivalenceResult(True, identity_word(kind), True, False)
+    steps, canon = _steps(surface, gens, caps.height, p, q)
+    roots = (p, q) if canon is None else (_new(Point3, canon(p)), _new(Point3, canon(q)))
+    sides = ({roots[0]: (None, None)}, {roots[1]: (None, None)})
+    tree = OrbitRun if canon is None else _QuotientRun
+    if roots[0] == roots[1]:  # p == q, or one G-orbit in the quotient mode
+        return EquivalenceResult(True, tree(surface, p, sides[0], False).word_to(q), p == q, False)
 
     # a BFS tree from each end; the smaller frontier grows by one level, a
     # child the other tree holds is a meet, and both trees share the count cap
-    sides = ({p: (None, None)}, {q: (None, None)})
     frontiers = [[p], [q]]
+    room = caps.count - (2 if canon is None else sum(map(_orbit_size, roots)))
     pruned = False
     while frontiers[0] and frontiers[1]:
         i = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
-        other = sides[1 - i]
-        frontiers[i], meet, cut, truncated = _expand(
-            surface, steps, frontiers[i], sides[i], caps.height,
-            caps.count - len(other), other.__contains__,
+        frontiers[i], meet, cut, truncated, room = _expand(
+            surface, steps, frontiers[i], sides[i], caps.height, room,
+            sides[1 - i].__contains__, canon,
         )
         pruned = pruned or cut
         if truncated:
             return EquivalenceResult(False, None, False, pruned)
         if meet is not None:
-            w_p = _word_from_parents(sides[0], kind, meet)
-            w_q = _word_from_parents(sides[1], kind, meet)
+            w_p = tree(surface, p, sides[0], False).word_to(meet)
+            w_q = tree(surface, q, sides[1], False).word_to(meet)
             word = concat_words(w_p, w_q.inverse())
             if apply_word(surface, word, p) != q:  # pragma: no cover - safety net
                 raise MarkoffError("equivalence certificate failed to replay")
@@ -468,13 +557,15 @@ def is_exceptional(surface: Surface, p: Point3, caps: Caps = DEFAULT_CAPS) -> Ex
     _require_on_surface(surface, p)
     if 2 in p or -2 in p:
         return ExceptionalSearch(True, identity_word(surface.kind), False, False)
-    steps = _compile(surface, "gamma_prime")
+    steps, canon = _steps(surface, "gamma_prime", caps.height, p)
     parents, hit, pruned, truncated = _search(
-        surface, steps, p, caps.height, caps.count, stop=lambda q: 2 in q or -2 in q
+        surface, steps, p, caps.height, caps.count, stop=lambda q: 2 in q or -2 in q,
+        canon=canon,
     )
     if hit is None:
         return ExceptionalSearch(False, None, not truncated, pruned)
-    word = _word_from_parents(parents, surface.kind, hit)
+    tree = OrbitRun if canon is None else _QuotientRun
+    word = tree(surface, p, parents, False).word_to(hit)
     return ExceptionalSearch(True, word, False, pruned)
 
 
@@ -516,8 +607,7 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
     needs both generator sets enumerates the box once."""
     cap_height = max(caps.height, B)
     steps = _compile(surface, gens_name)
-    kind = surface.kind
-    identity = identity_word(kind)
+    identity = identity_word(surface.kind)
     # box point -> index into classes, or its witness word once exceptional
     label = {p: identity for p in points if 2 in p or -2 in p}
 
@@ -540,9 +630,10 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
             label.update(dict.fromkeys(reached, mark))
             continue
         # mark is the witness word of hit; extend it back to each reached point
-        to_hit = concat_words(_word_from_parents(parents, kind, hit), mark)
+        tree = OrbitRun(surface, p, parents, False)
+        to_hit = concat_words(tree.word_to(hit), mark)
         for m in reached:
-            word = concat_words(_word_from_parents(parents, kind, m).inverse(), to_hit)
+            word = concat_words(tree.word_to(m).inverse(), to_hit)
             q = apply_word(surface, word, m)
             if not (2 in q or -2 in q):
                 raise MarkoffError("exceptional witness failed to replay")

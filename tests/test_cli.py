@@ -310,6 +310,25 @@ def test_concurrent_scans_keep_every_row(tmp_path):
     assert len(json.loads(cache.read_text())["entries"]) == 24
 
 
+def test_scan_store_parses_unchanged_cache_once(tmp_path, capsys, monkeypatch):
+    # a cold row parses the cache when the scan starts; storing the row
+    # re-reads the file under the lock, and parses it again only when
+    # another scan has changed it in between
+    cache = tmp_path / "cache.json"
+    argv = ["scan", "--box", "10", "--cache", str(cache)]
+    assert run_cli(capsys, *argv, "--k", "-2")[0] == 0
+    loads, parsed = json.loads, []
+
+    def counting_loads(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", counting_loads)
+    assert run_cli(capsys, *argv, "--k", "3")[0] == 0
+    assert len(parsed) == 1
+    assert len(loads(cache.read_text())["entries"]) == 2
+
+
 def test_scan_parallel_matches_serial(capsys):
     argv = ["scan", "--type", "11", "--k-range", "-1..1", "--box", "20"]
     _, serial, _ = run_cli(capsys, *argv)
@@ -475,13 +494,16 @@ def test_orbit_csv(capsys):
         "--format", "csv",
     )
     assert (code, err) == (2, "")
+    # gamma_prime on the torus searches canonical points: each one's
+    # G-orbit is listed in turn, and a word replays the Vieta path and the
+    # normalize_11 words around it
     assert out.splitlines() == [
         "x,y,z,word",
-        "3,3,3,", "6,3,3,Vx", "3,6,3,Vy", "3,3,6,Vz",
-        "-3,-3,3,Sxy", "3,-3,-3,Syz", "-3,3,-3,Sxz",
-        "-6,-3,3,Vx Sxy", "6,-3,-3,Vx Syz", "-6,3,-3,Vx Sxz",
-        "-3,-6,3,Vy Sxy", "3,-6,-3,Vy Syz", "-3,6,-3,Vy Sxz",
-        "-3,-3,6,Vz Sxy", "3,-3,-6,Vz Syz", "-3,3,-6,Vz Sxz",
+        "3,3,3,", "-3,-3,3,Sxy", "3,-3,-3,Syz", "-3,3,-3,Sxz",
+        "3,3,6,Vx Pxzy", "-3,-3,6,Vx Pxzy Sxy", "3,-3,-6,Vx Pxzy Syz",
+        "-3,3,-6,Vx Pxzy Sxz", "3,6,3,Vx Pxzy Pyz", "-3,-6,3,Vx Pxzy Sxz Pyz",
+        "3,-6,-3,Vx Pxzy Syz Pyz", "-3,6,-3,Vx Pxzy Sxy Pyz", "6,3,3,Vx",
+        "-6,-3,3,Vx Pxzy Sxz Pxyz", "6,-3,-3,Vx Pxzy Sxy Pxyz", "-6,3,-3,Vx Pxzy Syz Pxyz",
     ]
 
 

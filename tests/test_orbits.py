@@ -23,8 +23,10 @@ from markoff.moves import (
     apply_move,
     apply_word,
     concat_words,
+    even_sign,
     generators,
     identity_word,
+    permute,
     twist04,
     twist11,
     vieta,
@@ -38,6 +40,7 @@ from markoff.descent import (
     reduce_min_complex_11,
 )
 from markoff.orbits import (
+    _orbit_size,
     _root_heights,
     _search,
     _slice,
@@ -899,7 +902,27 @@ def test_search_matches_point3_oracle_beyond_int64():
             _assert_search_matches(surface, gens, start, 2**80, 600)
 
 
+def _torus_prime(surface, gens):
+    """True when equivalent searches the quotient by the 24 symmetries."""
+    return isinstance(surface, Markoff11) and set(gens) == set(generators("11", "gamma_prime"))
+
+
+def _assert_equivalent_true(surface, gens, p, q, caps, got):
+    """The quotient mode's equivalent against the plain oracle: a True
+    replays, a False with exhausted agrees with the oracle without a count
+    cap, and so does every answer whose count cap does not bind."""
+    if got.equivalent:
+        assert apply_word(surface, got.word, p) == q
+    if got.equivalent or got.exhausted or caps.count >= 10**6:
+        free = _oracle_equivalent(surface, gens, p, q, Caps(caps.height, 10**9))
+        assert got.equivalent == free.equivalent
+        assert got.equivalent or got.exhausted == free.exhausted
+
+
 def test_equivalent_matches_point3_oracle():
+    # exact equality with the plain search, but on torus gamma_prime, whose
+    # quotient search meets elsewhere and counts points by G-orbit: there
+    # every answer must be true
     for surface, gens, start, B in _differential_cases():
         orbit = list(_search(surface, _compile(surface, gens), start, B, 10**6)[0])
         others = enumerate_points(surface, B)
@@ -908,7 +931,10 @@ def test_equivalent_matches_point3_oracle():
             for caps in [Caps(B, 10**6), Caps(linf_height(start) - 1, 10**6)] + [
                     Caps(B, count) for count in range(1, 12)]:
                 got = equivalent(surface, gens, start, q, caps)
-                assert got == _oracle_equivalent(surface, gens, start, q, caps)
+                if _torus_prime(surface, gens):
+                    _assert_equivalent_true(surface, gens, start, q, caps, got)
+                else:
+                    assert got == _oracle_equivalent(surface, gens, start, q, caps)
     for surface, p in BIG_STARTS:
         p = _beyond_int64(surface, p)
         for gens in GENERATOR_SETS:
@@ -918,7 +944,85 @@ def test_equivalent_matches_point3_oracle():
                 for count in (50, 200, 400):
                     caps = Caps(10**60, count)
                     got = equivalent(surface, gens, p, q, caps)
-                    assert got == _oracle_equivalent(surface, gens, p, q, caps)
+                    if _torus_prime(surface, gens):
+                        _assert_equivalent_true(surface, gens, p, q, caps, got)
+                    else:
+                        assert got == _oracle_equivalent(surface, gens, p, q, caps)
+
+
+# --- torus gamma_prime: the quotient by the 24 symmetries --------------------
+
+
+def _torus_prime_cases():
+    """(surface, start, height cap): the torus starts of _differential_cases,
+    each also above its height cap, and BIG_STARTS' tori from beyond int64
+    with height caps that hold whole orbits of 5,000 to 30,000 points: the
+    Markoff surface from a height of 2^115, and k near 2^70 from 2^110 (also
+    above the cap) and from (3, 5, 2^35) at 10^30."""
+    prime = generators("11", "gamma_prime")
+    for surface, gens, start, B in _differential_cases():
+        if isinstance(surface, Markoff11) and gens == prime:
+            yield surface, start, B
+            yield surface, start, linf_height(start) - 1
+    markoff, big_k = (surface for surface, _ in BIG_STARTS if isinstance(surface, Markoff11))
+    start = _beyond_int64(markoff, Point3(3, 3, 3))
+    yield markoff, start, linf_height(start)
+    start = _beyond_int64(big_k, Point3(_X, _Y, _Z))
+    yield big_k, start, linf_height(start)
+    yield big_k, start, linf_height(start) - 1
+    yield big_k, Point3(_X, _Y, _Z), 10**30
+
+
+def _assert_quotient_search(surface, start, cap_height, full, cap_count):
+    """orbit_bfs and is_exceptional on torus gamma_prime against the plain
+    oracle search full: the same answers when the count cap does not bind,
+    true ones when it does, and every word replays."""
+    free = cap_count >= len(full[0])
+    run = orbit_bfs(surface, "gamma_prime", start, cap_height, cap_count)
+    points = run.points()
+    assert len(points) == len(set(points)) == len(run)
+    assert all(type(p) is Point3 for p in points)
+    assert run.word_to(start).moves == ()
+    for p in points[:: max(1, len(points) // 40)] + points[-3:]:
+        assert apply_word(surface, run.word_to(p), start) == p
+    if free:
+        assert set(points) == set(full[0]) and run.caps_hit == full[2]
+    else:  # a key goes in with its whole orbit while fewer points are held
+        assert set(points) <= set(full[0]) and len(points) < cap_count + 24
+        assert run.caps_hit or set(points) == set(full[0])
+
+    res = is_exceptional(surface, start, Caps(cap_height, cap_count))
+    if res.found:
+        assert _has_two(apply_word(surface, res.word, start))
+    if res.found or res.exhausted or free:
+        assert res.found == (_has_two(start) or any(map(_has_two, full[0])))
+    if not res.found and free:
+        assert res.exhausted and res.pruned == full[2]
+
+
+def test_quotient_search_matches_plain_search():
+    steps = _oracle_steps(MARKOFF, generators("11", "gamma_prime"))
+    for surface, start, cap_height in _torus_prime_cases():
+        full = _oracle_search(surface, steps, start, cap_height, 10**9)
+        n = len(full[0])
+        # from no binding to the start alone; fewer counts on the big orbits
+        counts = (10**9, n, n - 1, n // 2, 13, 1) if n < 5000 else (10**9, n - 1, 13)
+        for count in counts:
+            _assert_quotient_search(surface, start, cap_height, full, count)
+
+
+def test_orbit_size_closed_form():
+    # the closed form against the 24 images of at most one permutation then
+    # at most one even sign change, on small points and on big-int ties and
+    # zeros
+    perms = [()] + [(permute(s),) for s in itertools.permutations(range(3)) if s != (0, 1, 2)]
+    signs = [()] + [(even_sign(i, j),) for i, j in ((0, 1), (1, 2), (0, 2))]
+    big = 2**70
+    points = itertools.chain(itertools.product(range(-4, 5), repeat=3),
+                             itertools.product((0, big, -big, big + 1, -big - 1), repeat=3))
+    for p in map(Point3._make, points):
+        images = {apply_word(MARKOFF, MoveWord("11", a + b), p) for a in perms for b in signs}
+        assert _orbit_size(p) == len(images), p
 
 
 # --- the library hands out Point3 ---------------------------------------------
