@@ -423,8 +423,12 @@ def apply_word(surface: Surface, w: MoveWord, p: Point3) -> Point3:
 def word_to_text(w: MoveWord) -> str:
     tokens = []
     for m in w.moves:
-        unit, n = _unit(m)
-        tokens += [_TOKENS[unit]] * n
+        tok = _TOKENS.get(m)
+        if tok is None:  # a twist power, or a power other than 1
+            unit, n = _unit(m)
+            tokens += [_TOKENS[unit]] * n
+        else:
+            tokens.append(tok)
     return " ".join(tokens)
 
 

@@ -18,12 +18,12 @@ On the torus, gamma_prime holds the group G of the 24 permutations and
 even sign changes, which normalizes the Vieta moves and keeps the height.
 So orbit_bfs, equivalent and is_exceptional search the quotient there
 (the quotient mode of _steps): Vieta moves only, each child keyed by its
-canonical point, which stands for its G-orbit; the raw start grows the
-first level, and a stop hit is the raw child.  Words are replayed only on
-demand (_QuotientRun).  The count cap still counts points: a key goes in
-while fewer than cap_count points are held, with its whole orbit, so a
-run may hold up to 23 points more.  A start above the height cap
-searches plainly.
+canonical point, which stands for its G-orbit.  The frontier holds the raw
+children, so each key's parent entry is (raw parent, Vieta move), and an
+OrbitRun's word to a point walks the parents, memoized, with no replay
+search.  The count cap still counts points: a key goes in while fewer
+than cap_count points are held, with its whole orbit, so a run may hold
+up to 23 points more.  A start above the height cap searches plainly.
 
 Box points are enumerated by descent read backwards: a Vieta move that
 lowers the sup-norm stays in the box, so every box point is reached,
@@ -52,7 +52,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .surfaces import (
     DomainMismatch,
@@ -321,15 +321,15 @@ def _expand(surface, steps, frontier, parents, cap_height, room, stop, canon):
     """One BFS level: the children of the frontier points under the
     (move, function) pairs of _compile, in order; returns (next frontier,
     hit, pruned, truncated, room).  parents maps key -> (parent, move), a
-    child's key is itself or canon(child), and room is the number of points
-    that may still go in.
+    child's key is itself or canon(child), the frontiers hold the raw
+    children, and room is the number of points that may still go in.
 
     A child whose key parents already holds is skipped, and one above the
     height cap is pruned.  The first child whose key stop (None: never)
     accepts goes in and ends the level as hit, even when room is spent;
     any other goes in only while room is positive, and takes the points its
     key stands for.  The move functions return plain tuples, which look up
-    equal to the Point3 keys; a key becomes a Point3 only when inserted.
+    equal to the Point3 keys; a child becomes a Point3 only when inserted.
     """
     children = []
     pruned = False
@@ -348,12 +348,13 @@ def _expand(surface, steps, frontier, parents, cap_height, room, stop, canon):
             hit = stop is not None and stop(key)
             if not hit and room <= 0:
                 return children, None, pruned, True, room
-            key = _new(Point3, key)
+            child = _new(Point3, child)
+            key = child if canon is None else _new(Point3, key)
             parents[key] = (node, g)
             if hit:
-                return children, _new(Point3, child), pruned, False, room
+                return children, child, pruned, False, room
             room -= 1 if canon is None else _orbit_size(key)
-            children.append(key)
+            children.append(child)
     return children, None, pruned, False, room
 
 
@@ -404,69 +405,57 @@ def _orbit_size(p) -> int:
 
 @dataclass(frozen=True)
 class OrbitRun:
-    """Result of a capped orbit BFS with one certificate word per point."""
+    """Result of a capped orbit BFS with one certificate word per point.
+
+    parents maps key -> (raw parent, move), and a raw parent is the point
+    its own key went in with, so the moves back to the root are a word to
+    each key's raw point.  canon is None in a plain search; in the quotient
+    mode a key stands for its G-orbit, and normalize_11's words lead on from
+    its raw point to any other point of it.  _walked memoizes the walk in
+    linked (moves, move) cells shared by the keys: one canon call and one
+    cell per key."""
 
     surface: Surface
     start: Point3
     parents: dict
     caps_hit: bool
-
-    def points(self):
-        return list(self.parents)
-
-    def word_to(self, p: Point3) -> MoveWord:
-        moves = []
-        while self.parents[p][0] is not None:
-            p, move = self.parents[p]
-            moves.append(move)
-        return MoveWord(self.surface.kind, tuple(reversed(moves)))
-
-    def __len__(self):
-        return len(self.parents)
-
-
-class _QuotientRun(OrbitRun):
-    """A search tree of the quotient mode, whose keys stand for G-orbits.
-    word_to replays the keys' path from the raw start: G normalizes the
-    Vieta moves, so from a point of one key's orbit one Vieta move reaches
-    the next key's orbit.  normalize_11's words then lead on to p, unless
-    the last point is p (a stop hit).  _replayed keeps each key's (moves,
-    point), with moves a linked list of (moves, move) cells that the keys
-    share, so a run replays each key once and stores one cell per key."""
+    canon: Optional[Callable] = None
 
     @cached_property
-    def _replayed(self) -> dict:
-        return {}
+    def _walked(self) -> dict:  # key -> its moves, from the root's ()
+        return {self.start if self.canon is None else self.canon(self.start): ()}
 
-    def points(self):  # each key's G-orbit in turn
-        return [q for key in self.parents for q in dict.fromkeys(
+    def points(self):
+        if self.canon is None:
+            return list(self.parents)
+        return [q for key in self.parents for q in dict.fromkeys(  # each key's G-orbit
             _new(Point3, (a * x, b * y, c * z))
             for x, y, z in itertools.permutations(key) for a, b, c in _EVEN_SIGNS)]
 
     def word_to(self, p: Point3) -> MoveWord:
-        chain, key = [], _canon_11(p)
-        while key not in self._replayed and self.parents[key][0] is not None:
-            chain.append(key)
-            key = _canon_11(self.parents[key][0])  # the root's children name the raw start
-        moves, node = self._replayed.get(key, ((), self.start))
-        for key in reversed(chain):
-            for g in VIETA_MOVES:
-                child = apply_move(self.surface, g, node)
-                if _canon_11(child) == key:
-                    break
-            moves, node = (moves, g), child
-            self._replayed[key] = moves, node
+        canon, parents, walked = self.canon, self.parents, self._walked
+        key = p if canon is None else canon(p)
+        chain, top = [], key
+        while top not in walked:
+            chain.append(top)
+            top = parents[top][0] if canon is None else canon(parents[top][0])
+        moves = walked[top]
+        for top in reversed(chain):
+            moves = walked[top] = (moves, parents[top][1])
         word = []
         while moves:
             moves, g = moves
             word.append(g)
         word.reverse()
-        if node != p:
-            word += normalize_11(node)[1].moves + normalize_11(p)[1].inverse().moves
+        if canon is not None:
+            node, g = parents[key]
+            raw = self.start if node is None else apply_move(self.surface, g, node)
+            if raw != p:
+                word += normalize_11(raw)[1].moves + normalize_11(p)[1].inverse().moves
         return MoveWord(self.surface.kind, tuple(word))
 
     def __len__(self):
-        return sum(map(_orbit_size, self.parents))
+        return len(self.parents) if self.canon is None else sum(map(_orbit_size, self.parents))
 
 
 def orbit_bfs(
@@ -479,8 +468,7 @@ def orbit_bfs(
     steps, canon = _steps(surface, gens, cap_height, start)
     parents, _, pruned, truncated = _search(surface, steps, start, cap_height, cap_count,
                                             canon=canon)
-    tree = OrbitRun if canon is None else _QuotientRun
-    return tree(surface, start, parents, pruned or truncated)
+    return OrbitRun(surface, start, parents, pruned or truncated, canon)
 
 
 @dataclass(frozen=True)
@@ -510,10 +498,10 @@ def equivalent(
     # compiled before the p == q answer, so a foreign generator always raises
     steps, canon = _steps(surface, gens, caps.height, p, q)
     roots = (p, q) if canon is None else (_new(Point3, canon(p)), _new(Point3, canon(q)))
-    sides = ({roots[0]: (None, None)}, {roots[1]: (None, None)})
-    tree = OrbitRun if canon is None else _QuotientRun
+    runs = [OrbitRun(surface, end, {root: (None, None)}, False, canon)
+            for end, root in zip((p, q), roots)]
     if roots[0] == roots[1]:  # p == q, or one G-orbit in the quotient mode
-        return EquivalenceResult(True, tree(surface, p, sides[0], False).word_to(q), p == q, False)
+        return EquivalenceResult(True, runs[0].word_to(q), p == q, False)
 
     # a BFS tree from each end; the smaller frontier grows by one level, a
     # child the other tree holds is a meet, and both trees share the count cap
@@ -523,16 +511,14 @@ def equivalent(
     while frontiers[0] and frontiers[1]:
         i = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         frontiers[i], meet, cut, truncated, room = _expand(
-            surface, steps, frontiers[i], sides[i], caps.height, room,
-            sides[1 - i].__contains__, canon,
+            surface, steps, frontiers[i], runs[i].parents, caps.height, room,
+            runs[1 - i].parents.__contains__, canon,
         )
         pruned = pruned or cut
         if truncated:
             return EquivalenceResult(False, None, False, pruned)
         if meet is not None:
-            w_p = tree(surface, p, sides[0], False).word_to(meet)
-            w_q = tree(surface, q, sides[1], False).word_to(meet)
-            word = concat_words(w_p, w_q.inverse())
+            word = concat_words(runs[0].word_to(meet), runs[1].word_to(meet).inverse())
             if apply_word(surface, word, p) != q:  # pragma: no cover - safety net
                 raise MarkoffError("equivalence certificate failed to replay")
             return EquivalenceResult(True, word, False, pruned)
@@ -564,8 +550,7 @@ def is_exceptional(surface: Surface, p: Point3, caps: Caps = DEFAULT_CAPS) -> Ex
     )
     if hit is None:
         return ExceptionalSearch(False, None, not truncated, pruned)
-    tree = OrbitRun if canon is None else _QuotientRun
-    word = tree(surface, p, parents, False).word_to(hit)
+    word = OrbitRun(surface, p, parents, False, canon).word_to(hit)
     return ExceptionalSearch(True, word, False, pruned)
 
 

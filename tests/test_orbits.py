@@ -1025,6 +1025,33 @@ def test_orbit_size_closed_form():
         assert _orbit_size(p) == len(images), p
 
 
+def test_orbit_run_words_walk_the_parents():
+    # one tree type in both modes: every parent is a Point3, every word
+    # replays, a word does not depend on the words asked before it (the
+    # walk is memoized), and in the quotient mode the raw point each key
+    # went in with has a word of Vieta moves alone
+    surface, start = Markoff11(3), Point3(-2, -1, 0)
+    for gens in GENERATOR_SETS:
+        run = orbit_bfs(surface, gens, start, 100)
+        assert (run.canon is None) == (gens == "gamma_poly")
+        points = run.points()
+        assert len(points) >= 500
+        forward = [run.word_to(p) for p in points]
+        for p, word in zip(points, forward):
+            assert apply_word(surface, word, start) == p
+        fresh = orbit_bfs(surface, gens, start, 100)
+        assert [fresh.word_to(p) for p in reversed(points)] == forward[::-1]
+        parents = list(run.parents.values())
+        assert [parent for parent, _ in parents].count(None) == 1
+        assert all(type(parent) is Point3 for parent, _ in parents[1:])
+        if run.canon is None:
+            continue
+        for key, (parent, g) in run.parents.items():
+            raw = start if parent is None else apply_move(surface, g, parent)
+            assert run.canon(raw) == key
+            assert all(m.kind == "V" for m in run.word_to(raw).moves)
+
+
 # --- the library hands out Point3 ---------------------------------------------
 
 

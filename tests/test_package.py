@@ -35,3 +35,30 @@ def test_every_private_definition_is_referenced():
             if every.count(name) == _references(node).count(name):  # only itself
                 unused.append(f"{module}:{name}")
     assert unused == []
+
+
+def _imported(tree) -> list:
+    """(line, name) of every name a module's imports bind, but __future__'s."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append((node.lineno, alias.asname or alias.name.split(".")[0]))
+    return bound
+
+
+def test_every_import_is_read():
+    # a module that imports a name it never reads kept it from a deleted
+    # caller; __init__ imports to re-export
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.name}:{line}:{name}" for line, name in _imported(tree)
+                   if name not in read]
+    assert unread == []
