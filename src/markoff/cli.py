@@ -25,8 +25,10 @@ verify runs each suite of trace_algebra.IDENTITY_SUITES with a fresh
 random.Random(--seed) and prints one pass/FAIL line per suite.  The
 commands read their options from the parsed arguments; each command
 declares only the options it reads, argparse holds every default and
-`_check_args` rejects out-of-range values (exit 1).  main reports every
-input or math error a command raises.
+`_check_args` rejects out-of-range values (exit 1).  No command prints
+an error: each raises MarkoffError or ValueError, which main prints as
+one `error:` line with exit 1.  Only --jobs > 1 imports the process pool
+and only a cache write imports tempfile, so other calls skip them.
 """
 
 from __future__ import annotations
@@ -35,14 +37,11 @@ import argparse
 import csv
 import fcntl
 import functools
-import io
 import json
 import os
 import random
 import re
 import sys
-import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .surfaces import (
@@ -139,12 +138,8 @@ def cmd_reduce(args) -> int:
     point = parse_point(args.point, args.complex)
     surface = build_surface(args.type, params)
     if not on_surface(surface, point):
-        print(
-            f"error: point {args.point} is not on the surface; "
-            f"residual = {residual(surface, point)}",
-            file=sys.stderr,
-        )
-        return EXIT_ERROR
+        raise MarkoffError(f"point {args.point} is not on the surface; "
+                           f"residual = {residual(surface, point)}")
     if args.complex:
         if isinstance(surface, Markoff11):
             res = reduce_min_complex_11(surface, point, args.cap_steps)
@@ -154,8 +149,7 @@ def cmd_reduce(args) -> int:
         res = reduce_compact(surface, AConfig(INTEGER_STAR), point, args.cap_steps)
     replay = apply_word(surface, res.word, point)
     if replay != res.reduced:
-        print("error: certificate failed to replay", file=sys.stderr)
-        return EXIT_ERROR
+        raise MarkoffError("certificate failed to replay")
     payload = {
         "reduced": _point_json(res.reduced),
         "word": str(res.word),
@@ -186,13 +180,7 @@ def cmd_reduce(args) -> int:
 
 
 def _point_json(p: Point3):
-    return [_scalar_json(v) for v in p]
-
-
-def _scalar_json(v):
-    if isinstance(v, complex):
-        return [v.real, v.imag]
-    return v
+    return [[v.real, v.imag] if isinstance(v, complex) else v for v in p]
 
 
 def _point_text(p: Point3) -> str:
@@ -286,6 +274,8 @@ def _store_cache(path: str, entries: dict, seen: bytes | None = None) -> None:
     """Write entries to the cache, adding the rows another scan stored
     since this one read the bytes seen.  The lock on <path>.lock makes the
     re-read and the atomic rename one step, so concurrent scans lose no rows."""
+    import tempfile  # here, not at module level: only a scan that stores rows needs it
+
     directory = os.path.dirname(os.path.abspath(path))
     with open(path + ".lock", "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
@@ -324,15 +314,10 @@ def cmd_scan(args) -> int:
 
     caps = _caps(args, default_height=args.box)
     code = _source_hash()
-    tasks = []
-    keys = []
-    for params in ks:
-        keys.append(_row_key(args.type, params, args.gens, args.box, caps, code))
-        tasks.append((args.type, params, args.gens, args.box, tuple(caps)))
-
-    rows: list = [None] * len(tasks)
+    keys = [_row_key(args.type, params, args.gens, args.box, caps, code) for params in ks]
+    rows: list = [None] * len(keys)
     missing = []
-    for i, (key, task, params) in enumerate(zip(keys, tasks, ks)):
+    for i, (key, params) in enumerate(zip(keys, ks)):
         row = entries.get(key)
         if _is_row(row, _row_k(args.type, params)):
             rows[i] = row
@@ -340,35 +325,33 @@ def cmd_scan(args) -> int:
         if key in entries:
             print(f"warning: malformed row in cache {cache_path}; recomputing it",
                   file=sys.stderr)
-        missing.append((i, task))
+        missing.append((i, (args.type, params, args.gens, args.box, tuple(caps))))
     if missing:
         if args.jobs > 1 and len(missing) > 1:
+            from concurrent.futures import ProcessPoolExecutor  # here: serial scans skip it
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 for (i, _), row in zip(missing, pool.map(_scan_one, [t for _, t in missing])):
                     rows[i] = row
         else:
             for i, task in missing:
                 rows[i] = _scan_one(task)
-        for i, key in enumerate(keys):
-            entries[key] = rows[i]
+        entries.update(zip(keys, rows))
         if cache_path:
             try:
                 _store_cache(cache_path, entries, seen)
             except OSError as exc:
                 # strerror, not exc: the error may name the random temp file
-                print(f"error: cannot write cache {cache_path}: {exc.strerror or exc}",
-                      file=sys.stderr)
-                return EXIT_ERROR
+                raise MarkoffError(f"cannot write cache {cache_path}: "
+                                   f"{exc.strerror or exc}") from exc
 
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(_ROW_FIELDS[:-1])
         for row in rows:
             k = row["k"]
             k_text = " ".join(str(v) for v in k) if isinstance(k, list) else k
             writer.writerow([k_text] + [row[field] for field in _ROW_FIELDS[1:-1]])
-        sys.stdout.write(out.getvalue())
     else:
         doc = {
             "surface": {"type": args.type},
@@ -404,8 +387,7 @@ def cmd_lines(args) -> int:
     try:
         k = int(args.k)
     except ValueError:
-        print(f"error: --k must be an integer, got {args.k!r}", file=sys.stderr)
-        return EXIT_ERROR
+        raise ValueError(f"--k must be an integer, got {args.k!r}") from None
     report = parabolic_lines_11(k)
     if args.format == "json":
         doc = {
@@ -455,16 +437,13 @@ def cmd_orbit(args) -> int:
     for p in run.points():
         word = run.word_to(p)
         if apply_word(surface, word, start) != p:
-            print("error: orbit certificate failed to replay", file=sys.stderr)
-            return EXIT_ERROR
+            raise MarkoffError("orbit certificate failed to replay")
         rows.append((p, str(word)))
     if args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["x", "y", "z", "word"])
         for p, word in rows:
             writer.writerow([p.x, p.y, p.z, word])
-        sys.stdout.write(out.getvalue())
     else:
         doc = {
             "start": list(start),

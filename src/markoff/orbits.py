@@ -551,6 +551,9 @@ def is_exceptional(surface: Surface, p: Point3, caps: Caps = DEFAULT_CAPS) -> Ex
     if hit is None:
         return ExceptionalSearch(False, None, not truncated, pruned)
     word = OrbitRun(surface, p, parents, False, canon).word_to(hit)
+    q = apply_word(surface, word, p)
+    if not (2 in q or -2 in q):
+        raise MarkoffError("exceptional witness failed to replay")
     return ExceptionalSearch(True, word, False, pruned)
 
 

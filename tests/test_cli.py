@@ -1,4 +1,7 @@
 import argparse
+import ast
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -610,3 +613,70 @@ def test_documented_examples_run(capsys, monkeypatch):
     for argv in examples:
         code, _, err = run_cli(capsys, *argv[1:])
         assert code != 1, (" ".join(argv), err)
+
+
+def test_only_main_prints_errors():
+    # commands raise; main alone turns an exception into an error: line
+    def error_literals(node):
+        return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Constant)
+                and isinstance(n.value, str) and n.value.startswith("error:")]
+
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+    main_def = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    assert len(error_literals(main_def)) == 1
+    assert error_literals(tree) == error_literals(main_def)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reduce", "--k", "-2", "--point", "3,6,15"], "certificate failed to replay"),
+    (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6"],
+     "orbit certificate failed to replay"),
+], ids=["reduce", "orbit"])
+def test_certificate_replay_failure_exits_one(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli, "apply_word", lambda surface, word, p: p._replace(x=p.x + 1))
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_import_defers_pool_and_tempfile():
+    # only a parallel scan needs the pool and only a cache write tempfile;
+    # -S keeps site hooks from importing either first
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import markoff.cli; "
+            "print(sorted({'concurrent.futures', 'tempfile'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
+
+
+_GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
+
+
+def _golden_run(argv):
+    """The exit code, stdout and stderr of one in-process markoff call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors and --version
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def test_cli_golden_outputs(monkeypatch):
+    # every command and format, exits 0, 1 and 2, and each error: reachable
+    # from the command line, byte for byte as recorded in cli_golden.json
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal
+    golden = json.loads(_GOLDEN.read_text())
+    assert len(golden) >= 25
+    for entry in golden:
+        assert _golden_run(entry["argv"]) == entry
+
+
+if __name__ == "__main__":
+    # record the current outputs for the argv lists in cli_golden.json:
+    # PYTHONPATH=src python tests/test_cli.py
+    os.environ.pop(cli.CACHE_ENV, None)
+    os.environ["COLUMNS"] = "80"
+    entries = [_golden_run(entry["argv"]) for entry in json.loads(_GOLDEN.read_text())]
+    _GOLDEN.write_text(json.dumps(entries, indent=1) + "\n")

@@ -39,6 +39,7 @@ from markoff.descent import (
     reduce_min_complex_04,
     reduce_min_complex_11,
 )
+from markoff import orbits
 from markoff.orbits import (
     _orbit_size,
     _root_heights,
@@ -447,6 +448,19 @@ def test_is_exceptional_hit_at_count_cap():
     res = is_exceptional(s, Point3(1, 3, 1), Caps(height=100, count=1))
     assert res.found and str(res.word) == "Vx"
     assert apply_word(s, res.word, Point3(1, 3, 1)) == Point3(2, 3, 1)
+
+
+@pytest.mark.parametrize("surface, p", [
+    (Markoff11(6), Point3(1, 3, 1)),  # torus gamma_prime: the quotient search
+    (make_cubic04(0, 0, 0, 0), Point3(-7, -3, -3)),  # sphere: the plain search
+], ids=["torus-quotient", "sphere-plain"])
+def test_is_exceptional_replays_its_witness(monkeypatch, surface, p):
+    # a witness word that does not reach a +-2 coordinate is never returned
+    assert is_exceptional(surface, p, Caps(height=100, count=10**4)).found
+    monkeypatch.setattr(orbits.OrbitRun, "word_to",
+                        lambda run, q: identity_word(run.surface.kind))
+    with pytest.raises(MarkoffError, match="exceptional witness failed to replay"):
+        is_exceptional(surface, p, Caps(height=100, count=10**4))
 
 
 def test_is_exceptional_origin():
