@@ -13,13 +13,11 @@ Exit codes: 0 success, 1 usage, input or math error, 2 caps hit (for
 scan: some row says caps_hit).  reduce takes the step cap --cap-steps;
 scan, orbit and equiv take the search caps --cap-height and --cap-count.
 Scan rows are cached per (surface, generator set, box, height and count
-caps, hash of the package sources).  The cache path comes from --cache
-or the MARKOFF_CACHE environment variable, an unreadable cache file or
-a malformed row in it is ignored with a warning, and rerunning a warm
-scan reproduces cached rows byte for byte.  Scans that share a cache
-write it one at a time, under a lock on the file <cache>.lock, each
-keeping the rows the others wrote.  Complex literals use the
-form re+imi, e.g. 1.5+0.25i.
+caps, hash of the package sources) in the log named by --cache or the
+MARKOFF_CACHE environment variable.  A scan appends the rows it computed
+under a lock on the log, and a later line wins.  A malformed line or row,
+or a log that cannot be read or written, is a warning.  A warm scan
+reproduces cached rows byte for byte.  Complex literals: re+imi, e.g. 1.5+0.25i.
 
 verify runs each suite of trace_algebra.IDENTITY_SUITES with a fresh
 random.Random(--seed) and prints one pass/FAIL line per suite.  The
@@ -27,8 +25,8 @@ commands read their options from the parsed arguments; each command
 declares only the options it reads, argparse holds every default and
 `_check_args` rejects out-of-range values (exit 1).  No command prints
 an error: each raises MarkoffError or ValueError, which main prints as
-one `error:` line with exit 1.  Only --jobs > 1 imports the process pool
-and only a cache write imports tempfile, so other calls skip them.
+one `error:` line with exit 1.  Only --jobs > 1 imports the process
+pool, so other calls skip it.
 """
 
 from __future__ import annotations
@@ -253,47 +251,44 @@ def _scan_one(task) -> dict:
     }
 
 
-def _load_cache(path: str, seen: bytes | None = None) -> tuple:
-    """(entries, the bytes parsed) of the cache file; bytes equal to seen
-    are not parsed again and give no entries."""
+def _load_cache(path: str) -> dict:
+    """The rows of the cache log by key, a later line winning; a malformed
+    line, or a log that cannot be read, is skipped with a warning."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
-        data = {} if raw == seen else json.loads(raw.decode("utf-8"))
+            fcntl.flock(fh, fcntl.LOCK_SH)
+            lines = fh.read().split(b"\n")
     except FileNotFoundError:
-        return {}, None
-    except (OSError, ValueError) as exc:
-        raise MarkoffError(f"unreadable cache {path}: {exc}") from exc
-    entries = data.get("entries", {}) if isinstance(data, dict) else None
-    if not isinstance(entries, dict):
-        raise MarkoffError(f"unreadable cache {path}: no entries object")
-    return entries, raw
-
-
-def _store_cache(path: str, entries: dict, seen: bytes | None = None) -> None:
-    """Write entries to the cache, adding the rows another scan stored
-    since this one read the bytes seen.  The lock on <path>.lock makes the
-    re-read and the atomic rename one step, so concurrent scans lose no rows."""
-    import tempfile  # here, not at module level: only a scan that stores rows needs it
-
-    directory = os.path.dirname(os.path.abspath(path))
-    with open(path + ".lock", "a") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
+        return {}
+    except OSError as exc:
+        print(f"warning: unreadable cache {path}: {exc.strerror or exc}; computing every row",
+              file=sys.stderr)
+        return {}
+    entries = {}
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
         try:
-            for key, row in _load_cache(path, seen)[0].items():
-                entries.setdefault(key, row)
-        except MarkoffError:
-            pass  # an unreadable cache is replaced, as on a scan's first read
-        payload = json.dumps({"version": __version__, "entries": entries}, sort_keys=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".markoff-cache-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except OSError:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            item = json.loads(line)
+        except (ValueError, RecursionError):  # RecursionError: a line nested too deep
+            item = None
+        # not `key, row = item`: a 2-character string or 2-key object would unpack too
+        if isinstance(item, list) and len(item) == 2 and isinstance(item[0], str):
+            entries[item[0]] = item[1]
+        else:
+            print(f"warning: malformed line {number} in cache {path}; skipped", file=sys.stderr)
+    return entries
+
+
+def _store_cache(path: str, rows: dict) -> None:
+    """Append rows, {key: row}, to the cache log in one write under an
+    exclusive lock on the log, so concurrent scans lose no rows.  The write
+    starts on a fresh line, so a writer killed mid-line tears only its own."""
+    text = "".join(json.dumps([key, row], sort_keys=True) + "\n" for key, row in rows.items())
+    # a new log is private, and a symlink at path is refused (ELOOP), never written through
+    with open(path, "a", opener=lambda p, f: os.open(p, f | os.O_NOFOLLOW, 0o600)) as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        fh.write("\n" + text)
 
 
 def cmd_scan(args) -> int:
@@ -305,12 +300,7 @@ def cmd_scan(args) -> int:
         raise ValueError("--k-range needs --type 11")
 
     cache_path = args.cache or os.environ.get(CACHE_ENV)
-    entries, seen = {}, None
-    if cache_path:
-        try:
-            entries, seen = _load_cache(cache_path)
-        except MarkoffError as exc:
-            print(f"warning: {exc}; computing every row", file=sys.stderr)
+    entries = _load_cache(cache_path) if cache_path else {}
 
     caps = _caps(args, default_height=args.box)
     code = _source_hash()
@@ -336,14 +326,12 @@ def cmd_scan(args) -> int:
         else:
             for i, task in missing:
                 rows[i] = _scan_one(task)
-        entries.update(zip(keys, rows))
         if cache_path:
             try:
-                _store_cache(cache_path, entries, seen)
+                _store_cache(cache_path, {keys[i]: rows[i] for i, _ in missing})
             except OSError as exc:
-                # strerror, not exc: the error may name the random temp file
-                raise MarkoffError(f"cannot write cache {cache_path}: "
-                                   f"{exc.strerror or exc}") from exc
+                print(f"warning: cannot write cache {cache_path}: {exc.strerror or exc}; "
+                      "rows not stored", file=sys.stderr)
 
     if args.format == "csv":
         writer = csv.writer(sys.stdout)

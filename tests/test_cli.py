@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -19,6 +20,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cache_rows(log):
+    """The rows of a scan cache log's text by key, a later line winning;
+    every non-blank line must be a [key, row] pair."""
+    return dict(json.loads(line) for line in log.splitlines() if line)
 
 
 def test_parse_complex_literal():
@@ -179,16 +186,14 @@ def test_scan_cache_env_var(tmp_path, capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "scan", "--type", "11", "--k", "-2", "--box", "10")
     assert code == 0
     assert cache.exists()
-    entries = json.loads(cache.read_text())["entries"]
-    assert len(entries) == 1
+    assert len(cache_rows(cache.read_text())) == 1
 
 
 def test_scan_cache_key_includes_box(tmp_path, capsys):
     cache = tmp_path / "cache.json"
     run_cli(capsys, "scan", "--k", "-2", "--box", "10", "--cache", str(cache))
     run_cli(capsys, "scan", "--k", "-2", "--box", "20", "--cache", str(cache))
-    entries = json.loads(cache.read_text())["entries"]
-    assert len(entries) == 2
+    assert len(cache_rows(cache.read_text())) == 2
 
 
 def test_scan_rejects_cap_steps(tmp_path, capsys):
@@ -205,7 +210,7 @@ def test_scan_rejects_cap_steps(tmp_path, capsys):
     assert (code1, code2) == (0, 0)
     assert out1 == out2
     assert cache.read_text() == stamp
-    assert len(json.loads(stamp)["entries"]) == 1
+    assert len(cache_rows(stamp)) == 1
 
 
 def test_scan_cache_stale_code_is_miss(tmp_path, capsys):
@@ -215,13 +220,19 @@ def test_scan_cache_stale_code_is_miss(tmp_path, capsys):
                 "exceptional": 0, "caps_hit": False, "representatives": []}
     for code_hash, served in (("other-code", 2), (cli._source_hash(), 99)):
         key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], code_hash)
-        cache.write_text(json.dumps({"entries": {key: poisoned}}))
+        cache.write_text(json.dumps([key, poisoned]) + "\n")
         code, out, _ = run_cli(capsys, "scan", "--k", "-2", "--box", "10", "--cache", str(cache))
         assert code == 0
         assert json.loads(out)["rows"][0]["h_star_gamma_prime"] == served
 
 
-@pytest.mark.parametrize("garbage", [b"\xff\x00 not json", b"[1, 2]", b'{"entries": 3}'])
+# a log line counts only as a [str, row] pair: "ab" and a 2-key object
+# would unpack into a key and a row too; json.loads raises RecursionError,
+# not ValueError, on a line nested too deep
+@pytest.mark.parametrize("garbage", [
+    b"\xff\x00 not json", b"[1, 2]", b'{"entries": 3}', b'"ab"', b'{"a": 1, "b": 2}',
+    pytest.param(b"[" * 100_000, id="deep-nesting"),
+])
 def test_scan_unreadable_cache_is_miss(tmp_path, capsys, garbage):
     argv = ["scan", "--type", "11", "--k-range", "-2..0", "--box", "25"]
     _, fresh, _ = run_cli(capsys, *argv)
@@ -230,7 +241,7 @@ def test_scan_unreadable_cache_is_miss(tmp_path, capsys, garbage):
     code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
     assert code == 0
     assert out == fresh
-    assert "warning" in err and "cache" in err
+    assert err == f"warning: malformed line 1 in cache {cache}; skipped\n"
 
 
 @pytest.mark.parametrize("entry", [
@@ -245,12 +256,12 @@ def test_scan_malformed_cache_row_is_miss(tmp_path, capsys, entry):
     _, fresh, _ = run_cli(capsys, *argv)
     cache = tmp_path / "cache.json"
     key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], cli._source_hash())
-    cache.write_text(json.dumps({"entries": {key: entry}}))
+    cache.write_text(json.dumps([key, entry]) + "\n")
     code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
     assert code == 0
     assert out == fresh
     assert err.startswith("warning:") and "cache" in err
-    assert json.loads(cache.read_text())["entries"][key] == json.loads(fresh)["rows"][0]
+    assert cache_rows(cache.read_text())[key] == json.loads(fresh)["rows"][0]
 
 
 @pytest.mark.parametrize("argv", [
@@ -282,13 +293,77 @@ def test_scan_caps_hit_exit_two(capsys):
 
 
 def test_scan_unwritable_cache(tmp_path, capsys):
+    # the rows a scan computed print even when the cache cannot store them
     cache = tmp_path / "missing-dir" / "cache.json"
-    argv = ["scan", "--k", "-2", "--box", "5", "--cache", str(cache)]
-    code, _, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert err == f"error: cannot write cache {cache}: No such file or directory\n"
-    # the message names no temp file, so every run prints the same text
-    assert run_cli(capsys, *argv) == (1, "", err)
+    argv = ["scan", "--k", "-2", "--box", "5"]
+    _, fresh, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == (0, fresh)
+    assert err == (f"warning: cannot write cache {cache}: No such file or directory; "
+                   "rows not stored\n")
+    assert run_cli(capsys, *argv, "--cache", str(cache)) == (0, fresh, err)
+
+
+def test_scan_torn_last_line_is_skipped(tmp_path, capsys):
+    # a writer killed mid-line leaves a torn last line: it costs that line
+    # only, and the next append starts a line of its own
+    cache = tmp_path / "cache.json"
+    argv = ["scan", "--k-range", "-2..0", "--box", "10"]
+    _, fresh, _ = run_cli(capsys, *argv)
+    assert run_cli(capsys, "scan", "--k", "-2", "--box", "10", "--cache", str(cache))[0] == 0
+    torn = cache.read_text().strip()[:-20]
+    with cache.open("a") as fh:
+        fh.write(torn)
+    number = cache.read_text().splitlines().index(torn) + 1
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    assert (code, out) == (0, fresh)
+    assert err == f"warning: malformed line {number} in cache {cache}; skipped\n"
+    log = cache.read_text()
+    assert log.splitlines().count(torn) == 1
+    assert len(cache_rows(log.replace(torn + "\n", ""))) == 3
+
+
+def test_scan_old_format_cache_warns(tmp_path, capsys):
+    # a cache of the single-document format reads as one malformed line,
+    # and the scan appends after it
+    argv = ["scan", "--k", "-2", "--box", "10"]
+    _, fresh, _ = run_cli(capsys, *argv)
+    cache = tmp_path / "cache.json"
+    key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], cli._source_hash())
+    old = json.dumps({"version": "0.1.0", "entries": {key: json.loads(fresh)["rows"][0]}})
+    cache.write_text(old)
+    warning = f"warning: malformed line 1 in cache {cache}; skipped\n"
+    assert run_cli(capsys, *argv, "--cache", str(cache)) == (0, fresh, warning)
+    assert run_cli(capsys, *argv, "--cache", str(cache)) == (0, fresh, warning)
+    first, _, rest = cache.read_text().partition("\n")
+    assert first == old
+    assert cache_rows(rest) == {key: json.loads(fresh)["rows"][0]}
+
+
+def test_scan_cache_leaves_no_side_files(tmp_path, capsys):
+    # no lock file and no temp file: the log is the only file a scan writes
+    cache = tmp_path / "cache.json"
+    for k in ("-2", "0", "3"):
+        assert run_cli(capsys, "scan", "--k", k, "--box", "10", "--cache", str(cache))[0] == 0
+    assert os.listdir(tmp_path) == ["cache.json"]
+    assert stat.S_IMODE(cache.stat().st_mode) == 0o600
+    assert len(cache_rows(cache.read_text())) == 3
+
+
+def test_scan_cache_symlink_is_refused(tmp_path, capsys):
+    # a symlink planted at the cache path is never written through
+    target = tmp_path / "target"
+    target.write_text(json.dumps(["another key", {}]) + "\n")
+    before = target.read_bytes()
+    link = tmp_path / "cache.json"
+    link.symlink_to(target)
+    argv = ["scan", "--k", "-2", "--box", "5"]
+    _, fresh, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--cache", str(link))
+    assert (code, out) == (0, fresh)
+    assert err == (f"warning: cannot write cache {link}: Too many levels of symbolic links; "
+                   "rows not stored\n")
+    assert target.read_bytes() == before and link.is_symlink()
 
 
 def test_concurrent_scans_keep_every_row(tmp_path):
@@ -310,13 +385,12 @@ def test_concurrent_scans_keep_every_row(tmp_path):
         for proc in procs:
             proc.kill()
     assert codes == [0, 0]
-    assert len(json.loads(cache.read_text())["entries"]) == 24
+    assert len(cache_rows(cache.read_text())) == 24
 
 
 def test_scan_store_parses_unchanged_cache_once(tmp_path, capsys, monkeypatch):
-    # a cold row parses the cache when the scan starts; storing the row
-    # re-reads the file under the lock, and parses it again only when
-    # another scan has changed it in between
+    # a cold row parses each line of the cache log once, when the scan
+    # starts; storing the row appends to the log without reading it
     cache = tmp_path / "cache.json"
     argv = ["scan", "--box", "10", "--cache", str(cache)]
     assert run_cli(capsys, *argv, "--k", "-2")[0] == 0
@@ -329,7 +403,8 @@ def test_scan_store_parses_unchanged_cache_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.json, "loads", counting_loads)
     assert run_cli(capsys, *argv, "--k", "3")[0] == 0
     assert len(parsed) == 1
-    assert len(loads(cache.read_text())["entries"]) == 2
+    monkeypatch.setattr(cli.json, "loads", loads)
+    assert len(cache_rows(cache.read_text())) == 2
 
 
 def test_scan_parallel_matches_serial(capsys):
@@ -637,15 +712,21 @@ def test_certificate_replay_failure_exits_one(capsys, monkeypatch, argv, message
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
-def test_import_defers_pool_and_tempfile():
-    # only a parallel scan needs the pool and only a cache write tempfile;
-    # -S keeps site hooks from importing either first
+def test_import_defers_pool_and_tempfile(tmp_path):
+    # only a parallel scan needs the pool, and a cold scan that stores its
+    # rows needs no tempfile either; -S keeps site hooks from importing
+    # either first
     src = os.path.dirname(os.path.dirname(cli.__file__))
+    cache = tmp_path / "cache.json"
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import markoff.cli; "
-            "print(sorted({'concurrent.futures', 'tempfile'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+            "deferred = lambda: sorted({'concurrent.futures', 'tempfile'} & set(sys.modules)); "
+            "print(deferred(), file=sys.stderr); "
+            "markoff.cli.main(['scan', '--k', '-2', '--box', '5', '--cache', sys.argv[2]]); "
+            "print(deferred(), file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src, str(cache)],
                           capture_output=True, text=True, timeout=60, check=True)
-    assert done.stdout == "[]\n"
+    assert done.stderr == "[]\n[]\n"
+    assert len(cache_rows(cache.read_text())) == 1
 
 
 _GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
