@@ -235,7 +235,7 @@ def _scan_one(task) -> dict:
     surface_type, params, gens, box, caps = task
     surface = build_surface(surface_type, params)
     caps = Caps(*caps)
-    points = enumerate_points(surface, box)
+    locus, points = enumerate_points(surface, box, count_locus=True)
     by_gens = {
         name: _label_classes(surface, name, box, caps, points)
         for name in ("gamma_poly", "gamma_prime")
@@ -245,15 +245,17 @@ def _scan_one(task) -> dict:
         "k": _row_k(surface_type, params),
         "h_star_gamma_poly": by_gens["gamma_poly"].class_number_star,
         "h_star_gamma_prime": by_gens["gamma_prime"].class_number_star,
-        "exceptional": len(main_report.exceptional),
+        "exceptional": locus + len(main_report.exceptional),
         "caps_hit": any(r.caps_hit for r in by_gens.values()),
         "representatives": [list(p) for p, _ in main_report.representatives],
     }
 
 
-def _load_cache(path: str) -> dict:
+def _load_cache(path: str, code: str) -> dict:
     """The rows of the cache log by key, a later line winning; a malformed
-    line, or a log that cannot be read, is skipped with a warning."""
+    line, or a log that cannot be read, is skipped with a warning.  A line
+    as _store_cache writes it under another source hash than code is
+    skipped unparsed, since no key of this code can match it."""
     try:
         with open(path, "rb") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
@@ -264,9 +266,9 @@ def _load_cache(path: str) -> dict:
         print(f"warning: unreadable cache {path}: {exc.strerror or exc}; computing every row",
               file=sys.stderr)
         return {}
-    entries = {}
+    entries, current = {}, code.encode()
     for number, line in enumerate(lines, 1):
-        if not line.strip():
+        if not line.strip() or line.startswith(b'["[') and current not in line:
             continue
         try:
             item = json.loads(line)
@@ -299,11 +301,11 @@ def cmd_scan(args) -> int:
     else:
         raise ValueError("--k-range needs --type 11")
 
+    code = _source_hash()
     cache_path = args.cache or os.environ.get(CACHE_ENV)
-    entries = _load_cache(cache_path) if cache_path else {}
+    entries = _load_cache(cache_path, code) if cache_path else {}
 
     caps = _caps(args, default_height=args.box)
-    code = _source_hash()
     keys = [_row_key(args.type, params, args.gens, args.box, caps, code) for params in ks]
     rows: list = [None] * len(keys)
     missing = []

@@ -30,16 +30,19 @@ lowers the sup-norm stays in the box, so every box point is reached,
 inside the box, from a point with a coordinate +2 or -2 or from a point
 no Vieta move lowers.  The latter have height and smallest coordinate
 bounded by the surface parameters alone (_root_heights proves the
-bounds), so enumerate_points inserts the +-2 points whole (one slice
-solver, _slice, lists them on both surfaces), runs one in-box Vieta
-search from each unreached point one move off them and from each
-unreached root, and never scans the B^2 grid.
+bounds).  enumerate_points counts the +-2 points, from the spans of the
+lines they lie on (_lines; _slice lists the other +-2 slices), holds only
+the O(sqrt(B)) of them whose move on their +-2 axis stays in the box,
+runs one in-box Vieta search from each such move's result and from each
+root, and never scans the B^2 grid.  Listing every box point adds the
++-2 slices whole.
 
-A class count labels the enumerated box points of an exact surface by
-connected component of the move graph capped at the box height (or at a
-higher height cap, when one is given).  One _search per unlabelled point
-does it.  Box points with a coordinate equal to +2 or -2 are exceptional
-from the start and are never expanded; a search that reaches one (or any
+A class count labels the box points of an exact surface by connected
+component of the move graph capped at the box height (or at a higher
+height cap, when one is given).  One _search per unlabelled point does it.
+Box points with a coordinate equal to +2 or -2 are exceptional from the
+start (empty word) and are never expanded, so a scan row counts them and
+labels only the points off them; a search that reaches one (or any
 point with such a coordinate) marks every box point it reached
 exceptional, with a replayed witness word, since a component is
 exceptional iff some trace in it hits +-2.  Any other search has found a
@@ -139,34 +142,52 @@ def _square_values(c2: int, c1: int, c0: int, bound: int):
                 yield w, r
 
 
+def _disc(form: tuple, axis: int, value: int) -> tuple:
+    """(slope, g_l, c2, c1, c0) of the slice at `value` on `axis`: a point's
+    third coordinate t solves t^2 + (slope*w - g_l)*t + ... = 0, whose
+    discriminant is c2*w^2 + c1*w + c0 in its second coordinate, w."""
+    s, gamma, d = form
+    slope, g_j, g_l = s * value, gamma[(axis + 1) % 3], gamma[(axis + 2) % 3]
+    rest = value * value - gamma[axis] * value - d
+    # (slope*w - g_l)^2 - 4*(w^2 - g_j*w + rest), expanded in w
+    return slope, g_l, value * value - 4, 4 * g_j - 2 * slope * g_l, g_l * g_l - 4 * rest
+
+
+def _lines(form: tuple, axis: int, value: int, bound: int):
+    """The slice at `value` on `axis` as its integral lines t = a - m*w,
+    [(a, m, ws), ...] with m = slope/2 = +-1 and ws the range of w at which
+    |w| and |t| are at most bound, or None when it is not lines.  It is
+    lines when value is +-2 and the discriminant is a constant c0; a square
+    c0 = r^2 gives a = (g_l +- r)/2, exact since c0 = g_l^2 (mod 4), and one
+    line when r = 0; any other c0 gives none."""
+    slope, g_l, c2, c1, c0 = _disc(form, axis, value)
+    if c2 or c1:
+        return None
+    r, m = math.isqrt(max(c0, 0)), slope // 2
+    return [(a, m, range(max(-bound, m * a - bound), min(bound, m * a + bound) + 1))
+            for a in dict.fromkeys(((g_l + m * r) // 2, (g_l - m * r) // 2)) if r * r == c0]
+
+
+def _line_points(axis: int, value: int, a: int, m: int, ws: range):
+    """The points of the line t = a - m*w on the slice at `value` on `axis`
+    for w in ws, w on the next axis and t on the one after."""
+    cols = [itertools.repeat(value)] * 3
+    cols[(axis + 1) % 3], cols[(axis + 2) % 3] = ws, range(a - m * ws.start, a - m * ws.stop, -m)
+    return map(_new, itertools.repeat(Point3), zip(*cols))
+
+
 def _slice(form: tuple, axis: int, value: int, bound: int):
     """Surface points with `value` on `axis` and both other coordinates of
     modulus at most bound.  The third coordinate t solves a monic quadratic
     whose discriminant is a quadratic in the second one, w; it is linear
     when value is +-2, so those slices cost O(sqrt(bound)) steps, or their
-    output when they are lines, which are listed directly."""
-    s, gamma, d = form
-    j, l = (axis + 1) % 3, (axis + 2) % 3
-    slope, g_j, g_l = s * value, gamma[j], gamma[l]
-    rest = value * value - gamma[axis] * value - d
-    # (slope*w - g_l)^2 - 4*(w^2 - g_j*w + rest), expanded in w
-    c2, c1, c0 = value * value - 4, 4 * g_j - 2 * slope * g_l, g_l * g_l - 4 * rest
+    output when they are lines (_lines)."""
+    slope, g_l, c2, c1, c0 = _disc(form, axis, value)
     if c2 == c1 == 0:
-        # value is +-2, and a square c0 = r^2 gives the lines t = a - m*w,
-        # a = (g_l +- r)/2 (one line when r = 0) and m = slope/2 = +-1, with
-        # |t| <= bound for w in [m*a - bound, m*a + bound]; the lines share
-        # one list of w values, so each w is one int object, as per w
-        r = math.isqrt(c0) if c0 >= 0 else -1
-        m, cols = slope // 2, [itertools.repeat(value)] * 3
-        roots = {(g_l + r) // 2, (g_l - r) // 2} if r * r == c0 else ()
-        spans = [(a, max(-bound, m * a - bound), min(bound, m * a + bound)) for a in roots]
-        spans = [span for span in spans if span[1] <= span[2]]
-        low = min((w0 for _, w0, _ in spans), default=0)
-        ws = list(range(low, max((w1 for _, _, w1 in spans), default=-1) + 1))
-        for a, w0, w1 in spans:
-            cols[j], cols[l] = ws[w0 - low:w1 - low + 1], range(a - m * w0, a - m * w1 - m, -m)
-            yield from map(_new, itertools.repeat(Point3), zip(*cols))
+        for a, m, ws in _lines(form, axis, value, bound):
+            yield from _line_points(axis, value, a, m, ws)
         return
+    j, l = (axis + 1) % 3, (axis + 2) % 3
     square = _square_values(c2, c1, c0, bound)
     p = [value, value, value]  # copied into each Point3, so reused
     low = -bound
@@ -264,53 +285,72 @@ def _root_heights(form: tuple, B: int) -> list:
     return heights
 
 
-def enumerate_points(surface: Surface, B: int) -> list:
+def enumerate_points(surface: Surface, B: int, count_locus: bool = False):
     """All integer surface points with sup-norm at most B, sorted and
-    duplicate-free.
+    duplicate-free; with count_locus, (the number of them with a coordinate
+    +-2, the others sorted): the +-2 locus is counted instead of listed.
 
     A Vieta move that strictly lowers the sup-norm stays in the box, so
     greedy descent from any box point ends, inside the box, at a point
-    with a coordinate +-2 or at a point no Vieta move lowers.  Reversing
-    the descent, every box point is in the in-box Vieta closure of such
-    a point.  The box points with a coordinate +-2 go in whole, from
-    _slice, where a +-2 slice costs O(sqrt(B)) steps, or its output when
-    it is lines; on the torus its discriminant is the constant 4(k - 2),
-    so it is whole lines when k - 2 is a square and empty otherwise.  A
-    move on an axis other than a +-2 one keeps that coordinate, so from
-    those points only the move on a +-2 axis is applied.  The other
-    seeds are the box points in the root region of _root_heights, whose
-    bounds depend on the parameters and not on B: for each modulus u,
-    each axis and each sign, one pass over a second coordinate with the
-    third solved exactly.  One _search from each
-    such move's result and each seed not yet reached gives the closure.
-    The searches share one visited map, so no point is expanded twice,
-    +-2 points never, and the work tracks the number of points, not B^2.
+    with a coordinate +-2 or at a point no Vieta move lowers.  Read
+    backwards, every box point off the +-2 locus is reached by in-box Vieta
+    moves off the locus from a seed: a box point of the root region of
+    _root_heights, whose bounds depend on the parameters and not on B, or
+    the in-box image of a locus point under the move on its +-2 axis, the
+    one move that can leave the locus.  One _search from each seed off the
+    locus and not yet reached gives the closure.  The searches share one
+    visited map, which holds from the start the boundary of the locus: the
+    locus points whose move on their +-2 axis stays in the box.  So no
+    point is expanded twice and no search walks the locus.
+
+    That move sets the +-2 coordinate to gamma - s*w*t -+ 2 from the other
+    two, w and t, so a boundary point has min(|w|, |t|) <= R below.  A +-2
+    slice that is lines (_lines) is counted from the w-spans of its lines,
+    and only those O(sqrt(B)) points of each line are listed; any other
+    +-2 slice is listed whole by _slice, in O(sqrt(B)) steps.  A point with
+    +-2 on two axes is counted on the first.  So the work tracks the points
+    off the locus and sqrt(B), not B^2.  The full listing adds the +-2
+    slices, listed by _slice, to the points off the locus.
     """
     _require_exact(surface)
     if B < 0:
         raise ValueError("box bound must be nonnegative")
     form = _sphere_form(surface)
     steps = _compile(surface, VIETA_MOVES)
+    R = math.isqrt(B + 2 + max(map(abs, form[1])))  # |w*t| > B + 2 + |gamma| beyond it
     # _slice bounds the two free coordinates; the +-2 one is in the box iff B >= 2
-    locus = [] if B < 2 else [
-        [p for e in (2, -2) for p in _slice(form, axis, e, B)] for axis in range(3)
-    ]
-    points = dict.fromkeys(itertools.chain.from_iterable(locus))  # shared by every _search
-    for axis, on_axis in enumerate(locus):
+    slices = list(itertools.product(range(3), (2, -2))) if B >= 2 else []
+    count, points, seeds = 0, {}, []  # points: the boundary, then every point reached
+    for axis, value in slices:
+        lines = _lines(form, axis, value, B)
+        if lines is None:
+            near = list(_slice(form, axis, value, B))
+            count += len(near)
+        else:
+            near = []
+            for a, m, ws in lines:
+                count += len(ws)
+                for c in (0, m * a):  # |w| <= R, then |t| = |m*a - w| <= R
+                    near += _line_points(axis, value, a, m,
+                                         range(max(ws.start, c - R), min(ws.stop, c + R + 1)))
+        # near holds each point with +-2 on two axes (R >= 2); count it on the first
+        count -= sum(2 in p[:axis] or -2 in p[:axis] for p in set(near))
         move = steps[axis][1]
-        for p in on_axis:
+        for p in near:
             q = move(surface, p)
-            if abs(q[axis]) <= B and q not in points:
-                _search(surface, steps, q, B, math.inf, parents=points)
-    for u, r in enumerate(_root_heights(form, B)):
-        if u == 2 or r < 0:
-            continue
-        for axis in range(3):
-            for v in {u, -u}:
-                for p in _slice(form, axis, v, r):
-                    if p not in points:
-                        _search(surface, steps, p, B, math.inf, parents=points)
-    return sorted(points)
+            if abs(q[axis]) <= B:
+                points[p] = None
+                seeds.append(q)
+    roots = (p for u, r in enumerate(_root_heights(form, B)) if u != 2 and r >= 0
+             for axis in range(3) for v in {u, -u} for p in _slice(form, axis, v, r))
+    for p in itertools.chain(seeds, roots):
+        if 2 not in p and -2 not in p and p not in points:
+            _search(surface, steps, p, B, math.inf, parents=points)
+    off = sorted(p for p in points if 2 not in p and -2 not in p)
+    if count_locus:
+        return count, off
+    locus = dict.fromkeys(p for axis, value in slices for p in _slice(form, axis, value, B))
+    return sorted(off + list(locus))
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +632,9 @@ def class_number(
 
 def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points) -> OrbitReport:
     """class_number on the already enumerated box points, so a caller that
-    needs both generator sets enumerates the box once."""
+    needs both generator sets enumerates the box once.  The points may leave
+    out the +-2 locus, as enumerate_points(count_locus=True) does: the
+    report then leaves it out of `exceptional` too."""
     cap_height = max(caps.height, B)
     steps = _compile(surface, gens_name)
     identity = identity_word(surface.kind)
@@ -609,7 +651,8 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
             continue
         parents, hit, _, truncated = _search(surface, steps, p, cap_height, caps.count, stop)
         caps_hit = caps_hit or truncated
-        reached = [m for m in parents if m not in label and linf_height(m) <= B]
+        reached = [m for m in parents
+                   if m not in label and linf_height(m) <= B and 2 not in m and -2 not in m]
         mark = len(classes) if hit is None else label.get(hit, identity)
         if isinstance(mark, int):  # a new class, or one cut short by caps.count
             if mark == len(classes):
@@ -704,24 +747,14 @@ def parabolic_lines_11(k: int) -> LineReport:
     """
     if not isinstance(k, int) or isinstance(k, bool):
         raise DomainMismatch("parabolic lines require an exact integer k")
-    disc = k - 2
-    if disc < 0:
-        return LineReport(
-            k, None, (), "k - 2 < 0: lines exist only over the complex numbers"
-        )
-    s = math.isqrt(disc)
-    if s * s != disc:
-        return LineReport(
-            k, None, (), "k - 2 is not a perfect square: lines are irrational"
-        )
-    lines = [
-        ParabolicLine(0, 2, Point3(2, 0, -s), Point3(0, 1, 1), True),
-        ParabolicLine(0, -2, Point3(-2, 0, s), Point3(0, 1, -1), True),
-    ]
-    if s != 0:
-        lines.insert(1, ParabolicLine(0, 2, Point3(2, 0, s), Point3(0, 1, 1), True))
-        lines.append(ParabolicLine(0, -2, Point3(-2, 0, -s), Point3(0, 1, -1), True))
-    return LineReport(k, s, tuple(lines), "")
+    form = _sphere_form(Markoff11(k))
+    lines = tuple(ParabolicLine(0, value, Point3(value, 0, a), Point3(0, 1, -m), True)
+                  for value in (2, -2) for a, m, _ in _lines(form, 0, value, 0))
+    if lines:
+        return LineReport(k, math.isqrt(k - 2), lines, "")
+    if k < 2:
+        return LineReport(k, None, (), "k - 2 < 0: lines exist only over the complex numbers")
+    return LineReport(k, None, (), "k - 2 is not a perfect square: lines are irrational")
 
 
 def lines_cover_point(report: LineReport, p: Point3) -> bool:

@@ -269,21 +269,70 @@ def test_scan_malformed_cache_row_is_miss(tmp_path, capsys, entry):
     ("--type", "04", "--k", "0,1,2,3", "--box", "12", "--gens", "gamma_poly"),
 ])
 def test_scan_enumerates_each_row_once(capsys, monkeypatch, argv):
-    # both generator sets of a row label the same enumerated box
+    # both generator sets of a row label the same enumerated box, whose
+    # +-2 locus is counted, not listed
     monkeypatch.delenv("MARKOFF_CACHE", raising=False)
     real = orbits.enumerate_points
     calls = []
 
-    def counting(surface, B):
-        calls.append(B)
-        return real(surface, B)
+    def counting(surface, B, **options):
+        calls.append(options)
+        return real(surface, B, **options)
 
     for module in (orbits, cli):
         if getattr(module, "enumerate_points", None) is real:
             monkeypatch.setattr(module, "enumerate_points", counting)
     code, out, _ = run_cli(capsys, "scan", *argv)
     assert code == 0
-    assert len(calls) == len(json.loads(out)["rows"])
+    assert calls == [{"count_locus": True}] * len(json.loads(out)["rows"])
+
+
+def _assert_row_matches_listing(kind, params, gens, box, caps) -> bool:
+    """A scan row, which counts the +-2 locus, against the row built from
+    class_number, which lists every box point; returns its caps_hit."""
+    surface = cli.build_surface(kind, params)
+    reports = {name: orbits.class_number(surface, name, box, orbits.Caps(*caps))
+               for name in ("gamma_poly", "gamma_prime")}
+    want = {
+        "k": cli._row_k(kind, params),
+        "h_star_gamma_poly": reports["gamma_poly"].class_number_star,
+        "h_star_gamma_prime": reports["gamma_prime"].class_number_star,
+        "exceptional": len(reports[gens].exceptional),
+        "caps_hit": any(r.caps_hit for r in reports.values()),
+        "representatives": [list(p) for p, _ in reports[gens].representatives],
+    }
+    assert cli._scan_one((kind, params, gens, box, caps)) == want, (params, gens, box, caps)
+    return want["caps_hit"]
+
+
+# the row's own generator set alternates with k, so each set is checked on half the grid
+_GENS_BY_PARITY = ("gamma_prime", "gamma_poly")
+
+
+@pytest.mark.parametrize("box", [0, 1, 2, 3, 1000, 2000])
+def test_scan_rows_match_listing_torus_grid(box):
+    for k in range(-50, 51):
+        _assert_row_matches_listing("11", (k,), _GENS_BY_PARITY[k % 2], box, (box, 10**6))
+
+
+@pytest.mark.parametrize("box,caps", [(300, (300, 5)), (300, (300, 40)), (100, (400, 200))])
+def test_scan_rows_match_listing_binding_caps(box, caps):
+    # a binding count cap cuts each search short at the same point on both
+    # paths, since both start their searches from the same points in order
+    hits = [_assert_row_matches_listing("11", (k,), _GENS_BY_PARITY[k % 2], box, caps)
+            for k in range(-10, 31)]
+    assert any(hits)
+
+
+@pytest.mark.parametrize("caps", [(200, 10**6), (200, 30)])
+def test_scan_rows_match_listing_pinned_sphere_strata(caps):
+    # the sphere tuple of most box points in each of the benchmark's 40 strata
+    scan = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "pinned.json").read_text())["scan"]
+    sphere = scan["sphere"]
+    keys = sorted(sphere, key=lambda key: (sphere[key][3], key))
+    for i in range(1, 41):
+        params = tuple(map(int, keys[i * len(keys) // 40 - 1].split(",")))
+        _assert_row_matches_listing("04", params, _GENS_BY_PARITY[i % 2], scan["sphere_box"], caps)
 
 
 def test_scan_caps_hit_exit_two(capsys):
@@ -321,6 +370,19 @@ def test_scan_torn_last_line_is_skipped(tmp_path, capsys):
     log = cache.read_text()
     assert log.splitlines().count(torn) == 1
     assert len(cache_rows(log.replace(torn + "\n", ""))) == 3
+
+
+def test_scan_cache_skips_stale_lines_unparsed(tmp_path, capsys):
+    # a line written under another source hash is skipped before parsing,
+    # so even a torn one is silent, and it stays in the log
+    argv = ["scan", "--k", "-2", "--box", "10"]
+    _, fresh, _ = run_cli(capsys, *argv)
+    cache = tmp_path / "cache.json"
+    key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], "other-code")
+    stale = json.dumps([key, json.loads(fresh)["rows"][0]], sort_keys=True)
+    cache.write_text(stale[:-20] + "\n" + stale + "\n")
+    assert run_cli(capsys, *argv, "--cache", str(cache)) == (0, fresh, "")
+    assert cache.read_text().splitlines()[:2] == [stale[:-20], stale]
 
 
 def test_scan_old_format_cache_warns(tmp_path, capsys):

@@ -1,6 +1,8 @@
 import functools
 import itertools
+import json
 import math
+import pathlib
 import time
 from collections import deque
 
@@ -58,6 +60,7 @@ from markoff.orbits import (
 )
 
 MARKOFF = Markoff11(-2)
+PINNED_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "pinned.json"
 
 
 # --- enumeration ------------------------------------------------------------
@@ -308,6 +311,55 @@ def test_torus_locus_matches_parabolic_lines(k):
                     want.update(Point3(*q) for q in itertools.permutations(p))
         got = [p for p in enumerate_points(Markoff11(k), B) if 2 in p or -2 in p]
         assert set(got) == want, (k, B)
+
+
+def _assert_counted_locus(surface, B):
+    # the counting core against the listing: the locus count, then the
+    # points off the locus in the same order
+    points = enumerate_points(surface, B)
+    off = [p for p in points if 2 not in p and -2 not in p]
+    assert enumerate_points(surface, B, count_locus=True) == (len(points) - len(off), off), B
+
+
+@pytest.mark.parametrize("B", [0, 1, 2, 3, 1000, 2000])
+def test_counted_locus_matches_listing_torus_grid(B):
+    for k in range(-50, 51):
+        _assert_counted_locus(Markoff11(k), B)
+
+
+def test_counted_locus_matches_listing_pinned_sphere():
+    # every sphere tuple of the benchmark's pinned answers, at its box
+    scan = json.loads(PINNED_PATH.read_text())["scan"]
+    for params in scan["sphere"]:
+        _assert_counted_locus(make_cubic04(*map(int, params.split(","))), scan["sphere_box"])
+
+
+@pytest.mark.parametrize("s", [2**70, 2**70 + 3])
+def test_counted_locus_matches_listing_big_square_k(s):
+    # k - 2 = s^2 beyond int64: the lines z = +-y +- s lie outside these boxes
+    for B in (0, 2, 3, 100):
+        _assert_counted_locus(Markoff11(s * s + 2), B)
+
+
+@BIG_PARAMS
+def test_counted_locus_matches_listing_big_params(surface, B):
+    _assert_counted_locus(surface, B)
+
+
+def test_counted_locus_holds_its_boundary_only(monkeypatch):
+    # at k = 3 the box holds 767,976 locus points and 7,152 others; the
+    # count holds only those whose move on their +-2 axis stays in the box
+    held = []
+
+    def spy(*args, **kwargs):
+        result = _search(*args, **kwargs)
+        held.append(len(result[0]))
+        return result
+
+    monkeypatch.setattr(orbits, "_search", spy)
+    count, off = enumerate_points(Markoff11(3), 32000, count_locus=True)
+    assert (count, len(off)) == (767976, 7152)
+    assert max(held) < 12000
 
 
 def test_enumerate_requires_exact():
