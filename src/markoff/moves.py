@@ -29,15 +29,18 @@ token string, one token per generator, e.g. "Vz Pyz Ta+ Ta+ Sxy":
 Twist powers compose additively; serialization expands a power-n twist to
 |n| unit tokens, and parsing returns unit-power moves.
 
+A move is a Move value, written directly or parsed from its token.
 Each unit move is one row of the registry _UNITS: its token, its Move and
 its plain function f(surface, p) on each surface class, returning a plain
 3-tuple.  The row is the only place the move is named and its arithmetic
 written; the move tables, the token maps and the twist generator sets
-derive from it.  apply_move, apply_word and the two dehn_twist functions
-read the tables and return Point3.  The searches of orbits and the
-descent loop of descent apply moves many times: they fetch their
-generators' tuple-valued functions once, through _compile, and build a
-Point3 only for the points they keep.
+derive from it.  A move that is not a row is checked in one place,
+_unit, so apply_move, apply_word, _compile and str(word) reject the same
+moves with the same ValueError.  apply_move, apply_word and the two
+dehn_twist functions read the tables and return Point3.  The searches
+of orbits and the descent loop of descent apply moves many times: they
+fetch their generators' tuple-valued functions once, through _compile,
+and build a Point3 only for the points they keep.
 """
 
 from __future__ import annotations
@@ -54,9 +57,6 @@ from .surfaces import (
     Surface,
     point_domain,
 )
-
-TWIST_CURVES_11 = ("a", "b", "ab")
-TWIST_INDICES_04 = (1, 2, 3)
 
 
 class Move(NamedTuple):
@@ -79,50 +79,6 @@ class MoveWord(NamedTuple):
     def inverse(self) -> "MoveWord":
         inv = tuple(inverse_move(m) for m in reversed(self.moves))
         return MoveWord(self.surface_kind, inv)
-
-
-def vieta(axis: int) -> Move:
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis!r}")
-    return Move("V", axis)
-
-
-def permute(sigma) -> Move:
-    sigma = tuple(sigma)
-    if sorted(sigma) != [0, 1, 2]:
-        raise ValueError(f"not a permutation of (0, 1, 2): {sigma!r}")
-    if sigma == (0, 1, 2):
-        raise ValueError("identity permutation is not a move")
-    return Move("P", sigma)
-
-
-def transposition(i: int, j: int) -> Move:
-    sigma = [0, 1, 2]
-    sigma[i], sigma[j] = sigma[j], sigma[i]
-    return permute(sigma)
-
-
-def even_sign(i: int, j: int) -> Move:
-    m = Move("S", (min(i, j), max(i, j)))
-    if m not in _TORUS_MOVES:
-        raise ValueError(f"invalid sign-change pair {(i, j)!r}")
-    return m
-
-
-def twist11(curve: str, power: int = 1) -> Move:
-    if curve not in TWIST_CURVES_11:
-        raise ValueError(f"curve must be one of {TWIST_CURVES_11}, got {curve!r}")
-    if power == 0:
-        raise ValueError("twist power must be nonzero")
-    return Move("T11", curve, power)
-
-
-def twist04(index: int, power: int = 1) -> Move:
-    if index not in TWIST_INDICES_04:
-        raise ValueError(f"index must be 1, 2 or 3, got {index!r}")
-    if power == 0:
-        raise ValueError("twist power must be nonzero")
-    return Move("T04", index, power)
 
 
 def inverse_move(m: Move) -> Move:
@@ -333,10 +289,18 @@ _SURFACE_ONLY = {
 
 def _unit(m: Move) -> tuple:
     """(unit move, repeat count) of m: a twist of power n is its unit twist
-    |n| times; involutions and permutations ignore the power."""
-    if m.kind in ("T11", "T04"):
-        return m._replace(power=1 if m.power > 0 else -1), abs(m.power)
-    return m._replace(power=1), 1
+    |n| times; involutions and permutations ignore the power.  The one
+    check of a move's shape: raises ValueError for an unknown kind, an
+    argument no row of _UNITS has, and a twist of power 0."""
+    if m.kind not in _KINDS:
+        raise ValueError(f"unknown move kind {m.kind!r}")
+    twist = m.kind in ("T11", "T04")
+    unit = m._replace(power=-1 if twist and m.power < 0 else 1)
+    if unit not in _TOKENS:
+        raise ValueError(f"unknown argument {m.arg!r} of move kind {m.kind!r}")
+    if twist and m.power == 0:
+        raise ValueError("twist power must be nonzero")
+    return unit, abs(m.power) if twist else 1
 
 
 def _raw_move(surface: Surface, m: Move):
@@ -344,22 +308,18 @@ def _raw_move(surface: Surface, m: Move):
     apply_move(surface, m, p).
 
     A unit move comes straight from the table of the surface's class, any
-    other move from its unit move (see _unit).  Raises MoveMismatch for a
-    move not defined on the surface and ValueError for an unknown move.
+    other move from its unit move (see _unit).  Raises ValueError for an
+    unknown kind, then MoveMismatch for a kind not defined on the surface,
+    then ValueError for a bad argument or power.
     """
     f = _MOVE_TABLES.get(type(surface), {}).get(m)
     if f is not None:
         return f
-    if m.kind not in _KINDS:
-        raise ValueError(f"unknown move kind {m.kind!r}")
-    only = _SURFACE_ONLY.get(m.kind)
+    only = _SURFACE_ONLY.get(m.kind)  # None for an unknown kind, which _unit rejects
     if only is not None and not isinstance(surface, only[0]):
         raise MoveMismatch(only[1])
     unit, n = _unit(m)
-    table = _TORUS_MOVES if isinstance(surface, Markoff11) else _SPHERE_MOVES
-    f = table.get(unit)
-    if f is None:
-        raise ValueError(f"unknown argument {m.arg!r} of move kind {m.kind!r}")
+    f = (_TORUS_MOVES if isinstance(surface, Markoff11) else _SPHERE_MOVES)[unit]
     if n == 1:
         return f
 
@@ -387,18 +347,13 @@ def apply_move(surface: Surface, m: Move, p: Point3) -> Point3:
 
 def dehn_twist_11(which: str, direction: int, p: Point3) -> Point3:
     """One torus Dehn twist (direction +1) or its inverse (-1)."""
-    f = _TORUS_MOVES.get(Move("T11", which, 1 if direction > 0 else -1))
-    if f is None:
-        raise ValueError(f"unknown torus twist curve {which!r}")
-    return _new(Point3, f(None, p))  # torus moves read nothing from the surface
+    # torus moves read nothing from the surface, so any k serves
+    return apply_move(Markoff11(0), Move("T11", which, 1 if direction > 0 else -1), p)
 
 
 def dehn_twist_04(surface: Cubic04, index: int, direction: int, p: Point3) -> Point3:
     """One four-holed sphere Dehn twist; each is two Vieta involutions."""
-    f = _SPHERE_MOVES.get(Move("T04", index, 1 if direction > 0 else -1))
-    if f is None:
-        raise ValueError(f"unknown sphere twist index {index!r}")
-    return _new(Point3, f(surface, p))
+    return apply_move(surface, Move("T04", index, 1 if direction > 0 else -1), p)
 
 
 def apply_word(surface: Surface, w: MoveWord, p: Point3) -> Point3:

@@ -80,7 +80,6 @@ from .moves import (
     generators,
     identity_word,
     normalize_11,
-    transposition,
 )
 
 
@@ -316,6 +315,10 @@ def enumerate_points(surface: Surface, B: int, count_locus: bool = False):
     if B < 0:
         raise ValueError("box bound must be nonnegative")
     form = _sphere_form(surface)
+    # |x^2+y^2+z^2 + s*xyz - ax-by-cz| is at most this on the box, so a
+    # larger |d| leaves it empty
+    if abs(form[2]) > 3 * B * B + B**3 + sum(map(abs, form[1])) * B:
+        return (0, []) if count_locus else []
     steps = _compile(surface, VIETA_MOVES)
     R = math.isqrt(B + 2 + max(map(abs, form[1])))  # |w*t| > B + 2 + |gamma| beyond it
     # _slice bounds the two free coordinates; the +-2 one is in the box iff B >= 2
@@ -763,11 +766,8 @@ def lines_cover_point(report: LineReport, p: Point3) -> bool:
     for axis in range(3):
         if p[axis] not in (2, -2):
             continue
-        if axis == 0:
-            q = p
-        else:
-            sigma = transposition(0, axis).arg
-            q = Point3(p[sigma[0]], p[sigma[1]], p[sigma[2]])
-        if any(line.contains(q) for line in report.lines):
+        q = list(p)
+        q[0], q[axis] = q[axis], q[0]
+        if any(line.contains(Point3(*q)) for line in report.lines):
             return True
     return False

@@ -16,14 +16,11 @@ from markoff.surfaces import (
     residual,
 )
 from markoff.moves import (
+    Move,
     apply_move,
     apply_word,
     generators,
     normalize_11,
-    permute,
-    twist04,
-    twist11,
-    vieta,
 )
 from markoff.orbits import enumerate_points
 from markoff.descent import (
@@ -223,7 +220,7 @@ def test_reduce_compact_monotone_and_local_min():
         assert residual(s, r.reduced) == residual(s, p)
         if r.status == REDUCED:
             # no Vieta image strictly below the local minimum
-            base = min(linf_height(apply_move(s, vieta(a), r.reduced)) for a in range(3))
+            base = min(linf_height(apply_move(s, Move("V", a), r.reduced)) for a in range(3))
             assert base >= linf_height(r.reduced)
             assert normalize_11(r.reduced)[0] == r.reduced
 
@@ -237,7 +234,7 @@ def test_reduce_compact_04_greedy():
         assert apply_word(s, r.word, p) == r.reduced
         assert residual(s, r.reduced) == residual(s, p)
         if r.status == REDUCED:
-            base = min(linf_height(apply_move(s, vieta(a), r.reduced)) for a in range(3))
+            base = min(linf_height(apply_move(s, Move("V", a), r.reduced)) for a in range(3))
             assert base >= linf_height(r.reduced)
 
 
@@ -291,12 +288,12 @@ def _probe_reduce_compact(surface, cfg, p, step_cap):
         cur = linf_height(p)
         best_axis, best_height = None, None
         for axis in (2, 1, 0):
-            h = linf_height(apply_move(surface, vieta(axis), p))
+            h = linf_height(apply_move(surface, Move("V", axis), p))
             if best_height is None or h < best_height:
                 best_axis, best_height = axis, h
         if not (best_height < (cur if star else cur * (1 - APPROX_DECREASE))):
             break
-        moves.append(vieta(best_axis))
+        moves.append(Move("V", best_axis))
         p = apply_move(surface, moves[-1], p)
         if star and exceptional_axis(p) is not None:
             return result(p, EXCEPTIONAL_HIT, exceptional_axis(p))
@@ -317,13 +314,13 @@ def _sorting_reduce_min_11(surface, p, step_cap):
             return p, tuple(moves), steps, CAP_HIT
         order = sorted(range(3), key=lambda i: abs(p[i]))
         if order != [0, 1, 2]:
-            moves.append(permute(order))
+            moves.append(Move("P", tuple(order)))
             p = apply_move(surface, moves[-1], p)
         x, y, z = p
         znew = x * y - z
         if not cmath.isfinite(complex(znew)) or abs(znew) >= abs(z):
             return p, tuple(moves), steps, CAP_HIT
-        moves.append(vieta(2))
+        moves.append(Move("V", 2))
         p = Point3(x, y, znew)
         steps += 1
     return p, tuple(moves), steps, REDUCED
@@ -385,8 +382,8 @@ def test_reduce_compact_matches_probe_beyond_int64():
               for p in enumerate_points(make_cubic04(*ks), 8)[:3]]
     seen = 0
     for s, root in cases:
-        moves = [twist11(c, e) for c in ("a", "b", "ab") for e in (1, -1)] \
-            if s.kind == "11" else [twist04(i, e) for i in (1, 2, 3) for e in (1, -1)]
+        moves = [Move("T11", c, e) for c in ("a", "b", "ab") for e in (1, -1)] \
+            if s.kind == "11" else [Move("T04", i, e) for i in (1, 2, 3) for e in (1, -1)]
         for move in rng.sample(moves, 3):
             p = _twisted(s, root, move, rng.randint(20, 60))
             if linf_height(p) > 2**63:

@@ -18,22 +18,17 @@ from markoff.surfaces import (
 from markoff.moves import (
     Move,
     MoveWord,
+    _compile,
     apply_move,
     apply_word,
     concat_words,
     dehn_twist_04,
     dehn_twist_11,
-    even_sign,
     generators,
     identity_word,
     inverse_move,
     normalize_11,
     parse_word,
-    permute,
-    transposition,
-    twist04,
-    twist11,
-    vieta,
 )
 from markoff.orbits import equivalent, orbit_bfs
 
@@ -51,7 +46,7 @@ def markoff_through(p):
 
 def test_vieta_markoff_example():
     s = Markoff11(-2)
-    q = apply_move(s, vieta(2), Point3(3, 3, 3))
+    q = apply_move(s, Move("V", 2), Point3(3, 3, 3))
     assert q == Point3(3, 3, 6)
     assert residual(s, q) == 0
 
@@ -62,14 +57,14 @@ def test_vieta_is_involution():
         p = random_point(rng)
         s = markoff_through(p)
         for axis in range(3):
-            assert apply_move(s, vieta(axis), apply_move(s, vieta(axis), p)) == p
+            assert apply_move(s, Move("V", axis), apply_move(s, Move("V", axis), p)) == p
         s04 = make_cubic04(*(rng.randint(-5, 5) for _ in range(4)))
         for axis in range(3):
-            assert apply_move(s04, vieta(axis), apply_move(s04, vieta(axis), p)) == p
+            assert apply_move(s04, Move("V", axis), apply_move(s04, Move("V", axis), p)) == p
 
 
 def test_vieta_cubic04_example():
-    q = apply_move(ZEROS04, vieta(2), Point3(0, 0, 2))
+    q = apply_move(ZEROS04, Move("V", 2), Point3(0, 0, 2))
     assert q == Point3(0, 0, -2)
     assert residual(ZEROS04, q) == 0
 
@@ -79,20 +74,17 @@ def test_sign_and_permutation_are_involutions():
     s = Markoff11(0)
     for _ in range(100):
         p = random_point(rng)
-        for m in (even_sign(0, 1), even_sign(1, 2), even_sign(0, 2)):
-            assert apply_move(s, m, apply_move(s, m, p)) == p
-        for i, j in ((0, 1), (1, 2), (0, 2)):
-            m = transposition(i, j)
+        for m in parse_word("Sxy Syz Sxz Pxy Pyz Pxz", "11").moves:
             assert apply_move(s, m, apply_move(s, m, p)) == p
 
 
 def test_move_surface_mismatch():
     with pytest.raises(MoveMismatch):
-        apply_move(ZEROS04, transposition(0, 1), Point3(0, 0, 0))
+        apply_move(ZEROS04, Move("P", (1, 0, 2)), Point3(0, 0, 0))
     with pytest.raises(MoveMismatch):
-        apply_move(ZEROS04, twist11("a"), Point3(0, 0, 0))
+        apply_move(ZEROS04, Move("T11", "a"), Point3(0, 0, 0))
     with pytest.raises(MoveMismatch):
-        apply_move(Markoff11(0), twist04(1), Point3(0, 0, 0))
+        apply_move(Markoff11(0), Move("T04", 1), Point3(0, 0, 0))
     with pytest.raises(MoveMismatch):
         apply_word(Markoff11(0), identity_word("04"), Point3(0, 0, 0))
 
@@ -131,9 +123,9 @@ def test_twist_decomposition_11():
     rng = random.Random(3)
     s = Markoff11(0)
     words = {
-        "a": (transposition(1, 2), vieta(2)),
-        "b": (transposition(0, 2), vieta(0)),
-        "ab": (transposition(0, 1), vieta(1)),
+        "a": (Move("P", (0, 2, 1)), Move("V", 2)),
+        "b": (Move("P", (2, 1, 0)), Move("V", 0)),
+        "ab": (Move("P", (1, 0, 2)), Move("V", 1)),
     }
     for _ in range(1000):
         p = random_point(rng)
@@ -152,7 +144,7 @@ def test_twist_decomposition_04():
         for index, axes in ((1, (1, 2)), (2, (2, 0)), (3, (0, 1))):
             q = p
             for axis in axes:
-                q = apply_move(s, vieta(axis), q)
+                q = apply_move(s, Move("V", axis), q)
             assert q == dehn_twist_04(s, index, 1, p)
 
 
@@ -160,7 +152,7 @@ def test_apply_word_examples():
     s = Markoff11(-2)
     p = Point3(3, 3, 3)
     assert apply_word(s, identity_word("11"), p) == p
-    w = MoveWord("11", (vieta(2), transposition(1, 2)))
+    w = MoveWord("11", (Move("V", 2), Move("P", (0, 2, 1))))
     assert apply_word(s, w, p) == Point3(3, 6, 3)
 
 
@@ -190,8 +182,8 @@ def test_twist_powers_compose_additively():
         n = rng.randint(1, 4)
         stepwise = p
         for _ in range(n):
-            stepwise = apply_move(s, twist11("b", 1), stepwise)
-        assert apply_move(s, twist11("b", n), p) == stepwise
+            stepwise = apply_move(s, Move("T11", "b", 1), stepwise)
+        assert apply_move(s, Move("T11", "b", n), p) == stepwise
 
 
 def test_word_serialization_round_trip():
@@ -202,28 +194,28 @@ def test_word_serialization_round_trip():
     p = Point3(3, 3, 3)
     assert residual(s, apply_word(s, w, p)) == 0
     # power-2 twist expands to two unit tokens and parses back equivalently
-    w2 = MoveWord("11", (twist11("a", 2),))
+    w2 = MoveWord("11", (Move("T11", "a", 2),))
     assert str(w2) == "Ta+ Ta+"
     assert apply_word(s, parse_word(str(w2), "11"), p) == apply_word(s, w2, p)
-    w3 = MoveWord("04", (twist04(3, -2), vieta(0)))
+    w3 = MoveWord("04", (Move("T04", 3, -2), Move("V", 0)))
     assert str(w3) == "T3- T3- Vx"
     assert parse_word(str(w3), "04").moves == (
-        twist04(3, -1),
-        twist04(3, -1),
-        vieta(0),
+        Move("T04", 3, -1),
+        Move("T04", 3, -1),
+        Move("V", 0),
     )
 
 
 def _unit_moves(kind):
-    """Every unit move defined on a surface type, from the constructors."""
+    """Every unit move defined on a surface type, as Move values."""
     if kind == "04":
-        return tuple(vieta(axis) for axis in range(3)) + tuple(
-            twist04(index, power) for index in (1, 2, 3) for power in (1, -1))
+        return tuple(Move("V", axis) for axis in range(3)) + tuple(
+            Move("T04", index, power) for index in (1, 2, 3) for power in (1, -1))
     return (
-        tuple(vieta(axis) for axis in range(3))
-        + tuple(permute(s) for s in itertools.permutations(range(3)) if s != (0, 1, 2))
-        + tuple(even_sign(i, j) for i, j in ((0, 1), (1, 2), (0, 2)))
-        + tuple(twist11(c, power) for c in ("a", "b", "ab") for power in (1, -1))
+        tuple(Move("V", axis) for axis in range(3))
+        + tuple(Move("P", s) for s in itertools.permutations(range(3)) if s != (0, 1, 2))
+        + tuple(Move("S", (i, j)) for i, j in ((0, 1), (1, 2), (0, 2)))
+        + tuple(Move("T11", c, power) for c in ("a", "b", "ab") for power in (1, -1))
     )
 
 
@@ -253,9 +245,9 @@ def test_parse_word_rejects_tokens_of_other_surface(token, kind):
 
 
 def test_concat_words():
-    w1 = MoveWord("11", (vieta(0),))
-    w2 = MoveWord("11", (vieta(1),))
-    assert concat_words(w1, w2).moves == (vieta(0), vieta(1))
+    w1 = MoveWord("11", (Move("V", 0),))
+    w2 = MoveWord("11", (Move("V", 1),))
+    assert concat_words(w1, w2).moves == (Move("V", 0), Move("V", 1))
     with pytest.raises(MoveMismatch):
         concat_words(w1, MoveWord("04", ()))
 
@@ -340,8 +332,8 @@ def test_normalize_word_achieves_form():
 def test_normalize_idempotent_and_orbit_constant():
     rng = random.Random(11)
     s = Markoff11(0)
-    group = [transposition(0, 1), transposition(1, 2), transposition(0, 2),
-             even_sign(0, 1), even_sign(1, 2), even_sign(0, 2)]
+    group = [Move("P", (1, 0, 2)), Move("P", (0, 2, 1)), Move("P", (2, 1, 0)),
+             Move("S", (0, 1)), Move("S", (1, 2)), Move("S", (0, 2))]
     for _ in range(500):
         p = random_point(rng)
         form, _ = normalize_11(p)
@@ -353,16 +345,17 @@ def test_normalize_idempotent_and_orbit_constant():
 
 
 def test_generator_sets():
-    # the sets built from the move constructors, in their fixed order
-    vietas = tuple(vieta(axis) for axis in range(3))
+    # the sets as Move values, in their fixed order
+    vietas = tuple(Move("V", axis) for axis in range(3))
     pairs = ((0, 1), (1, 2), (0, 2))
-    assert generators("11", "gamma_prime") == vietas + tuple(
-        transposition(i, j) for i, j in pairs) + tuple(even_sign(i, j) for i, j in pairs)
+    assert generators("11", "gamma_prime") == vietas + (
+        Move("P", (1, 0, 2)), Move("P", (0, 2, 1)), Move("P", (2, 1, 0))
+    ) + tuple(Move("S", pair) for pair in pairs)
     assert generators("04", "gamma_prime") == vietas
     assert generators("11", "gamma_poly") == tuple(
-        twist11(curve, power) for curve in ("a", "b", "ab") for power in (1, -1))
+        Move("T11", curve, power) for curve in ("a", "b", "ab") for power in (1, -1))
     assert generators("04", "gamma_poly") == tuple(
-        twist04(index, power) for index in (1, 2, 3) for power in (1, -1))
+        Move("T04", index, power) for index in (1, 2, 3) for power in (1, -1))
     with pytest.raises(ValueError, match="unknown generator set 'gamma'"):
         generators("11", "gamma")
 
@@ -455,9 +448,9 @@ def _oracle_apply_move(surface, m, p):
 _DIFF_MOVES = (
     generators("11", "gamma_prime") + generators("11", "gamma_poly")
     + generators("04", "gamma_prime") + generators("04", "gamma_poly")
-    + (permute((2, 0, 1)), permute((1, 2, 0)))
-    + tuple(twist11(c, n) for c in ("a", "b", "ab") for n in (1, -1, 2, -2, 3, -3))
-    + tuple(twist04(i, n) for i in (1, 2, 3) for n in (1, -1, 2, -2, 3, -3))
+    + (Move("P", (2, 0, 1)), Move("P", (1, 2, 0)))
+    + tuple(Move("T11", c, n) for c in ("a", "b", "ab") for n in (1, -1, 2, -2, 3, -3))
+    + tuple(Move("T04", i, n) for i in (1, 2, 3) for n in (1, -1, 2, -2, 3, -3))
     + (Move("X", 0),)
 )
 
@@ -506,10 +499,31 @@ def test_move_tables_mismatch_and_unknown_errors():
             apply_move(surface, Move("X", 0), p)
         with pytest.raises(ValueError, match="unknown argument 3 of move kind 'V'"):
             apply_move(surface, Move("V", 3), p)
-    with pytest.raises(ValueError, match="unknown torus twist curve"):
+    with pytest.raises(ValueError, match="^unknown argument 'c' of move kind 'T11'$"):
         dehn_twist_11("c", 1, p)
-    with pytest.raises(ValueError, match="unknown sphere twist index"):
+    with pytest.raises(ValueError, match="^unknown argument 4 of move kind 'T04'$"):
         dehn_twist_04(sphere, 4, 1, p)
+
+
+@pytest.mark.parametrize("m, message", [
+    (Move("V", 7), "unknown argument 7 of move kind 'V'"),
+    (Move("P", (0, 1, 2)), "unknown argument (0, 1, 2) of move kind 'P'"),
+    (Move("S", (1, 0)), "unknown argument (1, 0) of move kind 'S'"),
+    (Move("T11", "c"), "unknown argument 'c' of move kind 'T11'"),
+    (Move("T04", 4), "unknown argument 4 of move kind 'T04'"),
+    (Move("X", 0), "unknown move kind 'X'"),
+    (Move("T11", "a", 0), "twist power must be nonzero"),
+    (Move("T04", 1, 0), "twist power must be nonzero"),
+])
+def test_malformed_move_raises_one_error_everywhere(m, message):
+    # applying, compiling and serializing check a move's shape in one place
+    surface = make_cubic04(1, 2, 3, 4) if m.kind == "T04" else Markoff11(-2)
+    word, p = MoveWord(surface.kind, (m,)), Point3(3, 3, 3)
+    for call in (lambda: apply_move(surface, m, p), lambda: apply_word(surface, word, p),
+                 lambda: _compile(surface, (m,)), lambda: str(word)):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert type(excinfo.value) is ValueError and str(excinfo.value) == message
 
 
 def test_dehn_twists_match_oracle():
@@ -546,7 +560,7 @@ def _oracle_bfs(surface, gens, start, cap_height):
 
 def test_search_with_twist_powers_matches_oracle_bfs():
     s = Markoff11(-2)
-    gens = (twist11("a", 2), twist11("a", -2), twist11("b", 3))
+    gens = (Move("T11", "a", 2), Move("T11", "a", -2), Move("T11", "b", 3))
     for start in (Point3(3, 3, 3), Point3(3, 6, 15)):
         for cap in (10**3, 10**6):
             run = orbit_bfs(s, gens, start, cap_height=cap)
@@ -566,13 +580,13 @@ def test_search_with_twist_powers_matches_oracle_bfs():
 def test_search_with_torus_only_generator_on_sphere_raises():
     sphere = make_cubic04(0, 0, 0, 0)
     p, q = Point3(2, 0, 0), Point3(0, 2, 0)
-    for m in (transposition(0, 1), even_sign(0, 1), twist11("a")):
+    for m in (Move("P", (1, 0, 2)), Move("S", (0, 1)), Move("T11", "a")):
         with pytest.raises(MoveMismatch):
-            orbit_bfs(sphere, (vieta(0), m), p, cap_height=10)
+            orbit_bfs(sphere, (Move("V", 0), m), p, cap_height=10)
         with pytest.raises(MoveMismatch):
-            equivalent(sphere, (vieta(0), m), p, q)
+            equivalent(sphere, (Move("V", 0), m), p, q)
         with pytest.raises(MoveMismatch):  # also when p == q needs no move
-            equivalent(sphere, (vieta(0), m), p, p)
+            equivalent(sphere, (Move("V", 0), m), p, p)
 
 
 # --- properties ---------------------------------------------------------------
@@ -590,9 +604,9 @@ def _surfaces(draw):
 def _unit_and_powered_moves(kind):
     units = generators(kind, "gamma_prime") + generators(kind, "gamma_poly")
     if kind == "11":
-        powered = tuple(twist11(c, n) for c in ("a", "b", "ab") for n in (2, -2, 3))
-        return units + (permute((2, 0, 1)), permute((1, 2, 0))) + powered
-    return units + tuple(twist04(i, n) for i in (1, 2, 3) for n in (2, -3))
+        powered = tuple(Move("T11", c, n) for c in ("a", "b", "ab") for n in (2, -2, 3))
+        return units + (Move("P", (2, 0, 1)), Move("P", (1, 2, 0))) + powered
+    return units + tuple(Move("T04", i, n) for i in (1, 2, 3) for n in (2, -3))
 
 
 @st.composite

@@ -20,18 +20,14 @@ from markoff.surfaces import (
 )
 from markoff.moves import (
     GENERATOR_SETS,
+    Move,
     MoveWord,
     _compile,
     apply_move,
     apply_word,
     concat_words,
-    even_sign,
     generators,
     identity_word,
-    permute,
-    twist04,
-    twist11,
-    vieta,
 )
 from markoff.descent import (
     INTEGER_STAR,
@@ -157,8 +153,12 @@ BIG_PARAMS = pytest.mark.parametrize(
         (make_cubic04(2**13, 3, -5, 7), 6),
         (make_cubic04(2**26, 1, 1, 1), 2),
         (make_cubic04(2, 2, 2, 2), 10),
+        (Markoff11(2**140 + 2), 300),
+        (Markoff11(2**140 + 2), 1000),
+        (make_cubic04(2**40, 3, 5, 7), 300),
     ],
-    ids=["torus-2^30", "torus-2^40", "sphere-2^13", "sphere-2^26", "sphere-2222"],
+    ids=["torus-2^30", "torus-2^40", "sphere-2^13", "sphere-2^26", "sphere-2222",
+         "torus-2^140-300", "torus-2^140-1000", "sphere-2^40-300"],
 )
 
 
@@ -246,7 +246,7 @@ def _unlowered(surface, points):
     for p in points:
         h = linf_height(p)
         if 2 not in (abs(v) for v in p) and all(
-            linf_height(apply_move(surface, vieta(axis), p)) >= h for axis in range(3)
+            linf_height(apply_move(surface, Move("V", axis), p)) >= h for axis in range(3)
         ):
             yield p
 
@@ -378,7 +378,7 @@ def _assert_huge_box(s, B, small):
     for p in points:
         assert residual(s, p) == 0 and linf_height(p) <= B
         for axis in range(3):
-            q = apply_move(s, vieta(axis), p)
+            q = apply_move(s, Move("V", axis), p)
             assert linf_height(q) > B or q in found
     assert [p for p in points if linf_height(p) <= small] == enumerate_points(s, small)
 
@@ -391,6 +391,27 @@ def test_enumerate_huge_box(k, B):
 def test_enumerate_huge_box_sphere():
     # the +-2 slices are listed from their squares, not by a pass over B
     _assert_huge_box(make_cubic04(0, 1, 2, 3), 10**6, 200)
+
+
+def test_enumerate_provably_empty_box_is_fast():
+    # |d| beyond what the form reaches on the box: no root pass runs
+    started = time.perf_counter()
+    for s, B in ((Markoff11(2**140 + 2), 300), (Markoff11(2**140 + 2), 1000),
+                 (make_cubic04(2**40, 3, 5, 7), 300)):
+        assert enumerate_points(s, B) == []
+        assert enumerate_points(s, B, count_locus=True) == (0, [])
+    assert time.perf_counter() - started < 1
+
+
+@pytest.mark.parametrize("B", [2, 3, 10, 50])
+def test_enumerate_empty_box_bound_is_tight(B):
+    # x^2+y^2+z^2 - xyz = k + 2 reaches 3B^2 + B^3 at (B, B, -B), so the
+    # emptiness bound must keep that k and may drop the next one
+    k = 3 * B * B + B**3 - 2
+    assert Point3(B, B, -B) in enumerate_points(Markoff11(k), B)
+    assert enumerate_points(Markoff11(k + 1), B) == []
+    if B <= 10:
+        assert enumerate_points(Markoff11(k), B) == _scan_points(Markoff11(k), B)
 
 
 # --- orbit BFS --------------------------------------------------------------
@@ -908,8 +929,9 @@ def _assert_search_matches(surface, gens, start, cap_height, cap_count, stop=Non
 def _differential_cases():
     """(surface, generator set, start, height cap): both surfaces, both named
     generator sets and powered twists, over small and big-int parameters."""
-    torus_powers = (twist11("a", 2), twist11("a", -2), twist11("b", 3), twist11("ab", -1))
-    sphere_powers = (twist04(1, 2), twist04(2, -3), twist04(3, 1))
+    torus_powers = (Move("T11", "a", 2), Move("T11", "a", -2), Move("T11", "b", 3),
+                    Move("T11", "ab", -1))
+    sphere_powers = (Move("T04", 1, 2), Move("T04", 2, -3), Move("T04", 3, 1))
     surfaces = [(Markoff11(-2), 30), (Markoff11(6), 12), (Markoff11(3), 10),
                 (make_cubic04(0, 1, 2, 3), 25), (make_cubic04(1, 1, 1, 1), 8),
                 (Markoff11(2**30), 4), (Markoff11(2**40), 2), (make_cubic04(2**13, 3, -5, 7), 6),
@@ -944,7 +966,7 @@ def test_search_matches_point3_oracle():
 def _beyond_int64(surface, p):
     """p moved up the Vieta tree until its height passes 2^80."""
     while linf_height(p) <= 2**80:
-        p = max((apply_move(surface, vieta(axis), p) for axis in range(3)), key=linf_height)
+        p = max((apply_move(surface, Move("V", axis), p) for axis in range(3)), key=linf_height)
     return p
 
 
@@ -1081,8 +1103,8 @@ def test_orbit_size_closed_form():
     # the closed form against the 24 images of at most one permutation then
     # at most one even sign change, on small points and on big-int ties and
     # zeros
-    perms = [()] + [(permute(s),) for s in itertools.permutations(range(3)) if s != (0, 1, 2)]
-    signs = [()] + [(even_sign(i, j),) for i, j in ((0, 1), (1, 2), (0, 2))]
+    perms = [()] + [(Move("P", s),) for s in itertools.permutations(range(3)) if s != (0, 1, 2)]
+    signs = [()] + [(Move("S", (i, j)),) for i, j in ((0, 1), (1, 2), (0, 2))]
     big = 2**70
     points = itertools.chain(itertools.product(range(-4, 5), repeat=3),
                              itertools.product((0, big, -big, big + 1, -big - 1), repeat=3))
@@ -1152,7 +1174,8 @@ def test_points_handed_out_are_point3():
     assert type(reduce_compact(MARKOFF, AConfig(REAL_AWAY2), approx).reduced) is Point3
     for p in (approx, (1 + 0j, 2 + 0j, 3 + 0j)):
         assert type(reduce_min_complex_11(Markoff11(-2.0 + 0j), p).reduced) is Point3
-    q = apply_word(sphere, MoveWord("04", (twist04(1, 3), twist04(2, 3))), Point3(-52, 6, 10))
+    w = MoveWord("04", (Move("T04", 1, 3), Move("T04", 2, 3)))
+    q = apply_word(sphere, w, Point3(-52, 6, 10))
     for p in (tuple(complex(v) for v in q), (1 + 0j, 2 + 0j, 3 + 0j)):
         res = reduce_min_complex_04(make_cubic04(0j, 1 + 0j, 2 + 0j, 3 + 0j), p)
         assert type(res.reduced) is Point3

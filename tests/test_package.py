@@ -19,9 +19,10 @@ def _references(tree) -> list:
     return names
 
 
-def test_every_private_definition_is_referenced():
-    # a private module-level function or class that nothing else in the
-    # package names is dead code: its caller was switched and it stayed
+def _unreferenced(private: bool) -> list:
+    """module:name of each module-level function or class, private or
+    public as asked, that nothing in the package names but its own body;
+    __init__'s imports name what it re-exports."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     every = [name for tree in trees.values() for name in _references(tree)]
     unused = []
@@ -30,11 +31,23 @@ def test_every_private_definition_is_referenced():
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = node.name
-            if not name.startswith("_") or name.startswith("__"):
+            if name.startswith("__") or name.startswith("_") != private:
                 continue
             if every.count(name) == _references(node).count(name):  # only itself
                 unused.append(f"{module}:{name}")
-    assert unused == []
+    return unused
+
+
+def test_every_private_definition_is_referenced():
+    # a private module-level function or class that nothing else in the
+    # package names is dead code: its caller was switched and it stayed
+    assert _unreferenced(private=True) == []
+
+
+def test_every_public_definition_is_used():
+    # a public one that the package neither calls nor re-exports serves
+    # only the tests, which can build what it builds themselves
+    assert _unreferenced(private=False) == []
 
 
 def _imported(tree) -> list:
@@ -62,3 +75,4 @@ def test_every_import_is_read():
         unread += [f"{path.name}:{line}:{name}" for line, name in _imported(tree)
                    if name not in read]
     assert unread == []
+

@@ -4,7 +4,7 @@ identities, not merely on sampled inputs.  sympy is the independent engine."""
 import sympy as sp
 
 from markoff.surfaces import Cubic04, Markoff11, Point3, boundary_trace_11
-from markoff.moves import apply_move, dehn_twist_04, dehn_twist_11, generators, vieta
+from markoff.moves import Move, apply_move, dehn_twist_04, dehn_twist_11, generators
 from markoff.trace_algebra import (
     Mat2,
     commutator_trace,
@@ -77,7 +77,7 @@ def test_sphere_twists_decompose_into_vietas_identically():
     for index, axes in ((1, (1, 2)), (2, (2, 0)), (3, (0, 1))):
         q = P
         for axis in axes:
-            q = apply_move(s, vieta(axis), q)
+            q = apply_move(s, Move("V", axis), q)
         t = dehn_twist_04(s, index, 1, P)
         assert all(sp.expand(u - v) == 0 for u, v in zip(q, t))
 
