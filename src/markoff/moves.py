@@ -34,13 +34,14 @@ Each unit move is one row of the registry _UNITS: its token, its Move and
 its plain function f(surface, p) on each surface class, returning a plain
 3-tuple.  The row is the only place the move is named and its arithmetic
 written; the move tables, the token maps and the twist generator sets
-derive from it.  A move that is not a row is checked in one place,
-_unit, so apply_move, apply_word, _compile and str(word) reject the same
-moves with the same ValueError.  apply_move, apply_word and the two
-dehn_twist functions read the tables and return Point3.  The searches
-of orbits and the descent loop of descent apply moves many times: they
-fetch their generators' tuple-valued functions once, through _compile,
-and build a Point3 only for the points they keep.
+derive from it.  A move that is not a row, or is not defined on the
+surface type, is checked in one place, _unit, so apply_move, apply_word,
+_compile and str(word) reject the same moves with the same error.
+apply_move, apply_word and the two dehn_twist functions read the tables
+and return Point3.  The searches of orbits and the descent loop of
+descent apply moves many times: they fetch their generators' tuple-valued
+functions once, through _compile, and build a Point3 only for the points
+they keep.
 """
 
 from __future__ import annotations
@@ -276,30 +277,42 @@ _PARSE = {
     "11": {tok: m for tok, m, f, _ in _UNITS if f is not None},
     "04": {tok: m for tok, m, _, f in _UNITS if f is not None},
 }
+_TEXT = {kind: {m: tok for tok, m in table.items()} for kind, table in _PARSE.items()}
 _KINDS = {m.kind for _, m, _, _ in _UNITS}
 
-# kinds defined on one surface class only, with the error raised elsewhere
+# kinds defined on one surface type only, with the error raised elsewhere
 _SURFACE_ONLY = {
-    "P": (Markoff11, "permutations act only on the torus surface"),
-    "S": (Markoff11, "sign changes act only on the torus surface"),
-    "T11": (Markoff11, "torus twists act only on the torus surface"),
-    "T04": (Cubic04, "sphere twists act only on the four-holed sphere"),
+    "P": ("11", "permutations act only on the torus surface"),
+    "S": ("11", "sign changes act only on the torus surface"),
+    "T11": ("11", "torus twists act only on the torus surface"),
+    "T04": ("04", "sphere twists act only on the four-holed sphere"),
 }
 
 
-def _unit(m: Move) -> tuple:
-    """(unit move, repeat count) of m: a twist of power n is its unit twist
-    |n| times; involutions and permutations ignore the power.  The one
-    check of a move's shape: raises ValueError for an unknown kind, an
-    argument no row of _UNITS has, and a twist of power 0."""
+def _unit(m: Move, surface_kind: str) -> tuple:
+    """(unit move, repeat count) of m on a surface of type surface_kind: a
+    twist of power n is its unit twist |n| times; involutions and
+    permutations ignore the power.  The one check of a move: raises
+    ValueError for an unknown kind, then MoveMismatch for a kind not defined
+    on the surface type, then ValueError for an argument no row of _UNITS
+    has (an unhashable one included) and for a twist of power 0.  Callers
+    reach it from a failed table lookup, which is no part of the error.
+    """
     if m.kind not in _KINDS:
-        raise ValueError(f"unknown move kind {m.kind!r}")
+        raise ValueError(f"unknown move kind {m.kind!r}") from None
+    only = _SURFACE_ONLY.get(m.kind)
+    if only is not None and only[0] != surface_kind:
+        raise MoveMismatch(only[1]) from None
     twist = m.kind in ("T11", "T04")
     unit = m._replace(power=-1 if twist and m.power < 0 else 1)
-    if unit not in _TOKENS:
-        raise ValueError(f"unknown argument {m.arg!r} of move kind {m.kind!r}")
+    try:
+        known = unit in _TOKENS
+    except TypeError:  # an unhashable argument
+        known = False
+    if not known:
+        raise ValueError(f"unknown argument {m.arg!r} of move kind {m.kind!r}") from None
     if twist and m.power == 0:
-        raise ValueError("twist power must be nonzero")
+        raise ValueError("twist power must be nonzero") from None
     return unit, abs(m.power) if twist else 1
 
 
@@ -308,17 +321,13 @@ def _raw_move(surface: Surface, m: Move):
     apply_move(surface, m, p).
 
     A unit move comes straight from the table of the surface's class, any
-    other move from its unit move (see _unit).  Raises ValueError for an
-    unknown kind, then MoveMismatch for a kind not defined on the surface,
-    then ValueError for a bad argument or power.
+    other move, or one that does not hash, from its unit move (see _unit).
     """
-    f = _MOVE_TABLES.get(type(surface), {}).get(m)
-    if f is not None:
-        return f
-    only = _SURFACE_ONLY.get(m.kind)  # None for an unknown kind, which _unit rejects
-    if only is not None and not isinstance(surface, only[0]):
-        raise MoveMismatch(only[1])
-    unit, n = _unit(m)
+    try:
+        return _MOVE_TABLES[type(surface)][m]
+    except (KeyError, TypeError):
+        pass
+    unit, n = _unit(m, surface.kind)
     f = (_TORUS_MOVES if isinstance(surface, Markoff11) else _SPHERE_MOVES)[unit]
     if n == 1:
         return f
@@ -368,22 +377,25 @@ def apply_word(surface: Surface, w: MoveWord, p: Point3) -> Point3:
         )
     table = _MOVE_TABLES.get(type(surface), {})
     for m in w.moves:
-        f = table.get(m)
-        if f is None:
+        try:
+            f = table[m]
+        except (KeyError, TypeError):
             f = _raw_move(surface, m)
         p = f(surface, p)
     return _new(Point3, p)
 
 
 def word_to_text(w: MoveWord) -> str:
+    """The tokens of w's moves; a move not defined on w's surface type
+    raises the error apply_word raises for it."""
+    table = _TEXT.get(w.surface_kind, {})
     tokens = []
     for m in w.moves:
-        tok = _TOKENS.get(m)
-        if tok is None:  # a twist power, or a power other than 1
-            unit, n = _unit(m)
+        try:
+            tokens.append(table[m])
+        except (KeyError, TypeError):  # a twist power, or a move to reject
+            unit, n = _unit(m, w.surface_kind)
             tokens += [_TOKENS[unit]] * n
-        else:
-            tokens.append(tok)
     return " ".join(tokens)
 
 

@@ -14,16 +14,36 @@ A child that answers the search (a stop hit, or a meet of the two trees)
 is kept even when the count cap is full; the count cap refuses only a
 child that would merely grow the search.
 
-On the torus, gamma_prime holds the group G of the 24 permutations and
-even sign changes, which normalizes the Vieta moves and keeps the height.
-So orbit_bfs, equivalent and is_exceptional search the quotient there
-(the quotient mode of _steps): Vieta moves only, each child keyed by its
-canonical point, which stands for its G-orbit.  The frontier holds the raw
-children, so each key's parent entry is (raw parent, Vieta move), and an
-OrbitRun's word to a point walks the parents, memoized, with no replay
-search.  The count cap still counts points: a key goes in while fewer
-than cap_count points are held, with its whole orbit, so a run may hold
-up to 23 points more.  A start above the height cap searches plainly.
+On the torus the searches run on a quotient by coordinate symmetries
+(_steps, _Quotient): each child is keyed by its image under a group of
+them, one raw point is held per key, and only raw points are expanded.
+parents maps each raw point to (raw parent, move), so an OrbitRun's word
+to a raw point walks the parents, memoized, with no replay search.
+- G mode (torus gamma_prime: orbit_bfs, equivalent, is_exceptional).  The
+  group G of the 24 permutations and even sign changes is made of
+  gamma_prime moves, normalizes the Vieta moves and keeps the height.  So
+  the search applies the Vieta moves only, a key (_canon_11) stands for
+  its whole G-orbit, and normalize_11's words lead from the raw point to
+  the rest of it.
+- S3 mode (torus gamma_poly: orbit_bfs).  The six permutations conjugate
+  twists to twists (_CONJ) and keep the height, so they permute the
+  components of the capped twist graph, but they are not twists.  A key
+  is the sorted point.  When a child's key is held with another raw point
+  r, the h with child = h.r keeps the component C, and the h found
+  generate what is needed of its stabilizer: C = <H>.{raw points}, since a
+  twist t of h.r is h.t'(r) with t' = h^-1 t h a twist, and t'(r) was
+  generated from r.  So orbit_bfs returns with the group known, and the
+  word to h.r is a twist word from the start to h.start followed by the
+  walk to r conjugated by h (OrbitRun).
+The count cap still counts points, and each key is charged the points its
+full group makes of it: |G.key|, which it holds, in the G mode, and its
+distinct permutations (6, 3 or 1) in the S3 mode, an upper bound, as the
+stabilizer may be smaller.  A key goes in while fewer than cap_count
+points are charged, so a run holds fewer than cap_count + 24 (G) or
+cap_count + 6 (S3) points, and caps_hit is set whenever a key is refused.
+A start above the height cap, which stands for itself alone, searches
+plainly, and so does equivalent with gamma_poly: a meet of two S3 keys
+decides nothing until the stabilizer is known.
 
 Box points are enumerated by descent read backwards: a Vieta move that
 lowers the sup-norm stays in the box, so every box point is reached,
@@ -55,7 +75,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .surfaces import (
     DomainMismatch,
@@ -74,11 +94,11 @@ from .moves import (
     _canon_11,
     _compile,
     _new,
-    apply_move,
     apply_word,
     concat_words,
     generators,
     identity_word,
+    inverse_move,
     normalize_11,
 )
 
@@ -360,28 +380,38 @@ def enumerate_points(surface: Surface, B: int, count_locus: bool = False):
 # breadth-first orbit machinery
 
 
-def _expand(surface, steps, frontier, parents, cap_height, room, stop, canon):
+def _expand(surface, steps, frontier, parents, cap_height, room, stop, quotient):
     """One BFS level: the children of the frontier points under the
     (move, function) pairs of _compile, in order; returns (next frontier,
-    hit, pruned, truncated, room).  parents maps key -> (parent, move), a
-    child's key is itself or canon(child), the frontiers hold the raw
-    children, and room is the number of points that may still go in.
+    hit, pruned, truncated, room).  parents maps each point that went in to
+    (parent, move), the frontiers hold those points, and room is the number
+    of points that may still go in.  A child's key is itself, held in
+    parents, or in a quotient search quotient.canon(child), held in
+    quotient.keys.
 
-    A child whose key parents already holds is skipped, and one above the
-    height cap is pruned.  The first child whose key stop (None: never)
-    accepts goes in and ends the level as hit, even when room is spent;
-    any other goes in only while room is positive, and takes the points its
-    key stands for.  The move functions return plain tuples, which look up
-    equal to the Point3 keys; a child becomes a Point3 only when inserted.
+    A child whose key is held is skipped; while the quotient's group may
+    still grow, one that is not its key's raw point goes to quotient.learn
+    first.  One above the height cap is pruned.  The first child whose key
+    stop (None: never) accepts goes in and ends the level as hit, even when
+    room is spent; any other goes in only while room is positive, and takes
+    the points its key stands for.  The move functions return plain tuples,
+    which look up equal to the Point3 keys; a child becomes a Point3 only
+    when inserted.
     """
     children = []
     pruned = False
     low = -cap_height
+    if quotient is None:
+        canon, held, learning = None, parents, False
+    else:
+        canon, held, learning = quotient.canon, quotient.keys, quotient.learning
     for node in frontier:
         for g, f in steps:
             child = f(surface, node)
             key = child if canon is None else canon(child)
-            if key in parents:
+            if key in held:
+                if learning and held[key] != child:
+                    learning = quotient.learn(node, g, child, key)
                 continue
             x, y, z = child
             if not (low <= x <= cap_height and low <= y <= cap_height
@@ -392,17 +422,28 @@ def _expand(surface, steps, frontier, parents, cap_height, room, stop, canon):
             if not hit and room <= 0:
                 return children, None, pruned, True, room
             child = _new(Point3, child)
-            key = child if canon is None else _new(Point3, key)
-            parents[key] = (node, g)
+            parents[child] = (node, g)
+            if canon is not None:
+                held[key] = child
             if hit:
                 return children, child, pruned, False, room
-            room -= 1 if canon is None else _orbit_size(key)
+            room -= 1 if canon is None else quotient.charge(key)
             children.append(child)
     return children, None, pruned, False, room
 
 
+def _plant(parents, quotient, start) -> int:
+    """Put start in as a root; returns the points its key stands for."""
+    parents[start] = (None, None)
+    if quotient is None:
+        return 1
+    key = quotient.canon(start)
+    quotient.keys[key] = start
+    return quotient.charge(key)
+
+
 def _search(surface: Surface, steps, start: Point3, cap_height, cap_count, stop=None,
-            parents=None, canon=None):
+            parents=None, quotient=None):
     """BFS closure of start by _expand levels; returns (parents, hit,
     pruned, truncated).  The start is always kept, even above the height
     cap, and is not passed to stop; the hit, the first child stop accepts,
@@ -413,31 +454,16 @@ def _search(surface: Surface, steps, start: Point3, cap_height, cap_count, stop=
     if parents is None:
         parents = {}
     start = _new(Point3, start)
-    root = start if canon is None else _new(Point3, canon(start))
-    parents[root] = (None, None)
-    room = cap_count - (len(parents) if canon is None else _orbit_size(root))
+    charge = _plant(parents, quotient, start)
+    room = cap_count - (len(parents) if quotient is None else charge)
     frontier, pruned = [start], False
     while frontier:
         frontier, hit, cut, truncated, room = _expand(
-            surface, steps, frontier, parents, cap_height, room, stop, canon)
+            surface, steps, frontier, parents, cap_height, room, stop, quotient)
         pruned = pruned or cut
         if hit is not None or truncated:
             return parents, hit, pruned, truncated
     return parents, None, pruned, False
-
-
-_PRIME_11 = frozenset(generators("11", "gamma_prime"))
-_EVEN_SIGNS = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
-
-
-def _steps(surface: Surface, gens, cap_height, *ends) -> tuple:
-    """(steps, key function) of a search from ends: the Vieta moves and
-    _canon_11 in the quotient mode, else _compile(surface, gens) and None."""
-    steps = _compile(surface, gens)
-    if (isinstance(surface, Markoff11) and {g for g, _ in steps} == _PRIME_11
-            and max(map(linf_height, ends)) <= cap_height):
-        return _compile(surface, VIETA_MOVES), _canon_11
-    return steps, None
 
 
 def _orbit_size(p) -> int:
@@ -446,59 +472,241 @@ def _orbit_size(p) -> int:
     return (0, 1, 3, 6)[len({abs(v) for v in p})] * (4, 4, 2, 1)[p.count(0)]
 
 
+def _arrangements(p) -> int:
+    """|S3.p|: the distinct arrangements of p's coordinates."""
+    return (0, 1, 3, 6)[len({*p})]
+
+
+def _sorted3(p) -> tuple:
+    """p's coordinates in increasing order: its key under S3."""
+    x, y, z = p
+    if x > y:
+        x, y = y, x
+    if y > z:
+        y, z = z, y
+        if x > y:
+            x, y = y, x
+    return x, y, z
+
+
+# A symmetry h = (sigma, signs) acts by (h.p)[i] = signs[i] * p[sigma[i]]:
+# G is the 24 permutations and even sign changes, S3 the six permutations
+# (the symmetries of G whose signs are the first, all +1).
+_EVEN_SIGNS = ((1, 1, 1), (-1, -1, 1), (1, -1, -1), (-1, 1, -1))
+_G = tuple(itertools.product(itertools.permutations(range(3)), _EVEN_SIGNS))
+_S3 = _G[::4]
+
+
+def _act(h, p) -> tuple:
+    (i, j, k), (a, b, c) = h
+    return a * p[i], b * p[j], c * p[k]
+
+
+def _compose(a, b) -> tuple:
+    """The symmetry that acts as b, then a."""
+    ((i, j, k), e), (t, f) = a, b
+    return (t[i], t[j], t[k]), (e[0] * f[i], e[1] * f[j], e[2] * f[k])
+
+
+def _conjugates() -> dict:
+    """h -> {twist t: h t h^-1} for the h of S3.  Each is a twist: a twist
+    is a Vieta move then a transposition whose support holds the move's
+    axis (Ta+ = Vy.Pyz, Tb+ = Vz.Pxz, Tab+ = Vx.Pxy, read left to right,
+    and their inverses), and a permutation keeps that shape.  So the
+    twist t' with t'(h.p) = h.t(p) at one point p whose six twist images
+    differ is the one."""
+    torus, p = Markoff11(0), (2, 3, 7)
+    twists = _compile(torus, "gamma_poly")
+    return {h: {g: next(t for t, f_t in twists if f_t(torus, _act(h, p)) == _act(h, f(torus, p)))
+                for g, f in twists}
+            for h in _S3}
+
+
+_CONJ = _conjugates()
+
+
+class _Quotient:
+    """The keys of a quotient search and the symmetries they stand for.
+
+    canon maps a point to its key, an image of it under the group full, and
+    charge(key) is the number of points full makes of the key.  keys maps
+    each key held to the raw point it went in with.  group maps each
+    symmetry known to keep the component searched to the recipe of its
+    word: None for the identity and for G, whose symmetries are moves,
+    (node, g, r) for an h found by the edge g(node) = h.r, and (a, b) for
+    a.b.  learning is true while group is not all of full; the points held
+    are then group's images of the raw points, else full's of the keys.
+    """
+
+    def __init__(self, canon, charge, full, group):
+        self.canon, self.charge, self.full, self.group = canon, charge, full, group
+        self.keys = {}
+        self.learning = len(group) < len(full)
+
+    def learn(self, node, g, child, key) -> bool:
+        """The child g(node) has key but is not its raw point r, so the h
+        with child = h.r keeps the component.  Unless group already takes r
+        to child, add such an h with the recipe (node, g, r) of its word,
+        and close group under products by the symmetries so found, its
+        generators, with recipe (a, b) for a.b.  Returns learning."""
+        raw, group = self.keys[key], self.group
+        if any(_act(h, raw) == child for h in group):
+            return True
+        group[next(h for h in self.full if _act(h, raw) == child)] = (node, g, raw)
+        gens = [h for h, recipe in group.items() if recipe is not None and len(recipe) == 3]
+        todo = list(group)
+        while todo:
+            a = todo.pop()
+            for b in gens:
+                c = _compose(a, b)
+                if c not in group:
+                    group[c] = (a, b)
+                    todo.append(c)
+        self.learning = len(group) < len(self.full)
+        return self.learning
+
+    def orbit(self, key, raw) -> dict:
+        """The points held under key, in order."""
+        p, group = (raw, self.group) if self.learning else (key, self.full)
+        return dict.fromkeys(_new(Point3, (a * p[i], b * p[j], c * p[k]))
+                             for (i, j, k), (a, b, c) in group)
+
+    def __len__(self):
+        if not self.learning:
+            return sum(map(self.charge, self.keys))
+        return sum(len(self.orbit(key, raw)) for key, raw in self.keys.items())
+
+
+def _join(head: list, tail: list) -> list:
+    """head + tail with the inverse pairs at the seam cancelled, so two
+    reduced words (a tree walk is one) join to a reduced word."""
+    n = 0
+    while n < min(len(head), len(tail)) and tail[n] == inverse_move(head[-1 - n]):
+        n += 1
+    return head[:len(head) - n] + tail[n:]
+
+
+_PRIME_11 = frozenset(generators("11", "gamma_prime"))
+_POLY_11 = frozenset(generators("11", "gamma_poly"))
+_G_GROUP = dict.fromkeys(_G)  # shared: a G quotient's group is all of G and never learns
+
+
+def _steps(surface: Surface, gens, cap_height, *ends) -> tuple:
+    """(steps, one quotient per end): the Vieta moves and a G quotient
+    for torus gamma_prime, the twists and an S3 quotient for torus
+    gamma_poly from one end, else _compile(surface, gens) and Nones.  A
+    meet of two S3 keys decides nothing until the stabilizer is known, and
+    an end above the height cap, which stands for itself alone, searches
+    plainly."""
+    steps = _compile(surface, gens)
+    if isinstance(surface, Markoff11) and max(map(linf_height, ends)) <= cap_height:
+        moves = {g for g, _ in steps}
+        if moves == _PRIME_11:
+            return _compile(surface, VIETA_MOVES), [
+                _Quotient(_canon_11, _orbit_size, _G, _G_GROUP) for _ in ends]
+        if moves == _POLY_11 and len(ends) == 1:
+            return steps, [_Quotient(_sorted3, _arrangements, _S3, {_S3[0]: None})]
+    return steps, [None] * len(ends)
+
+
 @dataclass(frozen=True)
 class OrbitRun:
     """Result of a capped orbit BFS with one certificate word per point.
 
-    parents maps key -> (raw parent, move), and a raw parent is the point
-    its own key went in with, so the moves back to the root are a word to
-    each key's raw point.  canon is None in a plain search; in the quotient
-    mode a key stands for its G-orbit, and normalize_11's words lead on from
-    its raw point to any other point of it.  _walked memoizes the walk in
-    linked (moves, move) cells shared by the keys: one canon call and one
-    cell per key."""
+    parents maps each point the search put in to (parent, move), so the
+    walk back to the root gives a word to it; _walked memoizes the walks
+    in linked (moves, move) cells, one per point and conjugating h.
+    quotient is None in a plain search.  In a quotient search (_Quotient)
+    the word to a point p leads on from its key's raw point r: in the G
+    mode by normalize_11's words, in the S3 mode as W_h + conj_h(w_r) for
+    the h with p = h.r, where w_r is the walk to r, conj_h replaces each
+    twist t by h t h^-1 (_CONJ), and W_h, a twist word from the start to
+    h.start, comes from h's recipe: w_node + g + conj_h(w_r)^-1 for the
+    edge g(node) = h.r that found h, and W_a + conj_a(W_b) for a.b, with
+    the inverse pairs at each join cancelled."""
 
     surface: Surface
     start: Point3
     parents: dict
     caps_hit: bool
-    canon: Optional[Callable] = None
+    quotient: Optional[_Quotient] = None
 
     @cached_property
-    def _walked(self) -> dict:  # key -> its moves, from the root's ()
-        return {self.start if self.canon is None else self.canon(self.start): ()}
+    def _walked(self) -> dict:  # h -> point -> its moves conjugated by h, from the root's ()
+        return {}
 
-    def points(self):
-        if self.canon is None:
-            return list(self.parents)
-        return [q for key in self.parents for q in dict.fromkeys(  # each key's G-orbit
-            _new(Point3, (a * x, b * y, c * z))
-            for x, y, z in itertools.permutations(key) for a, b, c in _EVEN_SIGNS)]
+    @cached_property
+    def _symmetry_words(self) -> dict:  # S3 mode: h -> W_h
+        return {}
 
-    def word_to(self, p: Point3) -> MoveWord:
-        canon, parents, walked = self.canon, self.parents, self._walked
-        key = p if canon is None else canon(p)
-        chain, top = [], key
-        while top not in walked:
-            chain.append(top)
-            top = parents[top][0] if canon is None else canon(parents[top][0])
-        moves = walked[top]
-        for top in reversed(chain):
-            moves = walked[top] = (moves, parents[top][1])
-        word = []
+    @cached_property
+    def _images(self) -> dict:  # S3 mode: raw point r -> {h.r: h for h in the group}
+        return {}
+
+    def _walk_back(self, p, h=None) -> list:
+        """The moves from the start to p, a point parents holds, last move
+        first, each conjugated by h unless h is None."""
+        parents = self.parents
+        walked = self._walked.get(h)
+        if walked is None:
+            walked = self._walked[h] = {self.start: ()}
+        chain = []
+        while p not in walked:
+            chain.append(p)
+            p = parents[p][0]
+        moves = walked[p]
+        for p in reversed(chain):
+            g = parents[p][1]
+            moves = walked[p] = (moves, g if h is None else _CONJ[h][g])
+        back = []
         while moves:
             moves, g = moves
-            word.append(g)
-        word.reverse()
-        if canon is not None:
-            node, g = parents[key]
-            raw = self.start if node is None else apply_move(self.surface, g, node)
+            back.append(g)
+        return back
+
+    def _symmetry_word(self, h) -> list:
+        """W_h, from the recipes of the quotient's group."""
+        words = self._symmetry_words
+        if h not in words:
+            recipe = self.quotient.group[h]
+            if recipe is None:
+                words[h] = []
+            elif len(recipe) == 2:
+                a, b = recipe
+                words[h] = _join(self._symmetry_word(a),
+                                 [_CONJ[a][m] for m in self._symmetry_word(b)])
+            else:
+                node, g, raw = recipe
+                words[h] = _join(self._walk_back(node)[::-1] + [g],
+                                 [inverse_move(m) for m in self._walk_back(raw, h)])
+        return words[h]
+
+    def points(self):
+        if self.quotient is None:
+            return list(self.parents)
+        orbit = self.quotient.orbit
+        return [q for key, raw in self.quotient.keys.items() for q in orbit(key, raw)]
+
+    def word_to(self, p: Point3) -> MoveWord:
+        quotient = self.quotient
+        raw = p if quotient is None else quotient.keys[quotient.canon(p)]
+        if raw == p or quotient.full is _G:
+            word = self._walk_back(raw)
+            word.reverse()
             if raw != p:
                 word += normalize_11(raw)[1].moves + normalize_11(p)[1].inverse().moves
+        else:
+            images = self._images.get(raw)
+            if images is None:
+                images = self._images[raw] = {_act(h, raw): h for h in quotient.group}
+            h = images[p]  # a KeyError when the run does not hold p
+            word = self._walk_back(raw, h)
+            word += reversed(self._symmetry_word(h))
+            word.reverse()
         return MoveWord(self.surface.kind, tuple(word))
 
     def __len__(self):
-        return len(self.parents) if self.canon is None else sum(map(_orbit_size, self.parents))
+        return len(self.parents) if self.quotient is None else len(self.quotient)
 
 
 def orbit_bfs(
@@ -508,10 +716,10 @@ def orbit_bfs(
     point of sup-norm above cap_height."""
     _require_exact(surface, start)
     _require_on_surface(surface, start)
-    steps, canon = _steps(surface, gens, cap_height, start)
+    steps, (quotient,) = _steps(surface, gens, cap_height, start)
     parents, _, pruned, truncated = _search(surface, steps, start, cap_height, cap_count,
-                                            canon=canon)
-    return OrbitRun(surface, start, parents, pruned or truncated, canon)
+                                            quotient=quotient)
+    return OrbitRun(surface, start, parents, pruned or truncated, quotient)
 
 
 @dataclass(frozen=True)
@@ -539,23 +747,24 @@ def equivalent(
     _require_on_surface(surface, p)
     _require_on_surface(surface, q)
     # compiled before the p == q answer, so a foreign generator always raises
-    steps, canon = _steps(surface, gens, caps.height, p, q)
-    roots = (p, q) if canon is None else (_new(Point3, canon(p)), _new(Point3, canon(q)))
-    runs = [OrbitRun(surface, end, {root: (None, None)}, False, canon)
-            for end, root in zip((p, q), roots)]
-    if roots[0] == roots[1]:  # p == q, or one G-orbit in the quotient mode
+    steps, quotients = _steps(surface, gens, caps.height, p, q)
+    runs = [OrbitRun(surface, end, {}, False, quotient)
+            for end, quotient in zip((p, q), quotients)]
+    room = caps.count - sum(_plant(run.parents, run.quotient, run.start) for run in runs)
+    held = [run.parents if run.quotient is None else run.quotient.keys for run in runs]
+    (q_key,) = held[1]
+    if q_key in held[0]:  # p == q, or one G-orbit in the quotient mode
         return EquivalenceResult(True, runs[0].word_to(q), p == q, False)
 
     # a BFS tree from each end; the smaller frontier grows by one level, a
     # child the other tree holds is a meet, and both trees share the count cap
     frontiers = [[p], [q]]
-    room = caps.count - (2 if canon is None else sum(map(_orbit_size, roots)))
     pruned = False
     while frontiers[0] and frontiers[1]:
         i = 0 if len(frontiers[0]) <= len(frontiers[1]) else 1
         frontiers[i], meet, cut, truncated, room = _expand(
             surface, steps, frontiers[i], runs[i].parents, caps.height, room,
-            runs[1 - i].parents.__contains__, canon,
+            held[1 - i].__contains__, runs[i].quotient,
         )
         pruned = pruned or cut
         if truncated:
@@ -586,14 +795,14 @@ def is_exceptional(surface: Surface, p: Point3, caps: Caps = DEFAULT_CAPS) -> Ex
     _require_on_surface(surface, p)
     if 2 in p or -2 in p:
         return ExceptionalSearch(True, identity_word(surface.kind), False, False)
-    steps, canon = _steps(surface, "gamma_prime", caps.height, p)
+    steps, (quotient,) = _steps(surface, "gamma_prime", caps.height, p)
     parents, hit, pruned, truncated = _search(
         surface, steps, p, caps.height, caps.count, stop=lambda q: 2 in q or -2 in q,
-        canon=canon,
+        quotient=quotient,
     )
     if hit is None:
         return ExceptionalSearch(False, None, not truncated, pruned)
-    word = OrbitRun(surface, p, parents, False, canon).word_to(hit)
+    word = OrbitRun(surface, p, parents, False, quotient).word_to(hit)
     q = apply_word(surface, word, p)
     if not (2 in q or -2 in q):
         raise MarkoffError("exceptional witness failed to replay")

@@ -514,16 +514,22 @@ def test_move_tables_mismatch_and_unknown_errors():
     (Move("X", 0), "unknown move kind 'X'"),
     (Move("T11", "a", 0), "twist power must be nonzero"),
     (Move("T04", 1, 0), "twist power must be nonzero"),
+    (Move("P", [1, 0, 2]), "unknown argument [1, 0, 2] of move kind 'P'"),
+    (Move("P", (1, 0, 2)), MoveMismatch("permutations act only on the torus surface")),
+    (Move("T04", 1), MoveMismatch("sphere twists act only on the four-holed sphere")),
 ])
 def test_malformed_move_raises_one_error_everywhere(m, message):
-    # applying, compiling and serializing check a move's shape in one place
-    surface = make_cubic04(1, 2, 3, 4) if m.kind == "T04" else Markoff11(-2)
+    # applying, compiling and serializing check a move in one place, also
+    # against the surface type: a MoveMismatch case runs on the other surface
+    error = message if isinstance(message, MoveMismatch) else ValueError(message)
+    sphere = (m.kind == "T04") != isinstance(error, MoveMismatch)
+    surface = make_cubic04(1, 2, 3, 4) if sphere else Markoff11(-2)
     word, p = MoveWord(surface.kind, (m,)), Point3(3, 3, 3)
     for call in (lambda: apply_move(surface, m, p), lambda: apply_word(surface, word, p),
                  lambda: _compile(surface, (m,)), lambda: str(word)):
-        with pytest.raises(ValueError) as excinfo:
+        with pytest.raises(type(error)) as excinfo:
             call()
-        assert type(excinfo.value) is ValueError and str(excinfo.value) == message
+        assert type(excinfo.value) is type(error) and str(excinfo.value) == str(error)
 
 
 def test_dehn_twists_match_oracle():

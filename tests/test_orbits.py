@@ -39,6 +39,11 @@ from markoff.descent import (
 )
 from markoff import orbits
 from markoff.orbits import (
+    _CONJ,
+    _G,
+    _S3,
+    _act,
+    _compose,
     _orbit_size,
     _root_heights,
     _search,
@@ -1114,30 +1119,113 @@ def test_orbit_size_closed_form():
 
 
 def test_orbit_run_words_walk_the_parents():
-    # one tree type in both modes: every parent is a Point3, every word
-    # replays, a word does not depend on the words asked before it (the
-    # walk is memoized), and in the quotient mode the raw point each key
-    # went in with has a word of Vieta moves alone
+    # one tree type in every mode: parents maps each point the search put
+    # in to (parent, move), every parent is a Point3, every word replays, a
+    # word does not depend on the words asked before it (the walks are
+    # memoized), and each key's raw point is in the tree with a word of
+    # the mode's moves alone: Vieta moves in the G mode, twists in the S3
+    # mode, whose words hold twists only
     surface, start = Markoff11(3), Point3(-2, -1, 0)
-    for gens in GENERATOR_SETS:
+    for gens, full, kind in (("gamma_prime", _G, "V"), ("gamma_poly", _S3, "T11")):
         run = orbit_bfs(surface, gens, start, 100)
-        assert (run.canon is None) == (gens == "gamma_poly")
+        quotient = run.quotient
+        assert quotient.full == full and set(quotient.group) == set(full)
         points = run.points()
         assert len(points) >= 500
         forward = [run.word_to(p) for p in points]
         for p, word in zip(points, forward):
             assert apply_word(surface, word, start) == p
+            assert gens == "gamma_prime" or all(m.kind == kind for m in word.moves)
         fresh = orbit_bfs(surface, gens, start, 100)
         assert [fresh.word_to(p) for p in reversed(points)] == forward[::-1]
         parents = list(run.parents.values())
         assert [parent for parent, _ in parents].count(None) == 1
         assert all(type(parent) is Point3 for parent, _ in parents[1:])
-        if run.canon is None:
-            continue
-        for key, (parent, g) in run.parents.items():
-            raw = start if parent is None else apply_move(surface, g, parent)
-            assert run.canon(raw) == key
-            assert all(m.kind == "V" for m in run.word_to(raw).moves)
+        assert list(quotient.keys.values()) == list(run.parents)  # one raw point per key
+        for raw, (parent, g) in run.parents.items():
+            assert parent is None or apply_move(surface, g, parent) == raw
+            assert quotient.keys[quotient.canon(raw)] == raw
+            assert all(m.kind == kind for m in run.word_to(raw).moves)
+
+
+# --- torus gamma_poly: the quotient by the six permutations -------------------
+
+
+def test_symmetry_tables():
+    # composing symmetries is acting twice, and each h of S3 conjugates
+    # each twist t to the twist _CONJ[h][t], on small and big-int points
+    twists = generators("11", "gamma_poly")
+    big = 2**70
+    points = [*itertools.product((-3, 0, 2, 5), repeat=3), (big, -3, big + 7), (7, big, -big)]
+    for a, b in itertools.product(_G, repeat=2):
+        assert all(_act(_compose(a, b), p) == _act(a, _act(b, p)) for p in points[::7])
+    for h in _S3:
+        assert sorted(_CONJ[h].values()) == sorted(twists)
+        for t, p in itertools.product(twists, points):
+            twisted = apply_move(MARKOFF, t, p)
+            assert apply_move(MARKOFF, _CONJ[h][t], _act(h, p)) == _act(h, twisted)
+
+
+def _torus_poly_cases():
+    """(surface, start, height cap): the gamma_poly torus starts of
+    _differential_cases, each also above its height cap, starts of torus k
+    in [-2, 29] at box 30, many of whose components are kept by the three
+    rotations only, and BIG_STARTS' tori from beyond int64 with
+    height caps that hold whole orbits of 500 to 7,000 points: the Markoff
+    surface from a height of 2^115, and k near 2^70 from 2^110 (also above
+    the cap) and from (3, 5, 2^35) at 10^30."""
+    poly = generators("11", "gamma_poly")
+    for surface, gens, start, B in _differential_cases():
+        if isinstance(surface, Markoff11) and gens == poly:
+            yield surface, start, B
+            yield surface, start, linf_height(start) - 1
+    for k in range(-2, 30):
+        surface = Markoff11(k)
+        for start in enumerate_points(surface, 30)[::23]:
+            yield surface, start, 30
+    markoff, big_k = (surface for surface, _ in BIG_STARTS if isinstance(surface, Markoff11))
+    start = _beyond_int64(markoff, Point3(3, 3, 3))
+    yield markoff, start, linf_height(start)
+    start = _beyond_int64(big_k, Point3(_X, _Y, _Z))
+    yield big_k, start, linf_height(start)
+    yield big_k, start, linf_height(start) - 1
+    yield big_k, Point3(_X, _Y, _Z), 10**30
+
+
+def _assert_poly_quotient_search(surface, start, cap_height, full, cap_count):
+    """orbit_bfs on torus gamma_poly against the plain oracle search full:
+    a subset of its component of fewer than cap_count + 6 points, all of
+    it with caps_hit equal to full's pruned flag unless a key was refused,
+    and caps_hit whenever one was; every sampled word replays and holds
+    twists only."""
+    run = orbit_bfs(surface, "gamma_poly", start, cap_height, cap_count)
+    points = run.points()
+    assert len(points) == len(set(points)) == len(run) < cap_count + 6
+    assert all(type(p) is Point3 for p in points)
+    assert set(points) <= set(full[0])
+    assert run.caps_hit == (full[2] or set(points) != set(full[0]))
+    assert run.word_to(start).moves == ()
+    for p in points[:: max(1, len(points) // 40)] + points[-3:]:
+        word = run.word_to(p)
+        assert apply_word(surface, word, start) == p
+        assert all(m.kind == "T11" for m in word.moves)
+    return run
+
+
+def test_poly_quotient_search_matches_plain_search():
+    steps = _oracle_steps(MARKOFF, generators("11", "gamma_poly"))
+    groups = set()
+    for surface, start, cap_height in _torus_poly_cases():
+        full = _oracle_search(surface, steps, start, cap_height, 10**9)
+        n = len(full[0])
+        for count in (10**9, n, n - 1, 13, 1):  # free, then binding
+            run = _assert_poly_quotient_search(surface, start, cap_height, full, count)
+            if count == 10**9:
+                assert set(run.points()) == set(full[0]) and run.caps_hit == full[2]
+                assert (run.quotient is None) == (linf_height(start) > cap_height)
+                groups.add(run.quotient and len(run.quotient.group))
+    # plain, a fixed point, components kept by the three rotations only or by all six
+    assert groups == {None, 1, 3, 6}
 
 
 # --- the library hands out Point3 ---------------------------------------------
