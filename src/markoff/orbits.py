@@ -4,7 +4,8 @@ All state-space computations here are cap-relative: breadth-first searches
 prune at a sup-norm height cap and a visited-count cap, every negative
 answer means "not within the caps", and reports carry a caps_hit flag.
 Every positive answer (equivalence, exceptional hit) is certified by a
-move word that is replayed before being returned.
+move word that is replayed before being returned; the words of a whole
+search tree (OrbitRun.words, class witnesses) are certified edge by edge.
 
 Every search grows by one primitive, _expand, which adds one BFS level
 under both caps.  _search is a loop of levels from one start (it serves
@@ -17,8 +18,8 @@ child that would merely grow the search.
 On the torus the searches run on a quotient by coordinate symmetries
 (_steps, _Quotient): each child is keyed by its image under a group of
 them, one raw point is held per key, and only raw points are expanded.
-parents maps each raw point to (raw parent, move), so an OrbitRun's word
-to a raw point walks the parents, memoized, with no replay search.
+parents maps each raw point to (raw parent, move), so a word to a raw
+point walks the parents back, with no replay search.
 - G mode (torus gamma_prime: orbit_bfs, equivalent, is_exceptional).  The
   group G of the 24 permutations and even sign changes is made of
   gamma_prime moves, normalizes the Vieta moves and keeps the height.  So
@@ -64,9 +65,10 @@ Box points with a coordinate equal to +2 or -2 are exceptional from the
 start (empty word) and are never expanded, so a scan row counts them and
 labels only the points off them; a search that reaches one (or any
 point with such a coordinate) marks every box point it reached
-exceptional, with a replayed witness word, since a component is
-exceptional iff some trace in it hits +-2.  Any other search has found a
-whole component, which is one class.
+exceptional, since a component is exceptional iff some trace in it hits
++-2.  The witness word to the hit is replayed once, and each other tree
+point's witness is its edge's move inverted, then its parent's witness.
+Any other search has found a whole component, which is one class.
 """
 
 from __future__ import annotations
@@ -74,7 +76,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .surfaces import (
@@ -94,6 +95,7 @@ from .moves import (
     _canon_11,
     _compile,
     _new,
+    _raw_move,
     apply_word,
     concat_words,
     generators,
@@ -609,21 +611,25 @@ def _steps(surface: Surface, gens, cap_height, *ends) -> tuple:
     return steps, [None] * len(ends)
 
 
+def _tree_edges(surface: Surface, parents: dict, error: str):
+    """(point, parent, move) per entry of parents in insertion order, each
+    edge checked by applying its move to the parent once, or MarkoffError(error)."""
+    for p, (parent, g) in parents.items():
+        if parent is not None and _raw_move(surface, g)(surface, parent) != p:
+            raise MarkoffError(error)
+        yield p, parent, g
+
+
 @dataclass(frozen=True)
 class OrbitRun:
     """Result of a capped orbit BFS with one certificate word per point.
 
-    parents maps each point the search put in to (parent, move), so the
-    walk back to the root gives a word to it; _walked memoizes the walks
-    in linked (moves, move) cells, one per point and conjugating h.
-    quotient is None in a plain search.  In a quotient search (_Quotient)
-    the word to a point p leads on from its key's raw point r: in the G
-    mode by normalize_11's words, in the S3 mode as W_h + conj_h(w_r) for
-    the h with p = h.r, where w_r is the walk to r, conj_h replaces each
-    twist t by h t h^-1 (_CONJ), and W_h, a twist word from the start to
-    h.start, comes from h's recipe: w_node + g + conj_h(w_r)^-1 for the
-    edge g(node) = h.r that found h, and W_a + conj_a(W_b) for a.b, with
-    the inverse pairs at each join cancelled."""
+    parents maps each point the search put in to (parent, move), and the
+    walk back to the root is a word to it.  quotient is None in a plain
+    search.  In a quotient search (_Quotient) the word to p leads on from
+    the raw point r of its key (_extend): by normalize_11's words in the G
+    mode, and as W_h + conj_h(w_r) for the h with p = h.r in the S3 mode,
+    with W_h a twist word from the start to h.start (_symmetry_word)."""
 
     surface: Surface
     start: Point3
@@ -631,55 +637,28 @@ class OrbitRun:
     caps_hit: bool
     quotient: Optional[_Quotient] = None
 
-    @cached_property
-    def _walked(self) -> dict:  # h -> point -> its moves conjugated by h, from the root's ()
-        return {}
-
-    @cached_property
-    def _symmetry_words(self) -> dict:  # S3 mode: h -> W_h
-        return {}
-
-    @cached_property
-    def _images(self) -> dict:  # S3 mode: raw point r -> {h.r: h for h in the group}
-        return {}
-
-    def _walk_back(self, p, h=None) -> list:
-        """The moves from the start to p, a point parents holds, last move
-        first, each conjugated by h unless h is None."""
-        parents = self.parents
-        walked = self._walked.get(h)
-        if walked is None:
-            walked = self._walked[h] = {self.start: ()}
-        chain = []
-        while p not in walked:
-            chain.append(p)
-            p = parents[p][0]
-        moves = walked[p]
-        for p in reversed(chain):
-            g = parents[p][1]
-            moves = walked[p] = (moves, g if h is None else _CONJ[h][g])
-        back = []
-        while moves:
-            moves, g = moves
+    def _walk(self, p) -> tuple:
+        """The moves of the tree path from the start to p, which parents holds."""
+        parents, back = self.parents, []
+        p, g = parents[p]
+        while p is not None:
             back.append(g)
-        return back
+            p, g = parents[p]
+        return tuple(reversed(back))
 
     def _symmetry_word(self, h) -> list:
-        """W_h, from the recipes of the quotient's group."""
-        words = self._symmetry_words
-        if h not in words:
-            recipe = self.quotient.group[h]
-            if recipe is None:
-                words[h] = []
-            elif len(recipe) == 2:
-                a, b = recipe
-                words[h] = _join(self._symmetry_word(a),
-                                 [_CONJ[a][m] for m in self._symmetry_word(b)])
-            else:
-                node, g, raw = recipe
-                words[h] = _join(self._walk_back(node)[::-1] + [g],
-                                 [inverse_move(m) for m in self._walk_back(raw, h)])
-        return words[h]
+        """W_h, from h's recipe in the quotient's group: w_node + g +
+        conj_h(w_r)^-1 for the edge g(node) = h.r that found h, and W_a +
+        conj_a(W_b) for a.b, with the inverse pairs at each join cancelled."""
+        recipe = self.quotient.group[h]
+        if recipe is None:
+            return []
+        if len(recipe) == 2:
+            a, b = recipe
+            return _join(self._symmetry_word(a), [_CONJ[a][m] for m in self._symmetry_word(b)])
+        node, g, raw = recipe
+        return _join([*self._walk(node), g],
+                     [inverse_move(_CONJ[h][m]) for m in reversed(self._walk(raw))])
 
     def points(self):
         if self.quotient is None:
@@ -687,23 +666,48 @@ class OrbitRun:
         orbit = self.quotient.orbit
         return [q for key, raw in self.quotient.keys.items() for q in orbit(key, raw)]
 
+    def _extend(self, raw, w, p, symmetry_word) -> tuple:
+        """The moves to p from the moves w to the raw point of p's key, with
+        W_h from symmetry_word(h); a KeyError unless the run holds p."""
+        if p == raw:
+            return w
+        if self.quotient.full is _G:
+            return w + normalize_11(raw)[1].moves + normalize_11(p)[1].inverse().moves
+        h = {_act(h, raw): h for h in self.quotient.group}[p]
+        return tuple(symmetry_word(h)) + tuple(map(_CONJ[h].__getitem__, w))
+
+    def words(self) -> dict:
+        """{point: word_to(point)} in points() order, certified with no
+        replay per word: each tree edge is checked once, each W_h from the
+        start and each normalize_11 tail from its raw point, and _CONJ's
+        identities carry the rest.  A failed check raises MarkoffError."""
+        surface, start, quotient = self.surface, self.start, self.quotient
+        error = "orbit certificate failed to replay"
+        walks = {}
+        for p, parent, g in _tree_edges(surface, self.parents, error):
+            walks[p] = () if parent is None else walks[parent] + (g,)
+        s3 = quotient is not None and quotient.full is _S3
+        heads = {h: tuple(self._symmetry_word(h)) for h in quotient.group} if s3 else {}
+        for h, head in heads.items():
+            if apply_word(surface, MoveWord(surface.kind, head), start) != _act(h, start):
+                raise MarkoffError(error)
+        words = {}
+        for p in self.points():
+            raw = p if quotient is None else quotient.keys[quotient.canon(p)]
+            words[p] = MoveWord(surface.kind, self._extend(raw, walks[raw], p, heads.__getitem__))
+            if not s3:  # replay the G mode tail, at most 4 moves, from raw
+                q = raw
+                for m in words[p].moves[len(walks[raw]):]:
+                    q = _raw_move(surface, m)(surface, q)
+                if q != p:
+                    raise MarkoffError(error)
+        return words
+
     def word_to(self, p: Point3) -> MoveWord:
         quotient = self.quotient
         raw = p if quotient is None else quotient.keys[quotient.canon(p)]
-        if raw == p or quotient.full is _G:
-            word = self._walk_back(raw)
-            word.reverse()
-            if raw != p:
-                word += normalize_11(raw)[1].moves + normalize_11(p)[1].inverse().moves
-        else:
-            images = self._images.get(raw)
-            if images is None:
-                images = self._images[raw] = {_act(h, raw): h for h in quotient.group}
-            h = images[p]  # a KeyError when the run does not hold p
-            word = self._walk_back(raw, h)
-            word += reversed(self._symmetry_word(h))
-            word.reverse()
-        return MoveWord(self.surface.kind, tuple(word))
+        word = self._extend(raw, self._walk(raw), p, self._symmetry_word)
+        return MoveWord(self.surface.kind, word)
 
     def __len__(self):
         return len(self.parents) if self.quotient is None else len(self.quotient)
@@ -834,7 +838,7 @@ def class_number(
     components.
 
     A component containing a coordinate +-2 goes to the exceptional list,
-    one replayed witness word per box point; caps_hit is set only when a
+    one certified witness word per box point; caps_hit is set only when a
     search was truncated by caps.count.
     """
     if caps is None:
@@ -872,15 +876,16 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
             classes[mark].extend(reached)
             label.update(dict.fromkeys(reached, mark))
             continue
-        # mark is the witness word of hit; extend it back to each reached point
-        tree = OrbitRun(surface, p, parents, False)
-        to_hit = concat_words(tree.word_to(hit), mark)
-        for m in reached:
-            word = concat_words(tree.word_to(m).inverse(), to_hit)
-            q = apply_word(surface, word, m)
-            if not (2 in q or -2 in q):
-                raise MarkoffError("exceptional witness failed to replay")
-            label[m] = word
+        # mark is the witness word of hit: replay it from the root once, then
+        # extend it to each tree point over its checked edge
+        to_hit = concat_words(OrbitRun(surface, p, parents, False).word_to(hit), mark)
+        q = apply_word(surface, to_hit, p)
+        if not (2 in q or -2 in q):
+            raise MarkoffError("exceptional witness failed to replay")
+        witness = {}
+        for m, parent, g in _tree_edges(surface, parents, "exceptional witness failed to replay"):
+            witness[m] = to_hit.moves if parent is None else (inverse_move(g),) + witness[parent]
+        label.update((m, MoveWord(surface.kind, witness[m])) for m in reached)
 
     # the 24 torus symmetries are gamma_prime moves that keep the height,
     # so there the canonical form of a lowest member is itself a member

@@ -13,6 +13,7 @@ import pytest
 
 from markoff import cli, orbits
 from markoff.cli import main, parse_complex_literal, parse_k_range
+from markoff.moves import VIETA_MOVES
 from markoff.trace_algebra import IDENTITY_SUITES
 
 
@@ -764,13 +765,29 @@ def test_only_main_prints_errors():
     assert error_literals(tree) == error_literals(main_def)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["reduce", "--k", "-2", "--point", "3,6,15"], "certificate failed to replay"),
-    (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6"],
-     "orbit certificate failed to replay"),
-], ids=["reduce", "orbit"])
-def test_certificate_replay_failure_exits_one(capsys, monkeypatch, argv, message):
+def _break_replay(monkeypatch):
     monkeypatch.setattr(cli, "apply_word", lambda surface, word, p: p._replace(x=p.x + 1))
+
+
+def _break_tree_edge(monkeypatch):
+    # the search's last tree edge names another Vieta move, which changes
+    # another coordinate of the parent, so the edge no longer gives its point
+    def search(*args, **kwargs):
+        run = orbits.orbit_bfs(*args, **kwargs)
+        p, (parent, g) = list(run.parents.items())[-1]
+        run.parents[p] = (parent, next(m for m in VIETA_MOVES if m != g))
+        return run
+
+    monkeypatch.setattr(cli, "orbit_bfs", search)
+
+
+@pytest.mark.parametrize("argv, message, fault", [
+    (["reduce", "--k", "-2", "--point", "3,6,15"], "certificate failed to replay", _break_replay),
+    (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6"],
+     "orbit certificate failed to replay", _break_tree_edge),
+], ids=["reduce", "orbit"])
+def test_certificate_replay_failure_exits_one(capsys, monkeypatch, argv, message, fault):
+    fault(monkeypatch)
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 

@@ -541,6 +541,31 @@ def test_is_exceptional_replays_its_witness(monkeypatch, surface, p):
         is_exceptional(surface, p, Caps(height=100, count=10**4))
 
 
+def test_class_number_checks_each_witness_edge(monkeypatch):
+    # one tree edge off the path to an exceptional search's hit names a move
+    # that does not give its point, so the witness built over that edge,
+    # though the word to the hit replays, is never returned
+    surface = Markoff11(3)  # k - 2 = 1: every box point is exceptional
+    search = orbits._search
+
+    def corrupted(surface, steps, start, *args, **kwargs):
+        parents, hit, pruned, truncated = search(surface, steps, start, *args, **kwargs)
+        path, q = set(), hit  # enumeration's searches have no hit
+        while q is not None:
+            path.add(q)
+            q = parents[q][0]
+        off = [p for p in parents if path and p not in path]
+        if off:
+            parent, _ = parents[off[0]]
+            parents[off[0]] = (parent, next(m for m, f in steps if f(surface, parent) != off[0]))
+        return parents, hit, pruned, truncated
+
+    assert class_number(surface, "gamma_prime", 30).exceptional
+    monkeypatch.setattr(orbits, "_search", corrupted)
+    with pytest.raises(MarkoffError, match="exceptional witness failed to replay"):
+        class_number(surface, "gamma_prime", 30)
+
+
 def test_is_exceptional_origin():
     res = is_exceptional(MARKOFF, Point3(0, 0, 0), Caps(height=100, count=10**4))
     assert not res.found and res.exhausted
@@ -1078,6 +1103,7 @@ def _assert_quotient_search(surface, start, cap_height, full, cap_count):
     assert run.word_to(start).moves == ()
     for p in points[:: max(1, len(points) // 40)] + points[-3:]:
         assert apply_word(surface, run.word_to(p), start) == p
+    assert list(run.words().items()) == [(p, run.word_to(p)) for p in points]
     if free:
         assert set(points) == set(full[0]) and run.caps_hit == full[2]
     else:  # a key goes in with its whole orbit while fewer points are held
@@ -1121,11 +1147,25 @@ def test_orbit_size_closed_form():
 def test_orbit_run_words_walk_the_parents():
     # one tree type in every mode: parents maps each point the search put
     # in to (parent, move), every parent is a Point3, every word replays, a
-    # word does not depend on the words asked before it (the walks are
-    # memoized), and each key's raw point is in the tree with a word of
-    # the mode's moves alone: Vieta moves in the G mode, twists in the S3
-    # mode, whose words hold twists only
+    # word does not depend on the words asked before it, and each key's raw
+    # point is in the tree with a word of the mode's moves alone: Vieta
+    # moves in the G mode, twists in the S3 mode, whose words hold twists
+    # only.  word_to raises KeyError for a point the run does not hold, in
+    # the plain mode too, and on the sphere words() agrees with word_to
     surface, start = Markoff11(3), Point3(-2, -1, 0)
+    far = next(p for p in enumerate_points(surface, 200) if linf_height(p) > 100)
+    sphere = make_cubic04(0, 1, 2, 3)
+    run = orbit_bfs(sphere, "gamma_prime", Point3(4, 0, 2), 300)
+    assert run.quotient is None and len(run) == 114
+    assert list(run.words().items()) == [(p, run.word_to(p)) for p in run.points()]
+    # only the three rotations keep this component: it holds the key of
+    # (-30, 2, -27), not the point
+    rotations = orbit_bfs(Markoff11(11), "gamma_poly", Point3(-30, -27, 2), 30)
+    assert len(rotations.quotient.group) == 3
+    for run, p in ((run, Point3(0, 0, 0)), (rotations, Point3(-30, 2, -27)),
+                   *((orbit_bfs(surface, gens, start, 100), far) for gens in GENERATOR_SETS)):
+        with pytest.raises(KeyError):
+            run.word_to(p)
     for gens, full, kind in (("gamma_prime", _G, "V"), ("gamma_poly", _S3, "T11")):
         run = orbit_bfs(surface, gens, start, 100)
         quotient = run.quotient
@@ -1209,6 +1249,7 @@ def _assert_poly_quotient_search(surface, start, cap_height, full, cap_count):
         word = run.word_to(p)
         assert apply_word(surface, word, start) == p
         assert all(m.kind == "T11" for m in word.moves)
+    assert list(run.words().items()) == [(p, run.word_to(p)) for p in points]
     return run
 
 

@@ -5,6 +5,7 @@ import sympy as sp
 
 from markoff.surfaces import Cubic04, Markoff11, Point3, boundary_trace_11
 from markoff.moves import Move, apply_move, dehn_twist_04, dehn_twist_11, generators
+from markoff.orbits import _CONJ, _S3, _act
 from markoff.trace_algebra import (
     Mat2,
     commutator_trace,
@@ -54,6 +55,18 @@ def test_torus_generators_preserve_residual_identically():
     for m in generators("11", "gamma_prime") + generators("11", "gamma_poly"):
         q = apply_move(s, m, P)
         assert sp.expand(_res11(q) - _res11(P)) == 0
+
+
+def test_permutations_conjugate_twists_identically():
+    # h.t(p) = _CONJ[h][t](h.p) for all 36 pairs of a permutation h and a
+    # twist t, as polynomials: the S3 quotient's words W_h + conj_h(w) rest
+    # on it, and _CONJ picks each entry at one point only
+    s = Markoff11(K)
+    for h in _S3:
+        for t in generators("11", "gamma_poly"):
+            lhs = _act(h, apply_move(s, t, P))
+            rhs = apply_move(s, _CONJ[h][t], _act(h, P))
+            assert all(sp.expand(u - v) == 0 for u, v in zip(lhs, rhs)), (h, t)
 
 
 def test_sphere_generators_preserve_residual_identically():
