@@ -65,8 +65,7 @@ from .descent import (
 from .orbits import (
     DEFAULT_CAPS,
     Caps,
-    _label_classes,
-    enumerate_points,
+    _scan_labels,
     equivalent,
     orbit_bfs,
     parabolic_lines_11,
@@ -233,21 +232,15 @@ def _is_row(row, k) -> bool:
 
 def _scan_one(task) -> dict:
     surface_type, params, gens, box, caps = task
-    surface = build_surface(surface_type, params)
-    caps = Caps(*caps)
-    locus, points = enumerate_points(surface, box, count_locus=True)
-    by_gens = {
-        name: _label_classes(surface, name, box, caps, points)
-        for name in ("gamma_poly", "gamma_prime")
-    }
-    main_report = by_gens[gens]
+    labels = _scan_labels(build_surface(surface_type, params), box, Caps(*caps))
+    exceptional, reps, _ = labels[gens]
     return {
         "k": _row_k(surface_type, params),
-        "h_star_gamma_poly": by_gens["gamma_poly"].class_number_star,
-        "h_star_gamma_prime": by_gens["gamma_prime"].class_number_star,
-        "exceptional": locus + len(main_report.exceptional),
-        "caps_hit": any(r.caps_hit for r in by_gens.values()),
-        "representatives": [list(p) for p, _ in main_report.representatives],
+        "h_star_gamma_poly": len(labels["gamma_poly"][1]),
+        "h_star_gamma_prime": len(labels["gamma_prime"][1]),
+        "exceptional": exceptional,
+        "caps_hit": any(hit for _, _, hit in labels.values()),
+        "representatives": [list(p) for p, _ in reps],
     }
 
 

@@ -49,26 +49,25 @@ decides nothing until the stabilizer is known.
 Box points are enumerated by descent read backwards: a Vieta move that
 lowers the sup-norm stays in the box, so every box point is reached,
 inside the box, from a point with a coordinate +2 or -2 or from a point
-no Vieta move lowers.  The latter have height and smallest coordinate
-bounded by the surface parameters alone (_root_heights proves the
-bounds).  enumerate_points counts the +-2 points, from the spans of the
-lines they lie on (_lines; _slice lists the other +-2 slices), holds only
-the O(sqrt(B)) of them whose move on their +-2 axis stays in the box,
-runs one in-box Vieta search from each such move's result and from each
-root, and never scans the B^2 grid.  Listing every box point adds the
-+-2 slices whole.
+no Vieta move lowers, whose height and smallest coordinate are bounded
+by the surface parameters alone (_root_heights proves the bounds).
+_sweep counts the +-2 points, from the spans of the lines they lie on
+(_lines; _slice lists the other +-2 slices), holds only the O(sqrt(B))
+of them whose move on their +-2 axis stays in the box, runs one in-box
+Vieta search from each such move's result and from each root, and never
+scans the B^2 grid; enumerate_points lists the +-2 slices on top.
 
 A class count labels the box points of an exact surface by connected
 component of the move graph capped at the box height (or at a higher
-height cap, when one is given).  One _search per unlabelled point does it.
-Box points with a coordinate equal to +2 or -2 are exceptional from the
-start (empty word) and are never expanded, so a scan row counts them and
-labels only the points off them; a search that reaches one (or any
-point with such a coordinate) marks every box point it reached
-exceptional, since a component is exceptional iff some trace in it hits
-+-2.  The witness word to the hit is replayed once, and each other tree
-point's witness is its edge's move inverted, then its parent's witness.
-Any other search has found a whole component, which is one class.
+height cap, when one is given); a component is exceptional iff some trace
+in it hits +-2.  class_number runs one _search per unlabelled point
+(_label_classes): the +-2 points are exceptional from the start (empty
+word), a search that reaches one marks every box point it reached
+exceptional, its witness replayed once to the hit and extended over each
+checked tree edge, and any other search has found a whole class.  A scan
+row reads the labels off the sweep whenever no search could be cut short
+(_scan_labels): the points the locus seeds reach are the exceptional
+ones, each certified by its tree edge, and the roots' runs are components.
 """
 
 from __future__ import annotations
@@ -90,6 +89,7 @@ from .surfaces import (
     residual,
 )
 from .moves import (
+    GENERATOR_SETS,
     VIETA_MOVES,
     MoveWord,
     _canon_11,
@@ -306,23 +306,26 @@ def _root_heights(form: tuple, B: int) -> list:
     return heights
 
 
-def enumerate_points(surface: Surface, B: int, count_locus: bool = False):
-    """All integer surface points with sup-norm at most B, sorted and
-    duplicate-free; with count_locus, (the number of them with a coordinate
-    +-2, the others sorted): the +-2 locus is counted instead of listed.
+def _sweep(surface: Surface, B: int) -> tuple:
+    """(locus, seeded, components) for the box of bound B: the count of box
+    points with a coordinate +-2, {point: (parent, move)} over the points
+    off it joined to it by in-box Vieta moves (a seed's parent is its locus
+    point), and the other box points, one in-box Vieta component per list.
 
     A Vieta move that strictly lowers the sup-norm stays in the box, so
     greedy descent from any box point ends, inside the box, at a point
     with a coordinate +-2 or at a point no Vieta move lowers.  Read
     backwards, every box point off the +-2 locus is reached by in-box Vieta
-    moves off the locus from a seed: a box point of the root region of
-    _root_heights, whose bounds depend on the parameters and not on B, or
-    the in-box image of a locus point under the move on its +-2 axis, the
-    one move that can leave the locus.  One _search from each seed off the
-    locus and not yet reached gives the closure.  The searches share one
-    visited map, which holds from the start the boundary of the locus: the
-    locus points whose move on their +-2 axis stays in the box.  So no
-    point is expanded twice and no search walks the locus.
+    moves off the locus from a seed: the in-box image of a locus point
+    under the move on its +-2 axis, the one move that can leave the locus,
+    or a box point of the root region of _root_heights, whose bounds depend
+    on the parameters and not on B.  One _search from each seed off the
+    locus and not yet reached gives the closure, the locus seeds first.
+    The searches share one visited map, which holds from the start the
+    boundary of the locus: the locus points whose move on their +-2 axis
+    stays in the box.  So no point is expanded twice, no search walks the
+    locus, and each search adds one contiguous run to the map: after the
+    locus seeds', a root's run is a whole component that misses the locus.
 
     That move sets the +-2 coordinate to gamma - s*w*t -+ 2 from the other
     two, w and t, so a boundary point has min(|w|, |t|) <= R below.  A +-2
@@ -330,8 +333,7 @@ def enumerate_points(surface: Surface, B: int, count_locus: bool = False):
     and only those O(sqrt(B)) points of each line are listed; any other
     +-2 slice is listed whole by _slice, in O(sqrt(B)) steps.  A point with
     +-2 on two axes is counted on the first.  So the work tracks the points
-    off the locus and sqrt(B), not B^2.  The full listing adds the +-2
-    slices, listed by _slice, to the points off the locus.
+    off the locus and sqrt(B), not B^2.
     """
     _require_exact(surface)
     if B < 0:
@@ -340,7 +342,7 @@ def enumerate_points(surface: Surface, B: int, count_locus: bool = False):
     # |x^2+y^2+z^2 + s*xyz - ax-by-cz| is at most this on the box, so a
     # larger |d| leaves it empty
     if abs(form[2]) > 3 * B * B + B**3 + sum(map(abs, form[1])) * B:
-        return (0, []) if count_locus else []
+        return 0, {}, []
     steps = _compile(surface, VIETA_MOVES)
     R = math.isqrt(B + 2 + max(map(abs, form[1])))  # |w*t| > B + 2 + |gamma| beyond it
     # _slice bounds the two free coordinates; the +-2 one is in the box iff B >= 2
@@ -360,22 +362,36 @@ def enumerate_points(surface: Surface, B: int, count_locus: bool = False):
                                          range(max(ws.start, c - R), min(ws.stop, c + R + 1)))
         # near holds each point with +-2 on two axes (R >= 2); count it on the first
         count -= sum(2 in p[:axis] or -2 in p[:axis] for p in set(near))
-        move = steps[axis][1]
+        g, move = steps[axis]
         for p in near:
             q = move(surface, p)
             if abs(q[axis]) <= B:
                 points[p] = None
-                seeds.append(q)
+                seeds.append((q, (p, g)))
+    boundary = len(points)
+    for q, edge in seeds:
+        if 2 not in q and -2 not in q and q not in points:
+            _search(surface, steps, q, B, math.inf, parents=points)
+            points[q] = edge
+    runs = [len(points)]
     roots = (p for u, r in enumerate(_root_heights(form, B)) if u != 2 and r >= 0
              for axis in range(3) for v in {u, -u} for p in _slice(form, axis, v, r))
-    for p in itertools.chain(seeds, roots):
+    for p in roots:
         if 2 not in p and -2 not in p and p not in points:
             _search(surface, steps, p, B, math.inf, parents=points)
-    off = sorted(p for p in points if 2 not in p and -2 not in p)
-    if count_locus:
-        return count, off
-    locus = dict.fromkeys(p for axis, value in slices for p in _slice(form, axis, value, B))
-    return sorted(off + list(locus))
+            runs.append(len(points))
+    keys = list(points)
+    seeded = dict(itertools.islice(points.items(), boundary, runs[0]))
+    return count, seeded, [keys[a:b] for a, b in zip(runs, runs[1:])]
+
+
+def enumerate_points(surface: Surface, B: int) -> list:
+    """All integer surface points with sup-norm at most B, sorted and
+    duplicate-free: _sweep's points and the +-2 slices, listed by _slice."""
+    _, seeded, components = _sweep(surface, B)
+    slices = itertools.product(range(3), (2, -2)) if B >= 2 else ()
+    locus = (p for axis, value in slices for p in _slice(_sphere_form(surface), axis, value, B))
+    return sorted({*locus, *seeded, *itertools.chain.from_iterable(components)})
 
 
 # ---------------------------------------------------------------------------
@@ -849,8 +865,8 @@ def class_number(
 def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points) -> OrbitReport:
     """class_number on the already enumerated box points, so a caller that
     needs both generator sets enumerates the box once.  The points may leave
-    out the +-2 locus, as enumerate_points(count_locus=True) does: the
-    report then leaves it out of `exceptional` too."""
+    out the +-2 locus, as _scan_labels does: the report then leaves it out
+    of `exceptional` too."""
     cap_height = max(caps.height, B)
     steps = _compile(surface, gens_name)
     identity = identity_word(surface.kind)
@@ -887,16 +903,7 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
             witness[m] = to_hit.moves if parent is None else (inverse_move(g),) + witness[parent]
         label.update((m, MoveWord(surface.kind, witness[m])) for m in reached)
 
-    # the 24 torus symmetries are gamma_prime moves that keep the height,
-    # so there the canonical form of a lowest member is itself a member
-    canonical = isinstance(surface, Markoff11) and gens_name == "gamma_prime"
-    reps = []
-    for members in classes:
-        low = min(linf_height(m) for m in members)
-        lows = [m for m in members if linf_height(m) == low]
-        rep = min(normalize_11(m)[0] for m in lows) if canonical else min(lows)
-        reps.append((rep, len(members)))
-    reps.sort(key=lambda r: (linf_height(r[0]), r[0]))
+    reps = _representatives(classes, isinstance(surface, Markoff11) and gens_name == "gamma_prime")
     # every label key is a box point, so walking the sorted points sorts them
     exceptional = [(p, label[p]) for p in points if not isinstance(label[p], int)]
 
@@ -904,11 +911,71 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
         surface=surface,
         generators=gens_name,
         box=B,
-        representatives=tuple(reps),
+        representatives=reps,
         exceptional=tuple(exceptional),
         class_number_star=len(reps),
         caps_hit=caps_hit,
     )
+
+
+def _representatives(classes, canonical: bool) -> tuple:
+    """((representative, size), ...) of the member lists, by height, then
+    point: each list's least lowest member, or with canonical the least
+    normalize_11 form of one, on the torus a member too, since its 24
+    symmetries are gamma_prime moves that keep the height."""
+    reps = []
+    for members in classes:
+        low = min(map(linf_height, members))
+        lows = [m for m in members if linf_height(m) == low]
+        reps.append((_new(Point3, min(map(_canon_11, lows))) if canonical else min(lows),
+                     len(members)))
+    return tuple(sorted(reps, key=lambda r: (linf_height(r[0]), r[0])))
+
+
+def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
+    """{generator set: (exceptional box points, representatives, caps_hit)},
+    as class_number reports them, for a scan row.
+
+    A _label_classes search holds at most the N box points off the +-2
+    locus, so with cap height at most B and caps.count >= N none is cut
+    short and _sweep's labels serve: its locus-seeded points are the
+    gamma_prime exceptional set, each edge checked back to a seed's edge
+    from the locus, and its root components the classes, merged by G on the
+    torus.  Otherwise _label_classes labels the points off the locus.
+
+    Torus gamma_poly has the same exceptional set, so only the root
+    components are labelled.  A capped gamma_prime path is a capped Vieta
+    path then a symmetry of G, which normalizes the Vieta moves and keeps
+    the height and the locus.  Each twist is a Vieta move then a
+    transposition, one per Vieta axis (trace_algebra._TORUS_TWIST_WORDS).
+    Walk a Vieta path q_0 ... q_n by twists, holding s_j.q_j for a
+    permutation s_j: the twist on s_j's image of the next move's axis
+    passes through s_j.q_(j+1), at q_(j+1)'s height, so every step stays
+    under the cap, and the walk ends at s_n.q_n, on the locus with q_n.
+    Conversely a twist is a gamma_prime word whose middle point has an
+    endpoint's height.  A sphere twist is two Vieta moves whose middle point
+    may leave the box, so the argument fails there, and sphere gamma_poly
+    labels every point off the locus.
+    """
+    locus, seeded, components = _sweep(surface, B)
+    off = [*seeded, *itertools.chain.from_iterable(components)]
+    if caps.height > B or caps.count < len(off):
+        reports = (_label_classes(surface, name, B, caps, sorted(off)) for name in GENERATOR_SETS)
+        return {r.generators: (locus + len(r.exceptional), r.representatives, r.caps_hit)
+                for r in reports}
+    error, reached = "exceptional witness failed to replay", set()
+    for p, parent, _ in _tree_edges(surface, seeded, error):
+        if parent not in reached and (parent is None or 2 not in parent and -2 not in parent):
+            raise MarkoffError(error)
+        reached.add(p)
+    torus = isinstance(surface, Markoff11)
+    labelled = off[len(seeded):] if torus else off
+    poly = _label_classes(surface, "gamma_poly", B, caps, labelled)
+    reps = itertools.groupby(_representatives(components, torus), lambda r: r[0])
+    prime = tuple((rep, sum(size for _, size in run)) for rep, run in reps)
+    return {"gamma_prime": (locus + len(seeded), prime, False),
+            "gamma_poly": (locus + len(off) - len(labelled) + len(poly.exceptional),
+                           poly.representatives, poly.caps_hit)}
 
 
 # ---------------------------------------------------------------------------

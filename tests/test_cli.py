@@ -13,7 +13,8 @@ import pytest
 
 from markoff import cli, orbits
 from markoff.cli import main, parse_complex_literal, parse_k_range
-from markoff.moves import VIETA_MOVES
+from markoff.moves import GENERATOR_SETS, VIETA_MOVES
+from markoff.surfaces import Markoff11
 from markoff.trace_algebra import IDENTITY_SUITES
 
 
@@ -270,22 +271,21 @@ def test_scan_malformed_cache_row_is_miss(tmp_path, capsys, entry):
     ("--type", "04", "--k", "0,1,2,3", "--box", "12", "--gens", "gamma_poly"),
 ])
 def test_scan_enumerates_each_row_once(capsys, monkeypatch, argv):
-    # both generator sets of a row label the same enumerated box, whose
-    # +-2 locus is counted, not listed
+    # both generator sets of a row label the box of one sweep, whose +-2
+    # locus is counted, not listed
     monkeypatch.delenv("MARKOFF_CACHE", raising=False)
-    real = orbits.enumerate_points
+    real = orbits._sweep
     calls = []
 
-    def counting(surface, B, **options):
-        calls.append(options)
-        return real(surface, B, **options)
+    def counting(surface, B):
+        calls.append(B)
+        return real(surface, B)
 
-    for module in (orbits, cli):
-        if getattr(module, "enumerate_points", None) is real:
-            monkeypatch.setattr(module, "enumerate_points", counting)
+    monkeypatch.setattr(orbits, "_sweep", counting)
     code, out, _ = run_cli(capsys, "scan", *argv)
     assert code == 0
-    assert calls == [{"count_locus": True}] * len(json.loads(out)["rows"])
+    box = int(argv[argv.index("--box") + 1])
+    assert calls == [box] * len(json.loads(out)["rows"])
 
 
 def _assert_row_matches_listing(kind, params, gens, box, caps) -> bool:
@@ -304,6 +304,18 @@ def _assert_row_matches_listing(kind, params, gens, box, caps) -> bool:
     }
     assert cli._scan_one((kind, params, gens, box, caps)) == want, (params, gens, box, caps)
     return want["caps_hit"]
+
+
+def _assert_labels_match_listing(kind, params, box):
+    """The labels a scan row reads, for both generator sets, against
+    class_number's: exceptional count, representatives with their class
+    sizes, and caps_hit."""
+    surface, caps = cli.build_surface(kind, params), orbits.Caps(box, 10**6)
+    labels = orbits._scan_labels(surface, box, caps)
+    for gens in GENERATOR_SETS:
+        report = orbits.class_number(surface, gens, box, caps)
+        want = (len(report.exceptional), report.representatives, report.caps_hit)
+        assert labels[gens] == want, (params, gens, box)
 
 
 # the row's own generator set alternates with k, so each set is checked on half the grid
@@ -334,6 +346,46 @@ def test_scan_rows_match_listing_pinned_sphere_strata(caps):
     for i in range(1, 41):
         params = tuple(map(int, keys[i * len(keys) // 40 - 1].split(",")))
         _assert_row_matches_listing("04", params, _GENS_BY_PARITY[i % 2], scan["sphere_box"], caps)
+
+
+def test_scan_labels_match_listing_every_pinned_sphere_tuple():
+    # all 2401 sphere tuples of the benchmark's pinned answers, at a small box
+    scan = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "pinned.json").read_text())["scan"]
+    for key in scan["sphere"]:
+        _assert_labels_match_listing("04", tuple(map(int, key.split(","))), 30)
+
+
+@pytest.mark.parametrize("j", [0, 1, 3])
+def test_scan_labels_match_listing_big_k(j):
+    # k = 2^70 + 2 + j^2, beyond int64; k - 2 is a square for j = 0
+    for box in (0, 2, 3, 50, 100):
+        _assert_labels_match_listing("11", (2**70 + 2 + j * j,), box)
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_scan_serving_rule_at_its_boundary(monkeypatch, k):
+    # the sweep serves a row when no _label_classes search can be cut short:
+    # cap height at most the box and a count cap of at least the N box
+    # points off the locus; on either side of the switch the row, caps_hit
+    # included, is the listing's, and only a served row skips the
+    # gamma_prime labelling (k = 3 has exceptional points, k = 8 classes)
+    box = 20
+    n = sum(2 not in p and -2 not in p for p in orbits.enumerate_points(Markoff11(k), box))
+    real, labelled = orbits._label_classes, []
+
+    def spy(surface, gens_name, *args):
+        labelled.append(gens_name)
+        return real(surface, gens_name, *args)
+
+    for caps, served in [((box, n - 1), False), ((box, n), True), ((box, n + 1), True),
+                         ((box + 1, n), False)]:
+        for gens in GENERATOR_SETS:
+            _assert_row_matches_listing("11", (k,), gens, box, caps)
+            with monkeypatch.context() as m:
+                m.setattr(orbits, "_label_classes", spy)
+                cli._scan_one(("11", (k,), gens, box, caps))
+            assert labelled == (["gamma_poly"] if served else ["gamma_prime", "gamma_poly"])
+            labelled.clear()
 
 
 def test_scan_caps_hit_exit_two(capsys):
@@ -781,11 +833,42 @@ def _break_tree_edge(monkeypatch):
     monkeypatch.setattr(cli, "orbit_bfs", search)
 
 
+def _break_sweep(change):
+    def fault(monkeypatch):
+        real = orbits._sweep
+
+        def sweep(surface, B):
+            locus, seeded, components = real(surface, B)
+            return locus, change(seeded), components
+
+        monkeypatch.setattr(orbits, "_sweep", sweep)
+        monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+
+    return fault
+
+
+def _other_move(seeded):
+    # the last locus-seeded edge names another Vieta move
+    p, (parent, g) = list(seeded.items())[-1]
+    return {**seeded, p: (parent, next(m for m in VIETA_MOVES if m != g))}
+
+
+def _child_first(seeded):
+    # a point held before the parent of its edge, which is off the locus:
+    # each edge still checks, but its chain need not end on the locus
+    p, edge = next((p, edge) for p, edge in seeded.items() if edge[0] in seeded)
+    return {p: edge, **seeded}
+
+
 @pytest.mark.parametrize("argv, message, fault", [
     (["reduce", "--k", "-2", "--point", "3,6,15"], "certificate failed to replay", _break_replay),
     (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6"],
      "orbit certificate failed to replay", _break_tree_edge),
-], ids=["reduce", "orbit"])
+    (["scan", "--k", "3", "--box", "30"], "exceptional witness failed to replay",
+     _break_sweep(_other_move)),
+    (["scan", "--k", "3", "--box", "30"], "exceptional witness failed to replay",
+     _break_sweep(_child_first)),
+], ids=["reduce", "orbit", "scan", "scan-order"])
 def test_certificate_replay_failure_exits_one(capsys, monkeypatch, argv, message, fault):
     fault(monkeypatch)
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

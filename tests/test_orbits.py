@@ -49,6 +49,7 @@ from markoff.orbits import (
     _search,
     _slice,
     _sphere_form,
+    _sweep,
     Caps,
     EquivalenceResult,
     class_number,
@@ -319,11 +320,13 @@ def test_torus_locus_matches_parabolic_lines(k):
 
 
 def _assert_counted_locus(surface, B):
-    # the counting core against the listing: the locus count, then the
-    # points off the locus in the same order
+    # the sweep against the listing: the locus count, then the points off
+    # the locus, each once
     points = enumerate_points(surface, B)
     off = [p for p in points if 2 not in p and -2 not in p]
-    assert enumerate_points(surface, B, count_locus=True) == (len(points) - len(off), off), B
+    count, seeded, components = _sweep(surface, B)
+    swept = [*seeded, *itertools.chain.from_iterable(components)]
+    assert (count, sorted(swept)) == (len(points) - len(off), off), B
 
 
 @pytest.mark.parametrize("B", [0, 1, 2, 3, 1000, 2000])
@@ -362,8 +365,8 @@ def test_counted_locus_holds_its_boundary_only(monkeypatch):
         return result
 
     monkeypatch.setattr(orbits, "_search", spy)
-    count, off = enumerate_points(Markoff11(3), 32000, count_locus=True)
-    assert (count, len(off)) == (767976, 7152)
+    count, seeded, components = _sweep(Markoff11(3), 32000)
+    assert (count, len(seeded) + sum(map(len, components))) == (767976, 7152)
     assert max(held) < 12000
 
 
@@ -404,7 +407,7 @@ def test_enumerate_provably_empty_box_is_fast():
     for s, B in ((Markoff11(2**140 + 2), 300), (Markoff11(2**140 + 2), 1000),
                  (make_cubic04(2**40, 3, 5, 7), 300)):
         assert enumerate_points(s, B) == []
-        assert enumerate_points(s, B, count_locus=True) == (0, [])
+        assert _sweep(s, B) == (0, {}, [])
     assert time.perf_counter() - started < 1
 
 
