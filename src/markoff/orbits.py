@@ -22,10 +22,9 @@ parents maps each raw point to (raw parent, move), so a word to a raw
 point walks the parents back, with no replay search.
 - G mode (torus gamma_prime: orbit_bfs, equivalent, is_exceptional).  The
   group G of the 24 permutations and even sign changes is made of
-  gamma_prime moves, normalizes the Vieta moves and keeps the height.  So
-  the search applies the Vieta moves only, a key (_canon_11) stands for
-  its whole G-orbit, and normalize_11's words lead from the raw point to
-  the rest of it.
+  gamma_prime words (_own_word), conjugates Vieta moves to Vieta moves
+  (_CONJ) and keeps the height.  So the search applies the Vieta moves
+  only, and a key (_canon_11) stands for its whole G-orbit.
 - S3 mode (torus gamma_poly: orbit_bfs).  The six permutations conjugate
   twists to twists (_CONJ) and keep the height, so they permute the
   components of the capped twist graph, but they are not twists.  A key
@@ -33,9 +32,9 @@ point walks the parents back, with no replay search.
   r, the h with child = h.r keeps the component C, and the h found
   generate what is needed of its stabilizer: C = <H>.{raw points}, since a
   twist t of h.r is h.t'(r) with t' = h^-1 t h a twist, and t'(r) was
-  generated from r.  So orbit_bfs returns with the group known, and the
-  word to h.r is a twist word from the start to h.start followed by the
-  walk to r conjugated by h (OrbitRun).
+  generated from r.  So orbit_bfs returns with the group known.
+The word to h.r is a word from the start to h.start, h's own word in the G
+mode and a twist word in the S3 mode, then the walk to r conjugated by h.
 The count cap still counts points, and each key is charged the points its
 full group makes of it: |G.key|, which it holds, in the G mode, and its
 distinct permutations (6, 3 or 1) in the S3 mode, an upper bound, as the
@@ -91,6 +90,7 @@ from .surfaces import (
 from .moves import (
     GENERATOR_SETS,
     VIETA_MOVES,
+    Move,
     MoveWord,
     _canon_11,
     _compile,
@@ -101,7 +101,6 @@ from .moves import (
     generators,
     identity_word,
     inverse_move,
-    normalize_11,
 )
 
 
@@ -527,17 +526,25 @@ def _compose(a, b) -> tuple:
 
 
 def _conjugates() -> dict:
-    """h -> {twist t: h t h^-1} for the h of S3.  Each is a twist: a twist
-    is a Vieta move then a transposition whose support holds the move's
-    axis (Ta+ = Vy.Pyz, Tb+ = Vz.Pxz, Tab+ = Vx.Pxy, read left to right,
-    and their inverses), and a permutation keeps that shape.  So the
-    twist t' with t'(h.p) = h.t(p) at one point p whose six twist images
-    differ is the one."""
+    """h -> {move t: h t h^-1}, over the Vieta moves for the h of G and the
+    twists too for the h of S3.  Each is a move of t's kind: h.V(p) changes
+    the coordinate h moves V's axis to, by the Vieta rule as h's signs are
+    even; a twist is a Vieta move then a transposition whose support holds
+    the move's axis (Ta+ = Vy.Pyz, Tb+ = Vz.Pxz, Tab+ = Vx.Pxy, read left
+    to right, and their inverses), a shape a permutation keeps.  So the t'
+    with t'(h.p) = h.t(p) at one point p whose move images differ is the one."""
     torus, p = Markoff11(0), (2, 3, 7)
-    twists = _compile(torus, "gamma_poly")
-    return {h: {g: next(t for t, f_t in twists if f_t(torus, _act(h, p)) == _act(h, f(torus, p)))
-                for g, f in twists}
-            for h in _S3}
+    vieta, twists = _compile(torus, VIETA_MOVES), _compile(torus, "gamma_poly")
+    return {h: {g: next(t for t, f_t in moves if f_t(torus, _act(h, p)) == _act(h, f(torus, p)))
+                for g, f in moves}
+            for h in _G for moves in [vieta + twists if h in _S3 else vieta]}
+
+
+def _own_word(h) -> tuple:
+    """The gamma_prime word that acts as h: its permutation, then its sign change."""
+    sigma, signs = h
+    flips = tuple(i for i in range(3) if signs[i] < 0)
+    return (Move("P", sigma),) * (sigma != (0, 1, 2)) + (Move("S", flips),) * bool(flips)
 
 
 _CONJ = _conjugates()
@@ -550,10 +557,10 @@ class _Quotient:
     charge(key) is the number of points full makes of the key.  keys maps
     each key held to the raw point it went in with.  group maps each
     symmetry known to keep the component searched to the recipe of its
-    word: None for the identity and for G, whose symmetries are moves,
-    (node, g, r) for an h found by the edge g(node) = h.r, and (a, b) for
-    a.b.  learning is true while group is not all of full; the points held
-    are then group's images of the raw points, else full's of the keys.
+    word: None for its own word (_own_word, empty for the identity), (node,
+    g, r) for an h found by the edge g(node) = h.r, and (a, b) for a.b.
+    learning is true while group is not all of full; the points held are
+    then group's images of the raw points, else full's of the keys.
     """
 
     def __init__(self, canon, charge, full, group):
@@ -606,7 +613,8 @@ def _join(head: list, tail: list) -> list:
 
 _PRIME_11 = frozenset(generators("11", "gamma_prime"))
 _POLY_11 = frozenset(generators("11", "gamma_poly"))
-_G_GROUP = dict.fromkeys(_G)  # shared: a G quotient's group is all of G and never learns
+# shared: a G quotient's group is all of G and never learns; shortest words last for _extend
+_G_GROUP = dict.fromkeys(sorted(_G, key=lambda h: -len(_own_word(h))))
 
 
 def _steps(surface: Surface, gens, cap_height, *ends) -> tuple:
@@ -642,10 +650,10 @@ class OrbitRun:
 
     parents maps each point the search put in to (parent, move), and the
     walk back to the root is a word to it.  quotient is None in a plain
-    search.  In a quotient search (_Quotient) the word to p leads on from
-    the raw point r of its key (_extend): by normalize_11's words in the G
-    mode, and as W_h + conj_h(w_r) for the h with p = h.r in the S3 mode,
-    with W_h a twist word from the start to h.start (_symmetry_word)."""
+    search.  In a quotient search (_Quotient) the word to p is built from
+    the walk w_r to the raw point r of its key (_extend): W_h + conj_h(w_r)
+    for the h with p = h.r, with W_h a word from the start to h.start
+    (_symmetry_word) and conj_h the move map _CONJ[h]."""
 
     surface: Surface
     start: Point3
@@ -663,12 +671,12 @@ class OrbitRun:
         return tuple(reversed(back))
 
     def _symmetry_word(self, h) -> list:
-        """W_h, from h's recipe in the quotient's group: w_node + g +
-        conj_h(w_r)^-1 for the edge g(node) = h.r that found h, and W_a +
-        conj_a(W_b) for a.b, with the inverse pairs at each join cancelled."""
+        """W_h, from h's recipe in the quotient's group: h's own word,
+        w_node + g + conj_h(w_r)^-1 for the edge g(node) = h.r that found h,
+        and W_a + conj_a(W_b) for a.b, with the inverse pairs cancelled."""
         recipe = self.quotient.group[h]
         if recipe is None:
-            return []
+            return list(_own_word(h))
         if len(recipe) == 2:
             a, b = recipe
             return _join(self._symmetry_word(a), [_CONJ[a][m] for m in self._symmetry_word(b)])
@@ -687,23 +695,21 @@ class OrbitRun:
         W_h from symmetry_word(h); a KeyError unless the run holds p."""
         if p == raw:
             return w
-        if self.quotient.full is _G:
-            return w + normalize_11(raw)[1].moves + normalize_11(p)[1].inverse().moves
         h = {_act(h, raw): h for h in self.quotient.group}[p]
         return tuple(symmetry_word(h)) + tuple(map(_CONJ[h].__getitem__, w))
 
     def words(self) -> dict:
         """{point: word_to(point)} in points() order, certified with no
-        replay per word: each tree edge is checked once, each W_h from the
-        start and each normalize_11 tail from its raw point, and _CONJ's
-        identities carry the rest.  A failed check raises MarkoffError."""
+        replay per word: each tree edge is checked once, each W_h is
+        replayed once from the start, and _CONJ's identities carry the
+        rest.  A failed check raises MarkoffError."""
         surface, start, quotient = self.surface, self.start, self.quotient
         error = "orbit certificate failed to replay"
         walks = {}
         for p, parent, g in _tree_edges(surface, self.parents, error):
             walks[p] = () if parent is None else walks[parent] + (g,)
-        s3 = quotient is not None and quotient.full is _S3
-        heads = {h: tuple(self._symmetry_word(h)) for h in quotient.group} if s3 else {}
+        heads = {} if quotient is None else {h: tuple(self._symmetry_word(h))
+                                             for h in quotient.group}
         for h, head in heads.items():
             if apply_word(surface, MoveWord(surface.kind, head), start) != _act(h, start):
                 raise MarkoffError(error)
@@ -711,12 +717,6 @@ class OrbitRun:
         for p in self.points():
             raw = p if quotient is None else quotient.keys[quotient.canon(p)]
             words[p] = MoveWord(surface.kind, self._extend(raw, walks[raw], p, heads.__getitem__))
-            if not s3:  # replay the G mode tail, at most 4 moves, from raw
-                q = raw
-                for m in words[p].moves[len(walks[raw]):]:
-                    q = _raw_move(surface, m)(surface, q)
-                if q != p:
-                    raise MarkoffError(error)
         return words
 
     def word_to(self, p: Point3) -> MoveWord:
@@ -921,7 +921,7 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
 def _representatives(classes, canonical: bool) -> tuple:
     """((representative, size), ...) of the member lists, by height, then
     point: each list's least lowest member, or with canonical the least
-    normalize_11 form of one, on the torus a member too, since its 24
+    _canon_11 form of one, on the torus a member too, since its 24
     symmetries are gamma_prime moves that keep the height."""
     reps = []
     for members in classes:

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import csv
 import io
 import json
 import os
@@ -13,8 +14,8 @@ import pytest
 
 from markoff import cli, orbits
 from markoff.cli import main, parse_complex_literal, parse_k_range
-from markoff.moves import GENERATOR_SETS, VIETA_MOVES
-from markoff.surfaces import Markoff11
+from markoff.moves import GENERATOR_SETS, VIETA_MOVES, Move, apply_word, parse_word
+from markoff.surfaces import Markoff11, Point3
 from markoff.trace_algebra import IDENTITY_SUITES
 
 
@@ -688,16 +689,32 @@ def test_orbit_csv(capsys):
     )
     assert (code, err) == (2, "")
     # gamma_prime on the torus searches canonical points: each one's
-    # G-orbit is listed in turn, and a word replays the Vieta path and the
-    # normalize_11 words around it
+    # G-orbit is listed in turn, and the word to h.r is h's own word (one
+    # permutation, then one sign change) and the Vieta walk to the raw
+    # point r conjugated by h
     assert out.splitlines() == [
         "x,y,z,word",
         "3,3,3,", "-3,-3,3,Sxy", "3,-3,-3,Syz", "-3,3,-3,Sxz",
-        "3,3,6,Vx Pxzy", "-3,-3,6,Vx Pxzy Sxy", "3,-3,-6,Vx Pxzy Syz",
-        "-3,3,-6,Vx Pxzy Sxz", "3,6,3,Vx Pxzy Pyz", "-3,-6,3,Vx Pxzy Sxz Pyz",
-        "3,-6,-3,Vx Pxzy Syz Pyz", "-3,6,-3,Vx Pxzy Sxy Pyz", "6,3,3,Vx",
-        "-6,-3,3,Vx Pxzy Sxz Pxyz", "6,-3,-3,Vx Pxzy Sxy Pxyz", "-6,3,-3,Vx Pxzy Syz Pxyz",
+        "3,3,6,Pxz Vz", "-3,-3,6,Pxz Sxy Vz", "3,-3,-6,Pxz Syz Vz",
+        "-3,3,-6,Pxz Sxz Vz", "3,6,3,Pxyz Vy", "-3,-6,3,Pxyz Sxy Vy",
+        "3,-6,-3,Pxyz Syz Vy", "-3,6,-3,Pxyz Sxz Vy", "6,3,3,Vx",
+        "-6,-3,3,Sxy Vx", "6,-3,-3,Syz Vx", "-6,3,-3,Sxz Vx",
     ]
+
+
+@pytest.mark.parametrize("gens", GENERATOR_SETS)
+def test_orbit_csv_words_replay(capsys, gens):
+    # every printed word parses and replays from the start to its row's point
+    code, out, err = run_cli(
+        capsys, "orbit", "--type", "11", "--k", "3", "--start", "-2,-1,0",
+        "--gens", gens, "--cap-height", "100", "--format", "csv",
+    )
+    assert (code, err) == (2, "")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["x", "y", "z", "word"] and len(rows) > 500
+    surface, start = Markoff11(3), Point3(-2, -1, 0)
+    for *point, text in rows[1:]:
+        assert apply_word(surface, parse_word(text, "11"), start) == tuple(map(int, point))
 
 
 def test_orbit_off_surface_error(capsys):
@@ -833,6 +850,13 @@ def _break_tree_edge(monkeypatch):
     monkeypatch.setattr(cli, "orbit_bfs", search)
 
 
+def _break_sign_word(monkeypatch):
+    # each G symmetry's own word with the sign change Sxy names Syz instead
+    real, sxy, syz = orbits._own_word, Move("S", (0, 1)), Move("S", (1, 2))
+    monkeypatch.setattr(orbits, "_own_word",
+                        lambda h: tuple(syz if m == sxy else m for m in real(h)))
+
+
 def _break_sweep(change):
     def fault(monkeypatch):
         real = orbits._sweep
@@ -864,11 +888,13 @@ def _child_first(seeded):
     (["reduce", "--k", "-2", "--point", "3,6,15"], "certificate failed to replay", _break_replay),
     (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6"],
      "orbit certificate failed to replay", _break_tree_edge),
+    (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6"],
+     "orbit certificate failed to replay", _break_sign_word),
     (["scan", "--k", "3", "--box", "30"], "exceptional witness failed to replay",
      _break_sweep(_other_move)),
     (["scan", "--k", "3", "--box", "30"], "exceptional witness failed to replay",
      _break_sweep(_child_first)),
-], ids=["reduce", "orbit", "scan", "scan-order"])
+], ids=["reduce", "orbit", "orbit-symmetry", "scan", "scan-order"])
 def test_certificate_replay_failure_exits_one(capsys, monkeypatch, argv, message, fault):
     fault(monkeypatch)
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")

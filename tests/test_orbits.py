@@ -20,6 +20,7 @@ from markoff.surfaces import (
 )
 from markoff.moves import (
     GENERATOR_SETS,
+    VIETA_MOVES,
     Move,
     MoveWord,
     _compile,
@@ -45,6 +46,7 @@ from markoff.orbits import (
     _act,
     _compose,
     _orbit_size,
+    _own_word,
     _root_heights,
     _search,
     _slice,
@@ -1097,7 +1099,8 @@ def _torus_prime_cases():
 def _assert_quotient_search(surface, start, cap_height, full, cap_count):
     """orbit_bfs and is_exceptional on torus gamma_prime against the plain
     oracle search full: the same answers when the count cap does not bind,
-    true ones when it does, and every word replays."""
+    true ones when it does, and every word replays and is at most two
+    moves longer than the walk to its key's raw point."""
     free = cap_count >= len(full[0])
     run = orbit_bfs(surface, "gamma_prime", start, cap_height, cap_count)
     points = run.points()
@@ -1106,7 +1109,13 @@ def _assert_quotient_search(surface, start, cap_height, full, cap_count):
     assert run.word_to(start).moves == ()
     for p in points[:: max(1, len(points) // 40)] + points[-3:]:
         assert apply_word(surface, run.word_to(p), start) == p
-    assert list(run.words().items()) == [(p, run.word_to(p)) for p in points]
+    words = run.words()
+    assert list(words.items()) == [(p, run.word_to(p)) for p in points]
+    walked = {raw: len(run._walk(raw)) for raw in run.parents}
+    quotient = run.quotient
+    for p, word in words.items():
+        raw = p if quotient is None else quotient.keys[quotient.canon(p)]
+        assert len(word.moves) <= walked[raw] + 2
     if free:
         assert set(points) == set(full[0]) and run.caps_hit == full[2]
     else:  # a key goes in with its whole orbit while fewer points are held
@@ -1195,18 +1204,29 @@ def test_orbit_run_words_walk_the_parents():
 
 
 def test_symmetry_tables():
-    # composing symmetries is acting twice, and each h of S3 conjugates
-    # each twist t to the twist _CONJ[h][t], on small and big-int points
+    # composing symmetries is acting twice, each h of G conjugates each
+    # Vieta move V to the Vieta move _CONJ[h][V], each h of S3 also each
+    # twist t to the twist _CONJ[h][t], and each h's own word acts as h, on
+    # small and big-int points
     twists = generators("11", "gamma_poly")
     big = 2**70
     points = [*itertools.product((-3, 0, 2, 5), repeat=3), (big, -3, big + 7), (7, big, -big)]
     for a, b in itertools.product(_G, repeat=2):
         assert all(_act(_compose(a, b), p) == _act(a, _act(b, p)) for p in points[::7])
-    for h in _S3:
-        assert sorted(_CONJ[h].values()) == sorted(twists)
-        for t, p in itertools.product(twists, points):
-            twisted = apply_move(MARKOFF, t, p)
-            assert apply_move(MARKOFF, _CONJ[h][t], _act(h, p)) == _act(h, twisted)
+    assert list(_CONJ) == list(_G)
+    for h in _G:
+        row = _CONJ[h]
+        moves = VIETA_MOVES + (twists if h in _S3 else ())
+        assert list(row) == list(moves)  # the twist rows are the S3 ones
+        assert sorted(map(row.get, VIETA_MOVES)) == sorted(VIETA_MOVES)
+        if h in _S3:
+            assert sorted(map(row.get, twists)) == sorted(twists)
+        for m, p in itertools.product(moves, points):
+            moved = apply_move(MARKOFF, m, p)
+            assert apply_move(MARKOFF, row[m], _act(h, p)) == _act(h, moved)
+        assert len(_own_word(h)) <= 2
+        for p in points:
+            assert apply_word(MARKOFF, MoveWord("11", _own_word(h)), p) == _act(h, p)
 
 
 def _torus_poly_cases():

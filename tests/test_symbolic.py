@@ -4,8 +4,17 @@ identities, not merely on sampled inputs.  sympy is the independent engine."""
 import sympy as sp
 
 from markoff.surfaces import Cubic04, Markoff11, Point3, boundary_trace_11
-from markoff.moves import Move, apply_move, dehn_twist_04, dehn_twist_11, generators
-from markoff.orbits import _CONJ, _S3, _act
+from markoff.moves import (
+    VIETA_MOVES,
+    Move,
+    MoveWord,
+    apply_move,
+    apply_word,
+    dehn_twist_04,
+    dehn_twist_11,
+    generators,
+)
+from markoff.orbits import _CONJ, _G, _S3, _act, _own_word
 from markoff.trace_algebra import (
     Mat2,
     commutator_trace,
@@ -67,6 +76,20 @@ def test_permutations_conjugate_twists_identically():
             lhs = _act(h, apply_move(s, t, P))
             rhs = apply_move(s, _CONJ[h][t], _act(h, P))
             assert all(sp.expand(u - v) == 0 for u, v in zip(lhs, rhs)), (h, t)
+
+
+def test_g_symmetries_conjugate_vieta_moves_identically():
+    # h.V(p) = _CONJ[h][V](h.p) for all 72 pairs of a symmetry h of G and a
+    # Vieta move V, and h's own word acts as h, as polynomials: the G
+    # quotient's words W_h + conj_h(w) rest on both, and _CONJ picks each
+    # entry at one point only
+    s = Markoff11(K)
+    for h in _G:
+        for v in VIETA_MOVES:
+            lhs = _act(h, apply_move(s, v, P))
+            rhs = apply_move(s, _CONJ[h][v], _act(h, P))
+            assert all(sp.expand(u - w) == 0 for u, w in zip(lhs, rhs)), (h, v)
+        assert apply_word(s, MoveWord("11", _own_word(h)), P) == _act(h, P), h
 
 
 def test_sphere_generators_preserve_residual_identically():
