@@ -33,8 +33,9 @@ point walks the parents back, with no replay search.
   generate what is needed of its stabilizer: C = <H>.{raw points}, since a
   twist t of h.r is h.t'(r) with t' = h^-1 t h a twist, and t'(r) was
   generated from r.  So orbit_bfs returns with the group known.
-The word to h.r is a word from the start to h.start, h's own word in the G
-mode and a twist word in the S3 mode, then the walk to r conjugated by h.
+The group holds for each h a word W_h from the start to h.start, h's own
+word in the G mode and a twist word built when h is found in the S3 mode;
+the word to h.r is W_h, then the walk to r conjugated by h.
 The count cap still counts points, and each key is charged the points its
 full group makes of it: |G.key|, which it holds, in the G mode, and its
 distinct permutations (6, 3 or 1) in the S3 mode, an upper bound, as the
@@ -59,14 +60,15 @@ scans the B^2 grid; enumerate_points lists the +-2 slices on top.
 A class count labels the box points of an exact surface by connected
 component of the move graph capped at the box height (or at a higher
 height cap, when one is given); a component is exceptional iff some trace
-in it hits +-2.  class_number runs one _search per unlabelled point
-(_label_classes): the +-2 points are exceptional from the start (empty
-word), a search that reaches one marks every box point it reached
-exceptional, its witness replayed once to the hit and extended over each
-checked tree edge, and any other search has found a whole class.  A scan
-row reads the labels off the sweep whenever no search could be cut short
-(_scan_labels): the points the locus seeds reach are the exceptional
-ones, each certified by its tree edge, and the roots' runs are components.
+in it hits +-2.  The exceptional points form a forest: a parents map
+rooted on the +-2 locus.  class_number runs one _search per unlabelled
+point (_label_classes), and a search that reaches the locus or the forest
+joins the forest, re-rooted at its hit; any other search has found a
+whole class.  A scan row reads the labels off the sweep whenever no
+search could be cut short (_scan_labels): the points the locus seeds
+reach are such a forest, and the roots' runs are components.  One check
+certifies either forest (_forest_edges), and each class_number witness
+is its edge's move inverted, then its parent's witness.
 """
 
 from __future__ import annotations
@@ -428,7 +430,7 @@ def _expand(surface, steps, frontier, parents, cap_height, room, stop, quotient)
             key = child if canon is None else canon(child)
             if key in held:
                 if learning and held[key] != child:
-                    learning = quotient.learn(node, g, child, key)
+                    learning = quotient.learn(parents, node, g, child, key)
                 continue
             x, y, z = child
             if not (low <= x <= cap_height and low <= y <= cap_height
@@ -556,36 +558,37 @@ class _Quotient:
     canon maps a point to its key, an image of it under the group full, and
     charge(key) is the number of points full makes of the key.  keys maps
     each key held to the raw point it went in with.  group maps each
-    symmetry known to keep the component searched to the recipe of its
-    word: None for its own word (_own_word, empty for the identity), (node,
-    g, r) for an h found by the edge g(node) = h.r, and (a, b) for a.b.
-    learning is true while group is not all of full; the points held are
-    then group's images of the raw points, else full's of the keys.
+    symmetry h known to keep the component searched to its word W_h (from
+    learn, or _own_word), and gens lists the h found by edges.  learning is
+    true while group is not all of full; the points held are then group's
+    images of the raw points, else full's of the keys.
     """
 
     def __init__(self, canon, charge, full, group):
         self.canon, self.charge, self.full, self.group = canon, charge, full, group
-        self.keys = {}
+        self.keys, self.gens = {}, []
         self.learning = len(group) < len(full)
 
-    def learn(self, node, g, child, key) -> bool:
+    def learn(self, parents, node, g, child, key) -> bool:
         """The child g(node) has key but is not its raw point r, so the h
         with child = h.r keeps the component.  Unless group already takes r
-        to child, add such an h with the recipe (node, g, r) of its word,
-        and close group under products by the symmetries so found, its
-        generators, with recipe (a, b) for a.b.  Returns learning."""
+        to child, add such an h with W_h = w_node + g + conj_h(w_r)^-1 (w:
+        walks in parents) and close group under products by the generators
+        so found, with W_ab = W_a + conj_a(W_b) (_join).  Returns learning."""
         raw, group = self.keys[key], self.group
         if any(_act(h, raw) == child for h in group):
             return True
-        group[next(h for h in self.full if _act(h, raw) == child)] = (node, g, raw)
-        gens = [h for h, recipe in group.items() if recipe is not None and len(recipe) == 3]
+        h = next(h for h in self.full if _act(h, raw) == child)
+        group[h] = _join((*_walk(parents, node), g),
+                         tuple(inverse_move(_CONJ[h][m]) for m in reversed(_walk(parents, raw))))
+        self.gens.append(h)
         todo = list(group)
         while todo:
             a = todo.pop()
-            for b in gens:
+            for b in self.gens:
                 c = _compose(a, b)
                 if c not in group:
-                    group[c] = (a, b)
+                    group[c] = _join(group[a], tuple(_CONJ[a][m] for m in group[b]))
                     todo.append(c)
         self.learning = len(group) < len(self.full)
         return self.learning
@@ -602,7 +605,7 @@ class _Quotient:
         return sum(len(self.orbit(key, raw)) for key, raw in self.keys.items())
 
 
-def _join(head: list, tail: list) -> list:
+def _join(head: tuple, tail: tuple) -> tuple:
     """head + tail with the inverse pairs at the seam cancelled, so two
     reduced words (a tree walk is one) join to a reduced word."""
     n = 0
@@ -614,7 +617,17 @@ def _join(head: list, tail: list) -> list:
 _PRIME_11 = frozenset(generators("11", "gamma_prime"))
 _POLY_11 = frozenset(generators("11", "gamma_poly"))
 # shared: a G quotient's group is all of G and never learns; shortest words last for _extend
-_G_GROUP = dict.fromkeys(sorted(_G, key=lambda h: -len(_own_word(h))))
+_G_GROUP = {h: _own_word(h) for h in sorted(_G, key=lambda h: -len(_own_word(h)))}
+
+
+def _walk(parents: dict, p) -> tuple:
+    """The moves of the tree path from the root to p, which parents holds."""
+    back = []
+    p, g = parents[p]
+    while p is not None:
+        back.append(g)
+        p, g = parents[p]
+    return tuple(reversed(back))
 
 
 def _steps(surface: Surface, gens, cap_height, *ends) -> tuple:
@@ -631,7 +644,7 @@ def _steps(surface: Surface, gens, cap_height, *ends) -> tuple:
             return _compile(surface, VIETA_MOVES), [
                 _Quotient(_canon_11, _orbit_size, _G, _G_GROUP) for _ in ends]
         if moves == _POLY_11 and len(ends) == 1:
-            return steps, [_Quotient(_sorted3, _arrangements, _S3, {_S3[0]: None})]
+            return steps, [_Quotient(_sorted3, _arrangements, _S3, {_S3[0]: ()})]
     return steps, [None] * len(ends)
 
 
@@ -649,11 +662,11 @@ class OrbitRun:
     """Result of a capped orbit BFS with one certificate word per point.
 
     parents maps each point the search put in to (parent, move), and the
-    walk back to the root is a word to it.  quotient is None in a plain
-    search.  In a quotient search (_Quotient) the word to p is built from
-    the walk w_r to the raw point r of its key (_extend): W_h + conj_h(w_r)
-    for the h with p = h.r, with W_h a word from the start to h.start
-    (_symmetry_word) and conj_h the move map _CONJ[h]."""
+    walk back to the root (_walk) is a word to it.  quotient is None in a
+    plain search.  In a quotient search (_Quotient) the word to p is built
+    from the walk w_r to the raw point r of its key (_extend): W_h +
+    conj_h(w_r) for the h with p = h.r, with W_h the word the quotient's
+    group holds for h and conj_h the move map _CONJ[h]."""
 
     surface: Surface
     start: Point3
@@ -661,42 +674,22 @@ class OrbitRun:
     caps_hit: bool
     quotient: Optional[_Quotient] = None
 
-    def _walk(self, p) -> tuple:
-        """The moves of the tree path from the start to p, which parents holds."""
-        parents, back = self.parents, []
-        p, g = parents[p]
-        while p is not None:
-            back.append(g)
-            p, g = parents[p]
-        return tuple(reversed(back))
-
-    def _symmetry_word(self, h) -> list:
-        """W_h, from h's recipe in the quotient's group: h's own word,
-        w_node + g + conj_h(w_r)^-1 for the edge g(node) = h.r that found h,
-        and W_a + conj_a(W_b) for a.b, with the inverse pairs cancelled."""
-        recipe = self.quotient.group[h]
-        if recipe is None:
-            return list(_own_word(h))
-        if len(recipe) == 2:
-            a, b = recipe
-            return _join(self._symmetry_word(a), [_CONJ[a][m] for m in self._symmetry_word(b)])
-        node, g, raw = recipe
-        return _join([*self._walk(node), g],
-                     [inverse_move(_CONJ[h][m]) for m in reversed(self._walk(raw))])
-
     def points(self):
         if self.quotient is None:
             return list(self.parents)
         orbit = self.quotient.orbit
         return [q for key, raw in self.quotient.keys.items() for q in orbit(key, raw)]
 
-    def _extend(self, raw, w, p, symmetry_word) -> tuple:
-        """The moves to p from the moves w to the raw point of p's key, with
-        W_h from symmetry_word(h); a KeyError unless the run holds p."""
+    def _extend(self, raw, w, p) -> tuple:
+        """The moves to p from the moves w to the raw point of p's key, by the
+        last h that fits; a KeyError unless the run holds p."""
         if p == raw:
             return w
-        h = {_act(h, raw): h for h in self.quotient.group}[p]
-        return tuple(symmetry_word(h)) + tuple(map(_CONJ[h].__getitem__, w))
+        group = self.quotient.group
+        for h in reversed(group):
+            if _act(h, raw) == p:
+                return group[h] + tuple(map(_CONJ[h].__getitem__, w))
+        raise KeyError(p)
 
     def words(self) -> dict:
         """{point: word_to(point)} in points() order, certified with no
@@ -708,22 +701,19 @@ class OrbitRun:
         walks = {}
         for p, parent, g in _tree_edges(surface, self.parents, error):
             walks[p] = () if parent is None else walks[parent] + (g,)
-        heads = {} if quotient is None else {h: tuple(self._symmetry_word(h))
-                                             for h in quotient.group}
-        for h, head in heads.items():
+        for h, head in ({} if quotient is None else quotient.group).items():
             if apply_word(surface, MoveWord(surface.kind, head), start) != _act(h, start):
                 raise MarkoffError(error)
         words = {}
         for p in self.points():
             raw = p if quotient is None else quotient.keys[quotient.canon(p)]
-            words[p] = MoveWord(surface.kind, self._extend(raw, walks[raw], p, heads.__getitem__))
+            words[p] = MoveWord(surface.kind, self._extend(raw, walks[raw], p))
         return words
 
     def word_to(self, p: Point3) -> MoveWord:
         quotient = self.quotient
         raw = p if quotient is None else quotient.keys[quotient.canon(p)]
-        word = self._extend(raw, self._walk(raw), p, self._symmetry_word)
-        return MoveWord(self.surface.kind, word)
+        return MoveWord(self.surface.kind, self._extend(raw, _walk(self.parents, raw), p))
 
     def __len__(self):
         return len(self.parents) if self.quotient is None else len(self.quotient)
@@ -859,63 +849,66 @@ def class_number(
     """
     if caps is None:
         caps = Caps(height=B)
-    return _label_classes(surface, gens_name, B, caps, enumerate_points(surface, B))
+    points = enumerate_points(surface, B)
+    classes, forest, caps_hit = _label_classes(surface, gens_name, B, caps, points)
+    witness = {}
+    for p, parent, g in _forest_edges(surface, forest):
+        witness[p] = (inverse_move(g),) + witness.get(parent, ())
+    # walking the sorted points sorts the exceptional ones
+    exceptional = tuple((p, MoveWord(surface.kind, witness.get(p, ()))) for p in points
+                        if p in witness or 2 in p or -2 in p)
+    reps = _representatives(classes, isinstance(surface, Markoff11) and gens_name == "gamma_prime")
+    return OrbitReport(surface, gens_name, B, reps, exceptional, len(reps), caps_hit)
 
 
-def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points) -> OrbitReport:
-    """class_number on the already enumerated box points, so a caller that
-    needs both generator sets enumerates the box once.  The points may leave
-    out the +-2 locus, as _scan_labels does: the report then leaves it out
-    of `exceptional` too."""
+def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points) -> tuple:
+    """(class member lists, forest, caps_hit) for the box points given, so
+    a caller that needs both generator sets enumerates the box once.  A
+    search stops at a box point labelled before or at the locus; one that
+    hits the forest or the locus joins the forest with the edges of its
+    path to the hit turned round, each move inverted.  A point above the
+    box keeps the edge it first went in with and stops no search, as its
+    witness may be longer than the path the search would find."""
     cap_height = max(caps.height, B)
     steps = _compile(surface, gens_name)
-    identity = identity_word(surface.kind)
-    # box point -> index into classes, or its witness word once exceptional
-    label = {p: identity for p in points if 2 in p or -2 in p}
+    label, classes, forest, caps_hit = {}, [], {}, False  # label: box point -> class index
 
     def stop(q):
-        return q in label or 2 in q or -2 in q
+        return q in label or (q in forest and linf_height(q) <= B) or 2 in q or -2 in q
 
-    classes = []
-    caps_hit = False
     for p in points:
-        if p in label:
+        if stop(p):
             continue
         parents, hit, _, truncated = _search(surface, steps, p, cap_height, caps.count, stop)
         caps_hit = caps_hit or truncated
-        reached = [m for m in parents
-                   if m not in label and linf_height(m) <= B and 2 not in m and -2 not in m]
-        mark = len(classes) if hit is None else label.get(hit, identity)
-        if isinstance(mark, int):  # a new class, or one cut short by caps.count
+        if hit is None or hit in label:  # a new class, or one it joins
+            mark = len(classes) if hit is None else label[hit]
             if mark == len(classes):
                 classes.append([])
+            reached = [m for m in parents if m != hit and linf_height(m) <= B]
             classes[mark].extend(reached)
             label.update(dict.fromkeys(reached, mark))
             continue
-        # mark is the witness word of hit: replay it from the root once, then
-        # extend it to each tree point over its checked edge
-        to_hit = concat_words(OrbitRun(surface, p, parents, False).word_to(hit), mark)
-        q = apply_word(surface, to_hit, p)
-        if not (2 in q or -2 in q):
-            raise MarkoffError("exceptional witness failed to replay")
-        witness = {}
-        for m, parent, g in _tree_edges(surface, parents, "exceptional witness failed to replay"):
-            witness[m] = to_hit.moves if parent is None else (inverse_move(g),) + witness[parent]
-        label.update((m, MoveWord(surface.kind, witness[m])) for m in reached)
+        node, (parent, g) = hit, parents[hit]
+        while parent is not None:
+            forest.setdefault(parent, (node, inverse_move(g)))
+            node, (parent, g) = parent, parents[parent]
+        for m, edge in parents.items():
+            if m != hit:
+                forest.setdefault(m, edge)
+    return classes, forest, caps_hit
 
-    reps = _representatives(classes, isinstance(surface, Markoff11) and gens_name == "gamma_prime")
-    # every label key is a box point, so walking the sorted points sorts them
-    exceptional = [(p, label[p]) for p in points if not isinstance(label[p], int)]
 
-    return OrbitReport(
-        surface=surface,
-        generators=gens_name,
-        box=B,
-        representatives=reps,
-        exceptional=tuple(exceptional),
-        class_number_star=len(reps),
-        caps_hit=caps_hit,
-    )
+def _forest_edges(surface: Surface, forest: dict):
+    """_tree_edges of a forest whose every parent is a +-2 point or went in
+    before its child, so every chain of edges ends on the locus; else
+    MarkoffError."""
+    error, held = "exceptional witness failed to replay", set()
+    for p, parent, g in _tree_edges(surface, forest, error):
+        if parent not in held and (parent is None or 2 not in parent and -2 not in parent):
+            raise MarkoffError(error)
+        held.add(p)
+        yield p, parent, g
 
 
 def _representatives(classes, canonical: bool) -> tuple:
@@ -938,10 +931,9 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
 
     A _label_classes search holds at most the N box points off the +-2
     locus, so with cap height at most B and caps.count >= N none is cut
-    short and _sweep's labels serve: its locus-seeded points are the
-    gamma_prime exceptional set, each edge checked back to a seed's edge
-    from the locus, and its root components the classes, merged by G on the
-    torus.  Otherwise _label_classes labels the points off the locus.
+    short and _sweep's labels serve gamma_prime: its locus-seeded points are
+    the exceptional forest and its root components the classes, merged by G
+    on the torus.  Otherwise _label_classes labels the points off the locus.
 
     Torus gamma_poly has the same exceptional set, so only the root
     components are labelled.  A capped gamma_prime path is a capped Vieta
@@ -959,23 +951,22 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
     """
     locus, seeded, components = _sweep(surface, B)
     off = [*seeded, *itertools.chain.from_iterable(components)]
-    if caps.height > B or caps.count < len(off):
-        reports = (_label_classes(surface, name, B, caps, sorted(off)) for name in GENERATOR_SETS)
-        return {r.generators: (locus + len(r.exceptional), r.representatives, r.caps_hit)
-                for r in reports}
-    error, reached = "exceptional witness failed to replay", set()
-    for p, parent, _ in _tree_edges(surface, seeded, error):
-        if parent not in reached and (parent is None or 2 not in parent and -2 not in parent):
-            raise MarkoffError(error)
-        reached.add(p)
     torus = isinstance(surface, Markoff11)
-    labelled = off[len(seeded):] if torus else off
-    poly = _label_classes(surface, "gamma_poly", B, caps, labelled)
-    reps = itertools.groupby(_representatives(components, torus), lambda r: r[0])
-    prime = tuple((rep, sum(size for _, size in run)) for rep, run in reps)
-    return {"gamma_prime": (locus + len(seeded), prime, False),
-            "gamma_poly": (locus + len(off) - len(labelled) + len(poly.exceptional),
-                           poly.representatives, poly.caps_hit)}
+    served = caps.height <= B and caps.count >= len(off)
+    rows = {}
+    for name in GENERATOR_SETS:
+        shared = len(seeded) if served and torus and name == "gamma_poly" else 0
+        if served and name == "gamma_prime":
+            forest, caps_hit = seeded, False
+            runs = itertools.groupby(_representatives(components, torus), lambda r: r[0])
+            reps = tuple((rep, sum(size for _, size in run)) for rep, run in runs)
+        else:
+            classes, forest, caps_hit = _label_classes(surface, name, B, caps,
+                                                       off[shared:] if served else sorted(off))
+            reps = _representatives(classes, torus and name == "gamma_prime")
+        exceptional = sum(linf_height(p) <= B for p, _, _ in _forest_edges(surface, forest))
+        rows[name] = (locus + shared + exceptional, reps, caps_hit)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -851,10 +851,10 @@ def _break_tree_edge(monkeypatch):
 
 
 def _break_sign_word(monkeypatch):
-    # each G symmetry's own word with the sign change Sxy names Syz instead
-    real, sxy, syz = orbits._own_word, Move("S", (0, 1)), Move("S", (1, 2))
-    monkeypatch.setattr(orbits, "_own_word",
-                        lambda h: tuple(syz if m == sxy else m for m in real(h)))
+    # each G symmetry's stored word with the sign change Sxy names Syz instead
+    sxy, syz = Move("S", (0, 1)), Move("S", (1, 2))
+    monkeypatch.setattr(orbits, "_G_GROUP", {h: tuple(syz if m == sxy else m for m in word)
+                                             for h, word in orbits._G_GROUP.items()})
 
 
 def _break_sweep(change):

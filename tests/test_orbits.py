@@ -29,6 +29,7 @@ from markoff.moves import (
     concat_words,
     generators,
     identity_word,
+    inverse_move,
 )
 from markoff.descent import (
     INTEGER_STAR,
@@ -546,27 +547,52 @@ def test_is_exceptional_replays_its_witness(monkeypatch, surface, p):
         is_exceptional(surface, p, Caps(height=100, count=10**4))
 
 
-def test_class_number_checks_each_witness_edge(monkeypatch):
-    # one tree edge off the path to an exceptional search's hit names a move
-    # that does not give its point, so the witness built over that edge,
-    # though the word to the hit replays, is never returned
+def _corrupt_search(on_path):
+    # one tree edge of an exceptional search, on its path from the root to
+    # its hit or off it, names a move that does not give its point
+    def fault(monkeypatch):
+        search = orbits._search
+
+        def corrupted(surface, steps, start, *args, **kwargs):
+            parents, hit, pruned, truncated = search(surface, steps, start, *args, **kwargs)
+            path, q = set(), hit  # enumeration's searches have no hit
+            while q is not None:
+                path.add(q)
+                q = parents[q][0]
+            bad = [p for p in parents
+                   if path and (p in path) == on_path and parents[p][0] is not None]
+            if bad:
+                parent, _ = parents[bad[0]]
+                parents[bad[0]] = (parent,
+                                   next(m for m, f in steps if f(surface, parent) != bad[0]))
+            return parents, hit, pruned, truncated
+
+        monkeypatch.setattr(orbits, "_search", corrupted)
+
+    return fault
+
+
+def _forest_child_first(monkeypatch):
+    # a forest point placed before the parent of its edge, which is off the
+    # locus: each edge still checks, but its chain need not end on the locus
+    label = orbits._label_classes
+
+    def child_first(*args):
+        classes, forest, caps_hit = label(*args)
+        p, edge = next((p, edge) for p, edge in forest.items() if edge[0] in forest)
+        return classes, {p: edge, **forest}, caps_hit
+
+    monkeypatch.setattr(orbits, "_label_classes", child_first)
+
+
+@pytest.mark.parametrize("fault", [_corrupt_search(False), _corrupt_search(True),
+                                   _forest_child_first],
+                         ids=["off-path", "on-path", "child-first"])
+def test_class_number_checks_each_witness_edge(monkeypatch, fault):
+    # a forest that does not certify each witness is never handed out
     surface = Markoff11(3)  # k - 2 = 1: every box point is exceptional
-    search = orbits._search
-
-    def corrupted(surface, steps, start, *args, **kwargs):
-        parents, hit, pruned, truncated = search(surface, steps, start, *args, **kwargs)
-        path, q = set(), hit  # enumeration's searches have no hit
-        while q is not None:
-            path.add(q)
-            q = parents[q][0]
-        off = [p for p in parents if path and p not in path]
-        if off:
-            parent, _ = parents[off[0]]
-            parents[off[0]] = (parent, next(m for m, f in steps if f(surface, parent) != off[0]))
-        return parents, hit, pruned, truncated
-
     assert class_number(surface, "gamma_prime", 30).exceptional
-    monkeypatch.setattr(orbits, "_search", corrupted)
+    fault(monkeypatch)
     with pytest.raises(MarkoffError, match="exceptional witness failed to replay"):
         class_number(surface, "gamma_prime", 30)
 
@@ -645,18 +671,21 @@ def test_class_number_empty_box():
 
 def test_class_number_exceptional_accounting():
     # k = 6 has integral parabolic lines; every box point sits in a component
-    # touching a +-2 coordinate, classes plus exceptional partition the box
+    # touching a +-2 coordinate, classes plus exceptional partition the box,
+    # and each witness is freely reduced: no move is followed by its inverse
     s = Markoff11(6)
     B = 60
-    report = class_number(s, "gamma_prime", B)
     pts = enumerate_points(s, B)
-    counted = sum(n for _, n in report.representatives) + len(report.exceptional)
-    assert counted == len(pts)
-    for p, word in report.exceptional:
-        hit = apply_word(s, word, p)
-        assert any(v in (2, -2) for v in hit)
-    oracle_good, _ = _inbox_component_oracle(s, "gamma_prime", B)
-    assert report.class_number_star == oracle_good
+    for gens in GENERATOR_SETS:
+        report = class_number(s, gens, B)
+        counted = sum(n for _, n in report.representatives) + len(report.exceptional)
+        assert counted == len(pts)
+        for p, word in report.exceptional:
+            hit = apply_word(s, word, p)
+            assert any(v in (2, -2) for v in hit)
+            assert all(b != inverse_move(a) for a, b in zip(word.moves, word.moves[1:])), p
+        oracle_good, _ = _inbox_component_oracle(s, gens, B)
+        assert report.class_number_star == oracle_good
 
 
 @pytest.mark.parametrize("k", [-2, -1, 0, 2, 3, 5, 6])
@@ -1111,7 +1140,7 @@ def _assert_quotient_search(surface, start, cap_height, full, cap_count):
         assert apply_word(surface, run.word_to(p), start) == p
     words = run.words()
     assert list(words.items()) == [(p, run.word_to(p)) for p in points]
-    walked = {raw: len(run._walk(raw)) for raw in run.parents}
+    walked = {raw: len(orbits._walk(run.parents, raw)) for raw in run.parents}
     quotient = run.quotient
     for p, word in words.items():
         raw = p if quotient is None else quotient.keys[quotient.canon(p)]
