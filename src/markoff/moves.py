@@ -354,15 +354,17 @@ def apply_move(surface: Surface, m: Move, p: Point3) -> Point3:
     return _new(Point3, _raw_move(surface, m)(surface, p))
 
 
+_TORUS = Markoff11(0)  # torus moves read nothing from the surface, so any k serves
+
+
 def dehn_twist_11(which: str, direction: int, p: Point3) -> Point3:
     """One torus Dehn twist (direction +1) or its inverse (-1)."""
-    # torus moves read nothing from the surface, so any k serves
-    return apply_move(Markoff11(0), Move("T11", which, 1 if direction > 0 else -1), p)
+    return apply_move(_TORUS, _new(Move, ("T11", which, 1 if direction > 0 else -1)), p)
 
 
 def dehn_twist_04(surface: Cubic04, index: int, direction: int, p: Point3) -> Point3:
     """One four-holed sphere Dehn twist; each is two Vieta involutions."""
-    return apply_move(surface, Move("T04", index, 1 if direction > 0 else -1), p)
+    return apply_move(surface, _new(Move, ("T04", index, 1 if direction > 0 else -1)), p)
 
 
 def apply_word(surface: Surface, w: MoveWord, p: Point3) -> Point3:

@@ -146,7 +146,14 @@ def _square_values(c2: int, c1: int, c0: int, bound: int):
     the r^2 within |c1|*bound of c0: w = (r^2 - c0)/c1 when that is exact.
     That costs O(sqrt(|c1|*bound)) steps, and the pass over every w runs
     only where it is cheaper."""
-    if c2 == 0:
+    ws = range(-bound, bound + 1)
+    if c2 < 0:  # the form is nonnegative only between its real roots
+        disc = c1 * c1 - 4 * c2 * c0
+        if disc < 0:
+            return
+        r, n = math.isqrt(disc), -2 * c2  # the roots' floor and ceiling are exact
+        ws = range(max(-bound, -((r - c1) // n)), min(bound, (r + c1) // n) + 1)
+    elif c2 == 0:
         low, high = c0 - abs(c1) * bound, c0 + abs(c1) * bound
         r_low = math.isqrt(low - 1) + 1 if low > 0 else 0
         r_high = math.isqrt(high) if high >= 0 else -1
@@ -156,7 +163,7 @@ def _square_values(c2: int, c1: int, c0: int, bound: int):
                 if rem == 0:
                     yield w, r
             return
-    for w in range(-bound, bound + 1):
+    for w in ws:
         disc = (c2 * w + c1) * w + c0
         if disc >= 0:
             r = math.isqrt(disc)

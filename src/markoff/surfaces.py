@@ -78,6 +78,14 @@ def scalar_domain(v: Scalar) -> str:
 
 def common_domain(values) -> str:
     """Domain shared by all values; DomainMismatch if they disagree."""
+    if not isinstance(values, tuple):
+        values = tuple(values)
+    for v in values:  # all plain ints, the common case, at once
+        if type(v) is not int:
+            break
+    else:
+        if values:
+            return EXACT
     domains = {scalar_domain(v) for v in values}
     if len(domains) != 1:
         raise DomainMismatch(f"mixed scalar domains in {tuple(values)!r}")

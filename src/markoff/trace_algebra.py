@@ -50,6 +50,7 @@ from .surfaces import (
     residual,
 )
 from .moves import (
+    _TORUS,
     apply_move,
     apply_word,
     dehn_twist_04,
@@ -77,7 +78,7 @@ UNIPOTENT_UPPER = Mat2(1, 1, 0, 1)
 UNIPOTENT_LOWER = Mat2(1, 0, 1, 1)
 
 
-_new = tuple.__new__  # builds a Mat2 without the NamedTuple __new__ wrapper
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 def mat_mul(m: Mat2, n: Mat2) -> Mat2:
@@ -130,46 +131,48 @@ class Quad(NamedTuple):
 
 
 def make_pair(A: Mat2, B: Mat2) -> Pair:
-    return Pair(check_sl2(A), check_sl2(B))
+    return _new(Pair, (check_sl2(A), check_sl2(B)))
 
 
 def make_quad(C1: Mat2, C2: Mat2, C3: Mat2, C4: Mat2 | None = None) -> Quad:
     """Build a quad; C4 defaults to (C1 C2 C3)^-1.  Validates the relation."""
     for m in (C1, C2, C3):
         check_sl2(m)
+    c12 = mat_mul(C1, C2)
     if C4 is None:
-        C4 = mat_inv(mat_mul(mat_mul(C1, C2), C3))
+        C4 = mat_inv(mat_mul(c12, C3))
     else:
         check_sl2(C4)
-    prod = mat_mul(mat_mul(C1, C2), mat_mul(C3, C4))
+    prod = mat_mul(c12, mat_mul(C3, C4))
     if common_domain(prod) == "exact":
         ok = prod == IDENTITY
     else:
         ok = all(abs(u - v) <= DET_TOL for u, v in zip(prod, IDENTITY))
     if not ok:
         raise RelationViolation("C1*C2*C3*C4 is not the identity")
-    return Quad(C1, C2, C3, C4)
+    return _new(Quad, (C1, C2, C3, C4))
+
+
+def _trace_mul(m: Mat2, n: Mat2) -> Scalar:
+    """tr(m n), the diagonal of mat_mul(m, n) summed as mat_trace sums it."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g) + (c * f + d * h)
 
 
 def trace_product_identity(A: Mat2, B: Mat2) -> Scalar:
     """tr(A)tr(B) - tr(AB) - tr(AB^-1); identically zero on SL2."""
-    return (
-        mat_trace(A) * mat_trace(B)
-        - mat_trace(mat_mul(A, B))
-        - mat_trace(mat_mul(A, mat_inv(B)))
-    )
+    return mat_trace(A) * mat_trace(B) - _trace_mul(A, B) - _trace_mul(A, mat_inv(B))
 
 
 def fricke_coords(A: Mat2, B: Mat2) -> Point3:
     """(tr A, tr B, tr AB), the coordinates of the torus trace surface."""
-    return Point3(mat_trace(A), mat_trace(B), mat_trace(mat_mul(A, B)))
+    return _new(Point3, (mat_trace(A), mat_trace(B), _trace_mul(A, B)))
 
 
 def commutator_trace(A: Mat2, B: Mat2) -> Scalar:
     """tr(A B A^-1 B^-1): equals boundary_trace_11(fricke_coords(A, B))."""
-    return mat_trace(
-        mat_mul(mat_mul(A, B), mat_mul(mat_inv(A), mat_inv(B)))
-    )
+    return _trace_mul(mat_mul(A, B), mat_mul(mat_inv(A), mat_inv(B)))
 
 
 def f3_relations(A1: Mat2, A2: Mat2, A3: Mat2) -> tuple:
@@ -185,12 +188,9 @@ def f3_relations(A1: Mat2, A2: Mat2, A3: Mat2) -> tuple:
     Both vanish for every SL2 triple.
     """
     t1, t2, t3 = mat_trace(A1), mat_trace(A2), mat_trace(A3)
-    a12 = mat_mul(A1, A2)
-    t12 = mat_trace(a12)
-    t23 = mat_trace(mat_mul(A2, A3))
-    t13 = mat_trace(mat_mul(A1, A3))
-    t123 = mat_trace(mat_mul(a12, A3))
-    t132 = mat_trace(mat_mul(mat_mul(A1, A3), A2))
+    t12, t23, t13 = _trace_mul(A1, A2), _trace_mul(A2, A3), _trace_mul(A1, A3)
+    t123 = _trace_mul(mat_mul(A1, A2), A3)
+    t132 = _trace_mul(mat_mul(A1, A3), A2)
     r1 = t123 + t132 - (t12 * t3 + t13 * t2 + t23 * t1 - t1 * t2 * t3)
     r2 = t123 * t132 - (
         (t1 * t1 + t2 * t2 + t3 * t3)
@@ -205,13 +205,13 @@ def f3_relations(A1: Mat2, A2: Mat2, A3: Mat2) -> tuple:
 def quad_to_04_point(q: Quad) -> tuple:
     """Surface with parameters k_i = tr C_i and the point
     (tr C1C2, tr C2C3, tr C1C3); the point always satisfies residual 0."""
-    surface = make_cubic04(*(mat_trace(m) for m in q))
-    p = Point3(
-        mat_trace(mat_mul(q.C1, q.C2)),
-        mat_trace(mat_mul(q.C2, q.C3)),
-        mat_trace(mat_mul(q.C1, q.C3)),
-    )
-    return surface, p
+    return make_cubic04(*map(mat_trace, q)), _quad_point(q)
+
+
+def _quad_point(q: Quad) -> Point3:
+    """quad_to_04_point(q)'s point alone."""
+    C1, C2, C3, _ = q
+    return _new(Point3, (_trace_mul(C1, C2), _trace_mul(C2, C3), _trace_mul(C1, C3)))
 
 
 def lift_twist_11(which: str, pair: Pair, direction: int = 1) -> Pair:
@@ -219,21 +219,25 @@ def lift_twist_11(which: str, pair: Pair, direction: int = 1) -> Pair:
     A, B = pair
     if which == "a":
         if direction > 0:
-            return Pair(A, mat_mul(A, B))
-        return Pair(A, mat_mul(mat_inv(A), B))
+            return _new(Pair, (A, mat_mul(A, B)))
+        return _new(Pair, (A, mat_mul(mat_inv(A), B)))
     if which == "b":
         if direction > 0:
-            return Pair(mat_mul(A, mat_inv(B)), B)
-        return Pair(mat_mul(A, B), B)
+            return _new(Pair, (mat_mul(A, mat_inv(B)), B))
+        return _new(Pair, (mat_mul(A, B), B))
     if which == "ab":
         if direction > 0:
-            return Pair(mat_inv(B), mat_mul(mat_mul(B, A), B))
-        return Pair(mat_mul(mat_mul(A, B), A), mat_inv(A))
+            return _new(Pair, (mat_inv(B), mat_mul(mat_mul(B, A), B)))
+        return _new(Pair, (mat_mul(mat_mul(A, B), A), mat_inv(A)))
     raise ValueError(f"unknown torus twist curve {which!r}")
 
 
 def _conjugate(D: Mat2, m: Mat2) -> Mat2:
-    return mat_mul(mat_mul(D, m), mat_inv(D))
+    """D m D^-1, with D^-1 the adjugate of D."""
+    p, q, r, s = D
+    a, b, c, d = m
+    u, v, w, x = p * a + q * c, p * b + q * d, r * a + s * c, r * b + s * d  # D m
+    return _new(Mat2, (u * s - v * r, v * p - u * q, w * s - x * r, x * p - w * q))
 
 
 def _lift_04_adjacent(first: int, q: Quad, direction: int) -> Quad:
@@ -244,16 +248,16 @@ def _lift_04_adjacent(first: int, q: Quad, direction: int) -> Quad:
         D = mat_inv(D)
     ms[first] = _conjugate(D, ms[first])
     ms[first + 1] = _conjugate(D, ms[first + 1])
-    return Quad(*ms)
+    return _new(Quad, ms)
 
 
 def _braid_23(q: Quad) -> Quad:
     """(C1, C2, C3, C4) -> (C1, C2 C3 C2^-1, C2, C4); preserves the relation."""
-    return Quad(q.C1, _conjugate(q.C2, q.C3), q.C2, q.C4)
+    return _new(Quad, (q.C1, _conjugate(q.C2, q.C3), q.C2, q.C4))
 
 
 def _braid_23_inv(q: Quad) -> Quad:
-    return Quad(q.C1, q.C3, _conjugate(mat_inv(q.C3), q.C2), q.C4)
+    return _new(Quad, (q.C1, q.C3, _conjugate(mat_inv(q.C3), q.C2), q.C4))
 
 
 def lift_twist_04(index: int, q: Quad, direction: int = 1) -> Quad:
@@ -273,21 +277,23 @@ def lift_twist_04(index: int, q: Quad, direction: int = 1) -> Quad:
     raise ValueError(f"unknown sphere twist index {index!r}")
 
 
-_UNIPOTENTS = (
-    UNIPOTENT_UPPER,
-    UNIPOTENT_LOWER,
-    mat_inv(UNIPOTENT_UPPER),
-    mat_inv(UNIPOTENT_LOWER),
-)
-
-
 def random_sl2(rng, max_len: int = 10) -> Mat2:
-    """Random exact SL2(Z) matrix: a bounded word in the two standard
-    unipotents and their inverses."""
-    m = IDENTITY
+    """Random exact SL2(Z) matrix: a bounded word in UNIPOTENT_UPPER,
+    UNIPOTENT_LOWER and their inverses (draws 0-3), each step a right
+    multiplication, which adds one column to the other or subtracts it."""
+    a, b, c, d = IDENTITY
+    draw = rng.randrange
     for _ in range(rng.randint(0, max_len)):
-        m = mat_mul(m, _UNIPOTENTS[rng.randrange(4)])
-    return m
+        step = draw(4)
+        if step == 0:
+            b, d = b + a, d + c
+        elif step == 1:
+            a, c = a + b, c + d
+        elif step == 2:
+            b, d = b - a, d - c
+        else:
+            a, c = a - b, c - d
+    return _new(Mat2, (a, b, c, d))
 
 
 def random_quad(rng, max_len: int = 8) -> Quad:
@@ -315,7 +321,7 @@ def _quad(rng) -> Quad:
 
 
 def _point(rng) -> Point3:
-    return Point3(*(rng.randint(-100, 100) for _ in range(3)))
+    return _new(Point3, (rng.randint(-100, 100), rng.randint(-100, 100), rng.randint(-100, 100)))
 
 
 def _trace_identity(rng) -> bool:
@@ -350,8 +356,7 @@ def _sphere_lift_square(rng) -> bool:
     quad = _quad(rng)
     surface, p = quad_to_04_point(quad)
     return all(
-        quad_to_04_point(lift_twist_04(index, quad, d))[1]
-        == dehn_twist_04(surface, index, d, p)
+        _quad_point(lift_twist_04(index, quad, d)) == dehn_twist_04(surface, index, d, p)
         for index in (1, 2, 3)
         for d in (1, -1)
     )
@@ -370,10 +375,9 @@ _SPHERE_TWIST_WORDS = {
 
 
 def _torus_twist_decomposition(rng) -> bool:
-    surface = Markoff11(0)  # the maps do not read k
     p = _point(rng)
     return all(
-        apply_word(surface, word, p) == dehn_twist_11(which, 1, p)
+        apply_word(_TORUS, word, p) == dehn_twist_11(which, 1, p)
         for which, word in _TORUS_TWIST_WORDS.items()
     )
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import sys
 
 import pytest
 
-from markoff import cli, orbits
+from markoff import cli, orbits, trace_algebra
 from markoff.cli import main, parse_complex_literal, parse_k_range
 from markoff.moves import GENERATOR_SETS, VIETA_MOVES, Move, apply_word, parse_word
 from markoff.surfaces import Markoff11, Point3
@@ -649,6 +650,49 @@ def test_verify_runs_every_registry_suite(capsys):
     assert out.splitlines() == [
         f"pass  {name} (5 trials)" for name, _ in IDENTITY_SUITES
     ] + ["9/9 suites passed"]
+
+
+def _faults():
+    """One corrupted ingredient per identity suite, as pytest params
+    (suite, name in markoff.trace_algebra, replacement)."""
+    ta = trace_algebra
+    f3, comm, cubic = ta.f3_relations, ta.commutator_trace, ta.make_cubic04
+    lift11, lift04 = ta.lift_twist_11, ta.lift_twist_04
+    faults = [
+        ("trace-product identity", "trace_product_identity",  # the AB^-1 term dropped
+         lambda A, B: ta.mat_trace(A) * ta.mat_trace(B) - ta.mat_trace(ta.mat_mul(A, B))),
+        ("rank-3 trace relations", "f3_relations",  # a third matrix of determinant 2
+         lambda A1, A2, A3: f3(A1, A2, ta.mat_mul(A3, ta.Mat2(2, 0, 0, 1)))),
+        ("commutator boundary law", "commutator_trace",
+         lambda A, B: comm(A, ta.mat_mul(B, B))),
+        ("quad boundary residual", "make_cubic04",  # d, which no move reads, off by one
+         lambda *ks: dataclasses.replace(cubic(*ks), d=cubic(*ks).d + 1)),
+        ("torus lift square", "lift_twist_11",  # the other direction
+         lambda which, pair, direction=1: lift11(which, pair, -direction)),
+        ("sphere lift square", "lift_twist_04",
+         lambda index, q, direction=1: lift04(index, q, -direction)),
+        ("torus twist decomposition", "_TORUS_TWIST_WORDS",  # twist a ends in Vy
+         {**ta._TORUS_TWIST_WORDS, "a": parse_word("Pyz Vy", "11")}),
+        ("sphere twist decomposition", "_SPHERE_TWIST_WORDS",  # twist 1 reversed
+         {**ta._SPHERE_TWIST_WORDS, 1: parse_word("Vz Vy", "04")}),
+        ("move invariance", "apply_move",
+         lambda surface, m, p: Point3(p.x + 1, p.y, p.z)),
+    ]
+    return [pytest.param(*fault, id=fault[0]) for fault in faults]
+
+
+@pytest.mark.parametrize("suite, name, fault", _faults())
+def test_verify_fails_a_broken_suite(capsys, monkeypatch, suite, name, fault):
+    # each suite checks what it claims: one corrupted ingredient fails it.
+    # A quad point off its surface also fails move invariance, whose sphere
+    # half moves that point and checks its residual again.
+    monkeypatch.setattr(trace_algebra, name, fault)
+    failed = {suite} | ({"move invariance"} if suite == "quad boundary residual" else set())
+    code, out, _ = run_cli(capsys, "verify", "--trials", "20")
+    assert code == 1
+    assert out.splitlines() == [
+        f"{'FAIL' if n in failed else 'pass'}  {n} (20 trials)" for n, _ in IDENTITY_SUITES
+    ] + [f"{9 - len(failed)}/9 suites passed"]
 
 
 def test_lines_text(capsys):

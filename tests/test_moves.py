@@ -15,6 +15,7 @@ from markoff.surfaces import (
     make_cubic04,
     residual,
 )
+from markoff import moves
 from markoff.moves import (
     Move,
     MoveWord,
@@ -92,6 +93,22 @@ def test_move_surface_mismatch():
 def test_dehn_twist_11_examples():
     assert dehn_twist_11("a", 1, Point3(3, 3, 3)) == Point3(3, 3, 6)
     assert dehn_twist_11("a", 1, Point3(0, 0, 0)) == Point3(0, 0, 0)
+
+
+def test_dehn_twist_11_builds_no_surface(monkeypatch):
+    # one module-level torus serves every call, and its results are
+    # apply_move's on any torus, since torus moves do not read k
+    def no_surface(k):
+        raise AssertionError("dehn_twist_11 built a surface")
+
+    monkeypatch.setattr(moves, "Markoff11", no_surface)
+    p = Point3(5, -7, 2**70)
+    for which in ("a", "b", "ab"):
+        for direction, power in ((1, 1), (3, 1), (-1, -1), (-2, -1)):
+            q = dehn_twist_11(which, direction, p)
+            assert type(q) is Point3
+            assert q == apply_move(Markoff11(-2), Move("T11", which, power), p)
+            assert q == apply_move(Markoff11(2**80), Move("T11", which, power), p)
 
 
 def test_dehn_twist_11_inverse_contract():

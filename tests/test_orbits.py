@@ -43,6 +43,7 @@ from markoff import orbits
 from markoff.orbits import (
     _CONJ,
     _G,
+    _disc,
     _S3,
     _act,
     _compose,
@@ -52,6 +53,7 @@ from markoff.orbits import (
     _search,
     _slice,
     _sphere_form,
+    _square_values,
     _sweep,
     Caps,
     EquivalenceResult,
@@ -154,18 +156,19 @@ def _scan_points(surface, B):
     return sorted(found)
 
 
+BIG_CASES = [
+    (Markoff11(2**30), 4),
+    (Markoff11(2**40), 2),
+    (make_cubic04(2**13, 3, -5, 7), 6),
+    (make_cubic04(2**26, 1, 1, 1), 2),
+    (make_cubic04(2, 2, 2, 2), 10),
+    (Markoff11(2**140 + 2), 300),
+    (Markoff11(2**140 + 2), 1000),
+    (make_cubic04(2**40, 3, 5, 7), 300),
+]
 BIG_PARAMS = pytest.mark.parametrize(
     "surface, B",
-    [
-        (Markoff11(2**30), 4),
-        (Markoff11(2**40), 2),
-        (make_cubic04(2**13, 3, -5, 7), 6),
-        (make_cubic04(2**26, 1, 1, 1), 2),
-        (make_cubic04(2, 2, 2, 2), 10),
-        (Markoff11(2**140 + 2), 300),
-        (Markoff11(2**140 + 2), 1000),
-        (make_cubic04(2**40, 3, 5, 7), 300),
-    ],
+    BIG_CASES,
     ids=["torus-2^30", "torus-2^40", "sphere-2^13", "sphere-2^26", "sphere-2222",
          "torus-2^140-300", "torus-2^140-1000", "sphere-2^40-300"],
 )
@@ -248,6 +251,48 @@ def test_locus_slice_matches_pass_big_params(surface, B):
     # on some slices and passes over w, being cheaper there, on others
     for box in (B, 200):
         _assert_locus_slices(surface, box)
+
+
+def _square_values_pass(c2, c1, c0, bound):
+    """Every w in [-bound, bound], the oracle for _square_values' pass."""
+    found = []
+    for w in range(-bound, bound + 1):
+        disc = (c2 * w + c1) * w + c0
+        if disc >= 0 and math.isqrt(disc) ** 2 == disc:
+            found.append((w, math.isqrt(disc)))
+    return found
+
+
+def _negative_c2_forms():
+    """(c2, c1, c0) with c2 in {-3, -4}: the slices at 0 and +-1 of the
+    pinned and big-parameter surfaces, small forms with their real roots at,
+    next to and beyond the box edges, and big-int ones whose roots lie in
+    or around the box, or are not real."""
+    surfaces = [make_cubic04(*ks) for ks in SPHERE_GRID[::7]] + [Markoff11(k) for k in (-2, 3, 11)]
+    surfaces += [s for s, _ in BIG_CASES]
+    forms = {_disc(_sphere_form(s), axis, v)[2:] for s in surfaces
+             for axis in range(3) for v in (-1, 0, 1)}
+    for c2 in (-3, -4):
+        forms |= {(c2, c1, c0) for c1 in range(-13, 14) for c0 in range(-30, 160, 7)}
+        for r1, r2 in ((-5, 7), (0, 0), (-31, 31), (3, 2**70), (-2**90, -4), (2**64, 2**65)):
+            for nudge in (-1, 0, 1, 2**40):  # roots off the integers, or not real
+                forms.add((c2, -c2 * (r1 + r2), c2 * r1 * r2 + nudge))
+        forms |= {(c2, 2**70 + 1, -2**139), (c2, 0, 2**140), (c2, -2**80, 7)}
+    return sorted(forms)
+
+
+def test_square_values_negative_c2_matches_pass():
+    # for c2 < 0 the pass runs between the real roots only, where alone the
+    # discriminant can be nonnegative; it must list what the full pass lists
+    forms = _negative_c2_forms()
+    assert {c2 for c2, _, _ in forms} == {-3, -4} and len(forms) > 1000
+    for c2, c1, c0 in forms:
+        for bound in (0, 1, 2, 7, 30, 200):
+            assert list(_square_values(c2, c1, c0, bound)) == _square_values_pass(
+                c2, c1, c0, bound), (c2, c1, c0, bound)
+    # real roots within +-20, or none, in a box of 10^18: only the cut pass can finish
+    for c2, c1, c0 in ((-4, 0, 400), (-3, 7, 290), (-4, 3, -1), (-3, 2**70, -2**139)):
+        assert list(_square_values(c2, c1, c0, 10**18)) == _square_values_pass(c2, c1, c0, 20)
 
 
 def _unlowered(surface, points):

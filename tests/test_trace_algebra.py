@@ -2,13 +2,27 @@ import random
 
 import pytest
 
-from markoff.surfaces import Point3, RelationViolation, boundary_trace_11, residual
+from markoff.surfaces import (
+    DomainMismatch,
+    Point3,
+    RelationViolation,
+    boundary_trace_11,
+    common_domain,
+    residual,
+    scalar_domain,
+)
 from markoff.moves import dehn_twist_04, dehn_twist_11
 from markoff.trace_algebra import (
     IDENTITY,
     Mat2,
+    Quad,
     UNIPOTENT_LOWER,
     UNIPOTENT_UPPER,
+    _conjugate,
+    _point,
+    _quad_point,
+    _trace_mul,
+    check_sl2,
     commutator_trace,
     f3_relations,
     fricke_coords,
@@ -215,8 +229,150 @@ def test_lift_twist_04_inverse_contract():
 
 
 def test_check_sl2_approx_tolerance():
-    from markoff.trace_algebra import check_sl2
-
     check_sl2(Mat2(1.0, 0.0, 0.0, 1.0 + 1e-12))
     with pytest.raises(RelationViolation):
         check_sl2(Mat2(1.0, 0.0, 0.0, 1.0 + 1e-6))
+
+
+# ---------------------------------------------------------------------------
+# the exact fast paths against the generic formulas they replaced
+
+_UNIPOTENTS = (UNIPOTENT_UPPER, UNIPOTENT_LOWER, mat_inv(UNIPOTENT_UPPER), mat_inv(UNIPOTENT_LOWER))
+
+
+def _reference_sl2(rng, max_len):
+    """random_sl2 as a generic loop: one mat_mul by the drawn unipotent a step."""
+    m = IDENTITY
+    for _ in range(rng.randint(0, max_len)):
+        m = mat_mul(m, _UNIPOTENTS[rng.randrange(4)])
+    return m
+
+
+def _reference_quad(rng, max_len):
+    c1, c2, c3 = (_reference_sl2(rng, max_len) for _ in range(3))
+    return Quad(c1, c2, c3, mat_inv(mat_mul(mat_mul(c1, c2), c3)))
+
+
+@pytest.mark.parametrize("max_len", [0, 1, 6, 10])
+def test_random_draws_match_reference_loop(max_len):
+    # the same matrices from the same draws, leaving the same generator state
+    for seed in range(200):
+        fast, slow = random.Random(seed), random.Random(seed)
+        m = random_sl2(fast, max_len)
+        assert type(m) is Mat2 and m == _reference_sl2(slow, max_len), seed
+        assert fast.getstate() == slow.getstate()
+        q = random_quad(fast, max_len)
+        assert type(q) is Quad and q == _reference_quad(slow, max_len), seed
+        assert fast.getstate() == slow.getstate()
+        p = _point(fast)
+        assert type(p) is Point3 and p == Point3(*(slow.randint(-100, 100) for _ in range(3)))
+        assert fast.getstate() == slow.getstate()
+
+
+def _matrices(rng, kind, n):
+    """n matrices of one scalar kind, of any determinant: ints beyond
+    int64, floats and complex numbers."""
+    draw = {
+        "bigint": lambda: rng.randint(-2**90, 2**90),
+        "float": lambda: rng.uniform(-1e3, 1e3),
+        "complex": lambda: complex(rng.uniform(-50, 50), rng.uniform(-50, 50)),
+    }[kind]
+    return [Mat2(draw(), draw(), draw(), draw()) for _ in range(n)]
+
+
+@pytest.mark.parametrize("kind", ["bigint", "float", "complex"])
+def test_direct_traces_match_generic_products(kind):
+    # equal to the last bit: each trace sums the diagonal in mat_trace's order
+    rng = random.Random(21)
+    for _ in range(300):
+        a, b, c = _matrices(rng, kind, 3)
+        assert _trace_mul(a, b) == mat_trace(mat_mul(a, b))
+        assert _conjugate(a, b) == mat_mul(mat_mul(a, b), mat_inv(a))
+        assert fricke_coords(a, b) == (mat_trace(a), mat_trace(b), mat_trace(mat_mul(a, b)))
+        assert trace_product_identity(a, b) == (
+            mat_trace(a) * mat_trace(b)
+            - mat_trace(mat_mul(a, b))
+            - mat_trace(mat_mul(a, mat_inv(b)))
+        )
+        assert commutator_trace(a, b) == mat_trace(
+            mat_mul(mat_mul(a, b), mat_mul(mat_inv(a), mat_inv(b)))
+        )
+        d = Mat2(1, 2, 3, 4)
+        q = Quad(a, b, c, d)
+        assert _quad_point(q) == tuple(
+            mat_trace(mat_mul(u, v)) for u, v in ((a, b), (b, c), (a, c))
+        )
+        t1, t2, t3 = mat_trace(a), mat_trace(b), mat_trace(c)
+        t12, t23, t13 = (mat_trace(mat_mul(u, v)) for u, v in ((a, b), (b, c), (a, c)))
+        t123 = mat_trace(mat_mul(mat_mul(a, b), c))
+        t132 = mat_trace(mat_mul(mat_mul(a, c), b))
+        assert f3_relations(a, b, c) == (
+            t123 + t132 - (t12 * t3 + t13 * t2 + t23 * t1 - t1 * t2 * t3),
+            t123 * t132 - (
+                (t1 * t1 + t2 * t2 + t3 * t3)
+                + (t12 * t12 + t23 * t23 + t13 * t13)
+                - (t1 * t2 * t12 + t2 * t3 * t23 + t1 * t3 * t13)
+                + t12 * t23 * t13
+                - 4
+            ),
+        )
+
+
+def _conjugated(q, first, D):
+    ms = list(q)
+    for i in (first, first + 1):
+        ms[i] = mat_mul(mat_mul(D, ms[i]), mat_inv(D))
+    return Quad(*ms)
+
+
+def test_lift_twist_04_matches_generic_conjugation():
+    rng = random.Random(22)
+    for _ in range(300):
+        q = random_quad(rng, 6)
+        for index, first in ((1, 0), (2, 1)):
+            D = mat_mul(q[first], q[first + 1])
+            assert lift_twist_04(index, q, 1) == _conjugated(q, first, D)
+            assert lift_twist_04(index, q, -1) == _conjugated(q, first, mat_inv(D))
+
+
+def _common_domain_oracle(values):
+    """common_domain as it classified every value one by one."""
+    domains = {scalar_domain(v) for v in values}
+    if len(domains) != 1:
+        raise DomainMismatch(f"mixed scalar domains in {tuple(values)!r}")
+    return domains.pop()
+
+
+class _Int(int):
+    pass
+
+
+def _outcome(f, values):
+    try:
+        return "ok", f(values)
+    except Exception as exc:  # the type and text must match too
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("values", [
+    (), [], (1,), (1, 2, 3), [4, -5], Point3(1, 2, 3), Mat2(2**70, -2**90, 0, 1),
+    (True,), (1, False), (False, 2.0), (_Int(3), 4), (_Int(3),), (5, _Int(6)),
+    (1.0, 2.5), (1.0, 2), (2, 1.5), (1j, 2.0), (1, 2j), (float("nan"),), (1, float("inf")),
+    (1.0, complex(float("inf"), 0)), ("1", 2), (None,), (1, 2, None), (2.0, "x"),
+], ids=repr)
+def test_common_domain_matches_oracle(values):
+    assert _outcome(common_domain, values) == _outcome(_common_domain_oracle, values)
+
+
+def test_check_sl2_and_make_quad_keep_their_checks():
+    with pytest.raises(TypeError):
+        check_sl2(Mat2(True, 0, 0, 1))
+    with pytest.raises(DomainMismatch):
+        check_sl2(Mat2(1, 0, 0, 1.0))
+    with pytest.raises(RelationViolation):
+        check_sl2(Mat2(2**70, 1, 1, 0))
+    with pytest.raises(RelationViolation):
+        make_quad(A0, B0, A0, A0)
+    c3 = Mat2(0.0, -1.0, 1.0, 0.0)
+    q = make_quad(Mat2(1.0, 1.0, 0.0, 1.0), Mat2(1.0, 0.0, 1.0, 1.0), c3)
+    assert type(q) is Quad and make_quad(*q) == q
