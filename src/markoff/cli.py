@@ -15,8 +15,9 @@ scan, orbit and equiv take the search caps --cap-height and --cap-count.
 Scan rows are cached per (surface, generator set, box, height and count
 caps, hash of the package sources) in the log named by --cache or the
 MARKOFF_CACHE environment variable.  A scan appends the rows it computed
-under a lock on the log, and a later line wins.  A malformed line or row,
-or a log that cannot be read or written, is a warning.  A warm scan
+under a lock on the log, and a later line wins.  A scan parses only the
+lines under the keys it asks for; a malformed one of those, a malformed
+row, or a log that cannot be read or written, is a warning.  A warm scan
 reproduces cached rows byte for byte.  Complex literals: re+imi, e.g. 1.5+0.25i.
 
 verify runs each suite of trace_algebra.IDENTITY_SUITES with a fresh
@@ -40,6 +41,7 @@ import os
 import random
 import re
 import sys
+from json.decoder import scanstring
 
 from . import __version__
 from .surfaces import (
@@ -244,11 +246,11 @@ def _scan_one(task) -> dict:
     }
 
 
-def _load_cache(path: str, code: str) -> dict:
+def _load_cache(path: str, keys) -> dict:
     """The rows of the cache log by key, a later line winning; a malformed
     line, or a log that cannot be read, is skipped with a warning.  A line
-    as _store_cache writes it under another source hash than code is
-    skipped unparsed, since no key of this code can match it."""
+    opening with a key string not in keys (another row's, or another source
+    hash's) is skipped unparsed, so a torn line under such a key is silent."""
     try:
         with open(path, "rb") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
@@ -259,10 +261,15 @@ def _load_cache(path: str, code: str) -> dict:
         print(f"warning: unreadable cache {path}: {exc.strerror or exc}; computing every row",
               file=sys.stderr)
         return {}
-    entries, current = {}, code.encode()
+    entries, wanted = {}, set(keys)
     for number, line in enumerate(lines, 1):
-        if not line.strip() or line.startswith(b'["[') and current not in line:
+        if not line.strip():
             continue
+        try:  # the key string a line opens with, as _store_cache writes it
+            if line.startswith(b'["') and scanstring(line.decode(), 2)[0] not in wanted:
+                continue
+        except ValueError:  # a torn key, or bytes that are not UTF-8: parsed whole
+            pass
         try:
             item = json.loads(line)
         except (ValueError, RecursionError):  # RecursionError: a line nested too deep
@@ -295,11 +302,10 @@ def cmd_scan(args) -> int:
         raise ValueError("--k-range needs --type 11")
 
     code = _source_hash()
-    cache_path = args.cache or os.environ.get(CACHE_ENV)
-    entries = _load_cache(cache_path, code) if cache_path else {}
-
     caps = _caps(args, default_height=args.box)
     keys = [_row_key(args.type, params, args.gens, args.box, caps, code) for params in ks]
+    cache_path = args.cache or os.environ.get(CACHE_ENV)
+    entries = _load_cache(cache_path, keys) if cache_path else {}
     rows: list = [None] * len(keys)
     missing = []
     for i, (key, params) in enumerate(zip(keys, ks)):

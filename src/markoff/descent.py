@@ -47,7 +47,6 @@ is a first-class cap_hit outcome, never an exception.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Optional
 
 from .surfaces import (
@@ -59,6 +58,7 @@ from .surfaces import (
     NonFiniteScalar,
     Point3,
     Surface,
+    _Frozen,
     linf_height,
     point_domain,
 )
@@ -85,8 +85,7 @@ _CAP = "cap"
 _STALL = "stall"
 
 
-@dataclass(frozen=True)
-class AConfig:
+class AConfig(_Frozen):
     """Which trace set A the compact reduction targets: integer_star is
     A = Z minus {+2, -2} on exact points (a visited coordinate +-2 stops
     the descent), real_away2 is R away from +-2 and complex_away_interval
@@ -95,23 +94,19 @@ class AConfig:
     the relative APPROX_DECREASE.
     """
 
-    mode: str
+    def __init__(self, mode: str):
+        if mode not in (REAL_AWAY2, COMPLEX_AWAY_INTERVAL, INTEGER_STAR):
+            raise ValueError(f"unknown mode {mode!r}")
+        vars(self)["mode"] = mode
 
-    def __post_init__(self):
-        if self.mode not in (REAL_AWAY2, COMPLEX_AWAY_INTERVAL, INTEGER_STAR):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
-
-@dataclass(frozen=True)
-class DescentResult:
-    reduced: Point3
-    word: MoveWord
-    steps: int
-    status: str
-    exceptional_axis: Optional[int] = None
-    exceptional_value: Optional[int] = None
-    terminal_condition: Optional[int] = None
-    bound: Optional[float] = None
+class DescentResult(_Frozen):
+    def __init__(self, reduced: Point3, word: MoveWord, steps: int, status: str,
+                 exceptional_axis: Optional[int] = None, exceptional_value: Optional[int] = None,
+                 terminal_condition: Optional[int] = None, bound: Optional[float] = None):
+        vars(self).update(reduced=reduced, word=word, steps=steps, status=status,
+                          exceptional_axis=exceptional_axis, exceptional_value=exceptional_value,
+                          terminal_condition=terminal_condition, bound=bound)
 
 
 def min_bound_11(k) -> float:

@@ -75,7 +75,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .surfaces import (
@@ -85,6 +84,7 @@ from .surfaces import (
     MarkoffError,
     Point3,
     Surface,
+    _Frozen,
     linf_height,
     on_surface,
     residual,
@@ -664,8 +664,7 @@ def _tree_edges(surface: Surface, parents: dict, error: str):
         yield p, parent, g
 
 
-@dataclass(frozen=True)
-class OrbitRun:
+class OrbitRun(_Frozen):
     """Result of a capped orbit BFS with one certificate word per point.
 
     parents maps each point the search put in to (parent, move), and the
@@ -675,11 +674,10 @@ class OrbitRun:
     conj_h(w_r) for the h with p = h.r, with W_h the word the quotient's
     group holds for h and conj_h the move map _CONJ[h]."""
 
-    surface: Surface
-    start: Point3
-    parents: dict
-    caps_hit: bool
-    quotient: Optional[_Quotient] = None
+    def __init__(self, surface: Surface, start: Point3, parents: dict, caps_hit: bool,
+                 quotient: Optional[_Quotient] = None):
+        vars(self).update(surface=surface, start=start, parents=parents, caps_hit=caps_hit,
+                          quotient=quotient)
 
     def points(self):
         if self.quotient is None:
@@ -739,8 +737,7 @@ def orbit_bfs(
     return OrbitRun(surface, start, parents, pruned or truncated, quotient)
 
 
-@dataclass(frozen=True)
-class EquivalenceResult:
+class EquivalenceResult(_Frozen):
     """Outcome of a capped equivalence search.
 
     equivalent=True comes with a verified connecting word.  False means
@@ -749,10 +746,8 @@ class EquivalenceResult:
     i.e. whether the true orbits may extend beyond it).
     """
 
-    equivalent: bool
-    word: Optional[MoveWord]
-    exhausted: bool
-    pruned: bool
+    def __init__(self, equivalent: bool, word: Optional[MoveWord], exhausted: bool, pruned: bool):
+        vars(self).update(equivalent=equivalent, word=word, exhausted=exhausted, pruned=pruned)
 
 
 def equivalent(
@@ -795,14 +790,11 @@ def equivalent(
     return EquivalenceResult(False, None, True, pruned)
 
 
-@dataclass(frozen=True)
-class ExceptionalSearch:
+class ExceptionalSearch(_Frozen):
     """Semi-decision for membership in the exceptional locus."""
 
-    found: bool
-    word: Optional[MoveWord]
-    exhausted: bool
-    pruned: bool
+    def __init__(self, found: bool, word: Optional[MoveWord], exhausted: bool, pruned: bool):
+        vars(self).update(found=found, word=word, exhausted=exhausted, pruned=pruned)
 
 
 def is_exceptional(surface: Surface, p: Point3, caps: Caps = DEFAULT_CAPS) -> ExceptionalSearch:
@@ -830,17 +822,15 @@ def is_exceptional(surface: Surface, p: Point3, caps: Caps = DEFAULT_CAPS) -> Ex
 # class numbers
 
 
-@dataclass(frozen=True)
-class OrbitReport:
-    """Classes of box points under a generator set, with certificates."""
+class OrbitReport(_Frozen):
+    """Box point classes under a generator set: representatives holds (Point3,
+    in-box orbit size) and exceptional (Point3, witness word to a +-2 coordinate)."""
 
-    surface: Surface
-    generators: str
-    box: int
-    representatives: tuple  # ((Point3, in-box orbit size), ...)
-    exceptional: tuple  # ((Point3, witness word to a +-2 coordinate), ...)
-    class_number_star: int
-    caps_hit: bool
+    def __init__(self, surface: Surface, generators: str, box: int, representatives: tuple,
+                 exceptional: tuple, class_number_star: int, caps_hit: bool):
+        vars(self).update(surface=surface, generators=generators, box=box,
+                          representatives=representatives, exceptional=exceptional,
+                          class_number_star=class_number_star, caps_hit=caps_hit)
 
 
 def class_number(
@@ -980,16 +970,13 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
 # parabolic lines on the torus surface
 
 
-@dataclass(frozen=True)
-class ParabolicLine:
+class ParabolicLine(_Frozen):
     """An affine line t -> origin + t*direction inside the surface, lying
     in the locus where the fixed coordinate equals +2 or -2."""
 
-    axis: int
-    value: int
-    origin: Point3
-    direction: Point3
-    integral: bool
+    def __init__(self, axis: int, value: int, origin: Point3, direction: Point3, integral: bool):
+        vars(self).update(axis=axis, value=value, origin=origin, direction=direction,
+                          integral=integral)
 
     def point_at(self, t):
         return Point3(
@@ -1003,12 +990,11 @@ class ParabolicLine:
         return self.point_at(t) == p
 
 
-@dataclass(frozen=True)
-class LineReport:
-    k: int
-    square_root: Optional[int]  # s >= 0 with k - 2 = s^2, when integral
-    lines: tuple
-    note: str
+class LineReport(_Frozen):
+    """square_root is the s >= 0 with k - 2 = s^2, when k - 2 is a square."""
+
+    def __init__(self, k: int, square_root: Optional[int], lines: tuple, note: str):
+        vars(self).update(k=k, square_root=square_root, lines=lines, note=note)
 
 
 def parabolic_lines_11(k: int) -> LineReport:

@@ -22,7 +22,6 @@ are homogeneous in one domain; mixing the two raises DomainMismatch.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 Scalar = Union[int, float, complex]
@@ -96,15 +95,37 @@ def point_domain(p: Point3) -> str:
     return common_domain(p)
 
 
-@dataclass(frozen=True)
-class Markoff11:
+class _Frozen:
+    """Base of the immutable value types: a subclass's __init__ puts its fields,
+    in order, in the instance dict, so defining it runs no generated code and a
+    field reads as fast as a plain attribute; eq, hash, repr and _replace use them."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in vars(self).items())})"
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed, as NamedTuple._replace."""
+        return type(self)(**{**vars(self), **changes})
+
+
+class Markoff11(_Frozen):
     """The one-holed torus surface x^2+y^2+z^2-xyz-2 = k."""
 
-    k: Scalar
+    kind = "11"
 
-    @property
-    def kind(self) -> str:
-        return "11"
+    def __init__(self, k: Scalar):
+        vars(self)["k"] = k
 
     @property
     def params(self) -> tuple:
@@ -115,8 +136,7 @@ class Markoff11:
         return scalar_domain(self.k)
 
 
-@dataclass(frozen=True)
-class Cubic04:
+class Cubic04(_Frozen):
     """The four-holed sphere surface x^2+y^2+z^2+xyz = ax+by+cz+d.
 
     Built through make_cubic04 so that (a, b, c, d) are always the derived
@@ -124,18 +144,11 @@ class Cubic04:
     them.
     """
 
-    k1: Scalar
-    k2: Scalar
-    k3: Scalar
-    k4: Scalar
-    a: Scalar
-    b: Scalar
-    c: Scalar
-    d: Scalar
+    kind = "04"
 
-    @property
-    def kind(self) -> str:
-        return "04"
+    def __init__(self, k1: Scalar, k2: Scalar, k3: Scalar, k4: Scalar,
+                 a: Scalar, b: Scalar, c: Scalar, d: Scalar):
+        vars(self).update(k1=k1, k2=k2, k3=k3, k4=k4, a=a, b=b, c=c, d=d)
 
     @property
     def params(self) -> tuple:

@@ -2,7 +2,6 @@ import argparse
 import ast
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -440,6 +439,34 @@ def test_scan_cache_skips_stale_lines_unparsed(tmp_path, capsys):
     assert cache.read_text().splitlines()[:2] == [stale[:-20], stale]
 
 
+def test_scan_cache_parses_only_requested_keys(tmp_path, capsys, monkeypatch):
+    # in a log of 2,000 rows of this code under other keys, two lines under
+    # the key asked for and a torn line under another key, only the two are
+    # parsed, the later one is served and the torn one is silent
+    argv = ["scan", "--k", "-2", "--box", "10"]
+    _, fresh, _ = run_cli(capsys, *argv)
+    row, code_hash = json.loads(fresh)["rows"][0], cli._source_hash()
+    key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], code_hash)
+    others = [json.dumps([cli._row_key("11", (k,), "gamma_prime", 10, [10, 10**6], code_hash),
+                          row], sort_keys=True) for k in range(1, 2001)]
+    earlier, later = ({**row, "h_star_gamma_prime": n} for n in (98, 99))
+    cache = tmp_path / "cache.json"
+    cache.write_text("\n".join([json.dumps([key, earlier]), *others[:1000], others[0][:-20],
+                                json.dumps([key, later]), *others[1000:]]) + "\n")
+    loads, parsed = json.loads, []
+
+    def counting_loads(text, *args, **kwargs):
+        parsed.append(text)
+        return loads(text, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "loads", counting_loads)
+    code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
+    monkeypatch.setattr(cli.json, "loads", loads)
+    assert (code, err) == (0, "")
+    assert len(parsed) == 2
+    assert json.loads(out)["rows"][0] == later
+
+
 def test_scan_old_format_cache_warns(tmp_path, capsys):
     # a cache of the single-document format reads as one malformed line,
     # and the scan appends after it
@@ -506,8 +533,9 @@ def test_concurrent_scans_keep_every_row(tmp_path):
 
 
 def test_scan_store_parses_unchanged_cache_once(tmp_path, capsys, monkeypatch):
-    # a cold row parses each line of the cache log once, when the scan
-    # starts; storing the row appends to the log without reading it
+    # a scan parses each line of the cache log under a key it asks for
+    # once, when it starts; storing its cold row appends to the log
+    # without reading it
     cache = tmp_path / "cache.json"
     argv = ["scan", "--box", "10", "--cache", str(cache)]
     assert run_cli(capsys, *argv, "--k", "-2")[0] == 0
@@ -518,7 +546,7 @@ def test_scan_store_parses_unchanged_cache_once(tmp_path, capsys, monkeypatch):
         return loads(text, *args, **kwargs)
 
     monkeypatch.setattr(cli.json, "loads", counting_loads)
-    assert run_cli(capsys, *argv, "--k", "3")[0] == 0
+    assert run_cli(capsys, *argv, "--k-range", "-2..-1")[0] == 0
     assert len(parsed) == 1
     monkeypatch.setattr(cli.json, "loads", loads)
     assert len(cache_rows(cache.read_text())) == 2
@@ -666,7 +694,7 @@ def _faults():
         ("commutator boundary law", "commutator_trace",
          lambda A, B: comm(A, ta.mat_mul(B, B))),
         ("quad boundary residual", "make_cubic04",  # d, which no move reads, off by one
-         lambda *ks: dataclasses.replace(cubic(*ks), d=cubic(*ks).d + 1)),
+         lambda *ks: cubic(*ks)._replace(d=cubic(*ks).d + 1)),
         ("torus lift square", "lift_twist_11",  # the other direction
          lambda which, pair, direction=1: lift11(which, pair, -direction)),
         ("sphere lift square", "lift_twist_04",
@@ -959,6 +987,18 @@ def test_import_defers_pool_and_tempfile(tmp_path):
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stderr == "[]\n[]\n"
     assert len(cache_rows(cache.read_text())) == 1
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # every command pays for importing markoff.cli: the value types are
+    # plain classes, so it loads neither dataclasses nor the inspect it
+    # pulls in; this checks sys.modules, not a time, so it cannot flake
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import markoff.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout == "[]\n"
 
 
 _GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")

@@ -1,7 +1,30 @@
 import ast
+import pickle
 from pathlib import Path
 
+import pytest
+
 import markoff
+from markoff import (
+    AConfig,
+    Cubic04,
+    DescentResult,
+    Markoff11,
+    MoveWord,
+    OrbitReport,
+    ParabolicLine,
+    class_number,
+    enumerate_points,
+    equivalent,
+    is_exceptional,
+    make_cubic04,
+    orbit_bfs,
+    parabolic_lines_11,
+    reduce_compact,
+)
+from markoff.descent import INTEGER_STAR, REDUCED
+from markoff.orbits import EquivalenceResult, ExceptionalSearch, LineReport, OrbitRun
+from markoff.surfaces import cubic04_coefficients
 
 PACKAGE = Path(markoff.__file__).parent
 
@@ -76,3 +99,98 @@ def test_every_import_is_read():
                    if name not in read]
     assert unread == []
 
+
+
+_SPHERE = make_cubic04(0, 1, 2, 3)
+
+
+def _off_locus(surface, B):
+    """The first box point with no coordinate +-2."""
+    return next(p for p in enumerate_points(surface, B) if 2 not in p and -2 not in p)
+
+
+# each value type: its fields in order, and a call that builds one, of
+# which a second call builds an equal value apart from the first
+_VALUE_TYPES = {
+    Markoff11: ("k", lambda: Markoff11(-2)),
+    Cubic04: ("k1 k2 k3 k4 a b c d", lambda: make_cubic04(0, 1, 2, 3)),
+    AConfig: ("mode", lambda: AConfig(INTEGER_STAR)),
+    DescentResult: (
+        "reduced word steps status exceptional_axis exceptional_value terminal_condition bound",
+        lambda: reduce_compact(Markoff11(-2), AConfig(INTEGER_STAR), (3, 6, 15))),
+    OrbitRun: ("surface start parents caps_hit quotient",
+               lambda: orbit_bfs(_SPHERE, "gamma_prime", (4, 0, 1), 20)),
+    EquivalenceResult: ("equivalent word exhausted pruned",
+                        lambda: equivalent(Markoff11(-2), "gamma_prime", (3, 3, 3), (3, 6, 15))),
+    ExceptionalSearch: ("found word exhausted pruned",
+                        lambda: is_exceptional(Markoff11(6), _off_locus(Markoff11(6), 10))),
+    OrbitReport: ("surface generators box representatives exceptional class_number_star caps_hit",
+                  lambda: class_number(Markoff11(-2), "gamma_prime", 20)),
+    ParabolicLine: ("axis value origin direction integral", lambda: parabolic_lines_11(6).lines[0]),
+    LineReport: ("k square_root lines note", lambda: parabolic_lines_11(6)),
+}
+
+
+@pytest.mark.parametrize("cls", _VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_type_contract(cls):
+    # the value types keep the frozen dataclasses' contract: fields in
+    # order, positional and keyword construction, equality and hashing by
+    # value with their own type only, no assignment, pickling, and repr
+    names, build = _VALUE_TYPES[cls]
+    value, twin = build(), build()
+    fields = vars(value)
+    assert type(value) is cls and list(fields) == names.split()
+    assert cls(*fields.values()) == cls(**fields) == twin == value
+    assert value != tuple(fields.values()) and value._replace() == value
+    if cls is OrbitRun:  # parents is a dict, so no hash, as with the dataclass
+        with pytest.raises(TypeError):
+            hash(value)
+    else:
+        assert hash(twin) == hash(value)
+    first = names.split()[0]
+    with pytest.raises(AttributeError):
+        setattr(value, first, None)
+    with pytest.raises(AttributeError):
+        delattr(value, first)
+    assert vars(value) == vars(twin)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(value, protocol)) == value
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in fields.items())})"
+
+
+def test_descent_result_keyword_defaults():
+    word = MoveWord("11", ())
+    result = DescentResult(reduced=(3, 3, 3), word=word, steps=0, status=REDUCED)
+    assert result == DescentResult((3, 3, 3), word, 0, REDUCED, None, None, None, None)
+    assert (result.exceptional_axis, result.exceptional_value, result.terminal_condition,
+            result.bound) == (None, None, None, None)
+
+
+def test_aconfig_rejects_unknown_mode():
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        AConfig("bogus")
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'$"):
+        AConfig(INTEGER_STAR)._replace(mode="bogus")
+
+
+@pytest.mark.parametrize("surface, start, gens", [
+    (Markoff11(-2), (3, 3, 3), "gamma_prime"),  # a G quotient search
+    (Markoff11(-2), (3, 3, 3), "gamma_poly"),  # an S3 quotient search
+    (_SPHERE, (4, 0, 1), "gamma_prime"),  # a plain search
+])
+def test_orbit_run_len_is_node_count(surface, start, gens):
+    run = orbit_bfs(surface, gens, start, 60)
+    points = run.points()
+    assert len(run) == len(points) == len(set(points)) > 1
+
+
+def test_surface_value_fields():
+    torus = Markoff11(-2)
+    assert (torus.k, torus.kind, torus.params, torus.domain) == (-2, "11", (-2,), "exact")
+    assert Markoff11(0.5 + 1j).domain == "approx"
+    sphere = make_cubic04(1, 2, 3, 4)
+    assert (sphere.kind, sphere.params, sphere.domain) == ("04", (1, 2, 3, 4), "exact")
+    assert (sphere.k1, sphere.k2, sphere.k3, sphere.k4) == (1, 2, 3, 4)
+    assert (sphere.a, sphere.b, sphere.c, sphere.d) == cubic04_coefficients(1, 2, 3, 4)
+    off = sphere._replace(d=sphere.d + 1)
+    assert vars(off) == {**vars(sphere), "d": sphere.d + 1} and off != sphere
