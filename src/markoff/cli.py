@@ -301,10 +301,10 @@ def cmd_scan(args) -> int:
     else:
         raise ValueError("--k-range needs --type 11")
 
-    code = _source_hash()
+    cache_path = args.cache or os.environ.get(CACHE_ENV)
+    code = _source_hash() if cache_path else None  # only the cache keys need it
     caps = _caps(args, default_height=args.box)
     keys = [_row_key(args.type, params, args.gens, args.box, caps, code) for params in ks]
-    cache_path = args.cache or os.environ.get(CACHE_ENV)
     entries = _load_cache(cache_path, keys) if cache_path else {}
     rows: list = [None] * len(keys)
     missing = []

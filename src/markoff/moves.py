@@ -452,9 +452,15 @@ def normalize_11(p: Point3) -> tuple:
 
 
 def _canon_11(p) -> tuple:
-    """normalize_11(p)'s point, with no word, as a plain tuple."""
+    """normalize_11(p)'s point, with no word, as a plain tuple; compare-swaps sort it."""
     x, y, z = p
-    a, b, c = sorted((abs(x), abs(y), abs(z)))
+    a, b, c = abs(x), abs(y), abs(z)
+    if a > b:
+        a, b = b, a
+    if b > c:
+        b, c = c, b
+        if a > b:
+            a, b = b, a
     return (a, b, -c) if x * y * z < 0 else (a, b, c)
 
 

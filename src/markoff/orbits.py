@@ -32,7 +32,8 @@ point walks the parents back, with no replay search.
   r, the h with child = h.r keeps the component C, and the h found
   generate what is needed of its stabilizer: C = <H>.{raw points}, since a
   twist t of h.r is h.t'(r) with t' = h^-1 t h a twist, and t'(r) was
-  generated from r.  So orbit_bfs returns with the group known.
+  generated from r.  So orbit_bfs returns with the group known.  Once it
+  is all of S3, each level runs one twist per Vieta axis (_steps).
 The group holds for each h a word W_h from the start to h.start, h's own
 word in the G mode and a twist word built when h is found in the S3 mode;
 the word to h.r is W_h, then the walk to r conjugated by h.
@@ -46,29 +47,16 @@ A start above the height cap, which stands for itself alone, searches
 plainly, and so does equivalent with gamma_poly: a meet of two S3 keys
 decides nothing until the stabilizer is known.
 
-Box points are enumerated by descent read backwards: a Vieta move that
-lowers the sup-norm stays in the box, so every box point is reached,
-inside the box, from a point with a coordinate +2 or -2 or from a point
-no Vieta move lowers, whose height and smallest coordinate are bounded
-by the surface parameters alone (_root_heights proves the bounds).
-_sweep counts the +-2 points, from the spans of the lines they lie on
-(_lines; _slice lists the other +-2 slices), holds only the O(sqrt(B))
-of them whose move on their +-2 axis stays in the box, runs one in-box
-Vieta search from each such move's result and from each root, and never
-scans the B^2 grid; enumerate_points lists the +-2 slices on top.
+Box points are enumerated by descent read backwards (_sweep): each box
+point off the +-2 locus is reached by in-box Vieta moves from a move off
+the locus or from a root (_root_heights), with no scan of the B^2 grid.
 
 A class count labels the box points of an exact surface by connected
-component of the move graph capped at the box height (or at a higher
-height cap, when one is given); a component is exceptional iff some trace
-in it hits +-2.  The exceptional points form a forest: a parents map
-rooted on the +-2 locus.  class_number runs one _search per unlabelled
-point (_label_classes), and a search that reaches the locus or the forest
-joins the forest, re-rooted at its hit; any other search has found a
-whole class.  A scan row reads the labels off the sweep whenever no
-search could be cut short (_scan_labels): the points the locus seeds
-reach are such a forest, and the roots' runs are components.  One check
-certifies either forest (_forest_edges), and each class_number witness
-is its edge's move inverted, then its parent's witness.
+component of the move graph capped at the box height (or a higher height
+cap); a component is exceptional iff some trace in it hits +-2.  The
+exceptional points form a forest rooted on the +-2 locus, grown by one
+_search per unlabelled point (_label_classes) or read off the sweep for a
+scan row (_scan_labels), and certified by one check (_forest_edges).
 """
 
 from __future__ import annotations
@@ -417,13 +405,13 @@ def _expand(surface, steps, frontier, parents, cap_height, room, stop, quotient)
 
     A child whose key is held is skipped; while the quotient's group may
     still grow, one that is not its key's raw point goes to quotient.learn
-    first.  One above the height cap is pruned.  The first child whose key
-    stop (None: never) accepts goes in and ends the level as hit, even when
-    room is spent; any other goes in only while room is positive, and takes
-    the points its key stands for.  The move functions return plain tuples,
-    which look up equal to the Point3 keys; a child becomes a Point3 only
-    when inserted.
-    """
+    first; once it is complete, a level runs quotient.settled (_steps).
+    One above the height cap is pruned.  The first child whose key stop
+    (None: never) accepts goes in and ends the level as hit, even when room
+    is spent; any other goes in only while room is positive, and takes the
+    points its key stands for.  The move functions return plain tuples,
+    equal to the Point3 keys in lookups; a child becomes a Point3 only when
+    inserted."""
     children = []
     pruned = False
     low = -cap_height
@@ -431,6 +419,7 @@ def _expand(surface, steps, frontier, parents, cap_height, room, stop, quotient)
         canon, held, learning = None, parents, False
     else:
         canon, held, learning = quotient.canon, quotient.keys, quotient.learning
+        steps = steps if learning else quotient.settled
     for node in frontier:
         for g, f in steps:
             child = f(surface, node)
@@ -475,7 +464,8 @@ def _search(surface: Surface, steps, start: Point3, cap_height, cap_count, stop=
     cap, and is not passed to stop; the hit, the first child stop accepts,
     is kept even when the count cap is full.  A parents map passed in is
     extended in place: its points count as reached, so they are never
-    expanded, and cap_count counts them too.
+    expanded, and cap_count counts them too.  A quotient search switches
+    to its settled steps at the first level after its group is complete.
     """
     if parents is None:
         parents = {}
@@ -495,12 +485,15 @@ def _search(surface: Surface, steps, start: Point3, cap_height, cap_count, stop=
 def _orbit_size(p) -> int:
     """|G.p|: the distinct arrangements of the moduli times 4 sign patterns,
     or 2^(nonzero coordinates) when one is 0."""
-    return (0, 1, 3, 6)[len({abs(v) for v in p})] * (4, 4, 2, 1)[p.count(0)]
+    x, y, z = abs(p[0]), abs(p[1]), abs(p[2])
+    n = 1 if x == y == z else 3 if x == y or y == z or x == z else 6
+    return n * (4, 4, 2, 1)[p.count(0)]
 
 
 def _arrangements(p) -> int:
     """|S3.p|: the distinct arrangements of p's coordinates."""
-    return (0, 1, 3, 6)[len({*p})]
+    x, y, z = p
+    return 1 if x == y == z else 3 if x == y or y == z or x == z else 6
 
 
 def _sorted3(p) -> tuple:
@@ -568,12 +561,12 @@ class _Quotient:
     symmetry h known to keep the component searched to its word W_h (from
     learn, or _own_word), and gens lists the h found by edges.  learning is
     true while group is not all of full; the points held are then group's
-    images of the raw points, else full's of the keys.
+    images of the raw points, else full's of the keys, and _expand runs settled.
     """
 
-    def __init__(self, canon, charge, full, group):
+    def __init__(self, canon, charge, full, group, settled):
         self.canon, self.charge, self.full, self.group = canon, charge, full, group
-        self.keys, self.gens = {}, []
+        self.settled, self.keys, self.gens = settled, {}, []
         self.learning = len(group) < len(full)
 
     def learn(self, parents, node, g, child, key) -> bool:
@@ -643,15 +636,26 @@ def _steps(surface: Surface, gens, cap_height, *ends) -> tuple:
     gamma_poly from one end, else _compile(surface, gens) and Nones.  A
     meet of two S3 keys decides nothing until the stabilizer is known, and
     an end above the height cap, which stands for itself alone, searches
-    plainly."""
+    plainly.  The settled steps, run once the group is complete, are the
+    Vieta moves, or the first twist in steps per Vieta axis, told apart by
+    their keys at (2, 3, 7).
+
+    Proof that the S3 search is unchanged.  A twist is a Vieta move then a
+    transposition, so the twists t, then t', on one axis make children
+    t(p) and s.t(p) of one key and one height.  With the group complete, a
+    held key needs no learn, so t' would skip s.t(p), its key held before
+    t ran or by t; or prune it, as t pruned t(p); or never run, as t(p)
+    ended the level as a hit (stop reads keys) or a refusal."""
     steps = _compile(surface, gens)
     if isinstance(surface, Markoff11) and max(map(linf_height, ends)) <= cap_height:
         moves = {g for g, _ in steps}
         if moves == _PRIME_11:
-            return _compile(surface, VIETA_MOVES), [
-                _Quotient(_canon_11, _orbit_size, _G, _G_GROUP) for _ in ends]
+            vieta = _compile(surface, VIETA_MOVES)
+            return vieta, [_Quotient(_canon_11, _orbit_size, _G, _G_GROUP, vieta) for _ in ends]
         if moves == _POLY_11 and len(ends) == 1:
-            return steps, [_Quotient(_sorted3, _arrangements, _S3, {_S3[0]: ()})]
+            axes = {_sorted3(f(surface, (2, 3, 7))): (g, f) for g, f in reversed(steps)}
+            return steps, [_Quotient(_sorted3, _arrangements, _S3, {_S3[0]: ()},
+                                     sorted(axes.values(), key=steps.index))]
     return steps, [None] * len(ends)
 
 
@@ -943,8 +947,10 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
     under the cap, and the walk ends at s_n.q_n, on the locus with q_n.
     Conversely a twist is a gamma_prime word whose middle point has an
     endpoint's height.  A sphere twist is two Vieta moves whose middle point
-    may leave the box, so the argument fails there, and sphere gamma_poly
-    labels every point off the locus.
+    takes each coordinate from an end, so it stays under the cap too; but
+    the capped twist graph is the even walks of the capped Vieta graph,
+    which no sweep labels yet, so sphere gamma_poly labels every point off
+    the locus.
     """
     locus, seeded, components = _sweep(surface, B)
     off = [*seeded, *itertools.chain.from_iterable(components)]

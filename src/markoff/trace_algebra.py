@@ -280,11 +280,19 @@ def lift_twist_04(index: int, q: Quad, direction: int = 1) -> Quad:
 def random_sl2(rng, max_len: int = 10) -> Mat2:
     """Random exact SL2(Z) matrix: a bounded word in UNIPOTENT_UPPER,
     UNIPOTENT_LOWER and their inverses (draws 0-3), each step a right
-    multiplication, which adds one column to the other or subtracts it."""
+    multiplication, which adds one column to the other or subtracts it.
+    Its draws, randint(0, max_len) then randrange(4) a step, copy CPython's
+    Random._randbelow_with_getrandbits, which a test guards: randrange(n)
+    is getrandbits(n.bit_length()) drawn again while >= n."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
     a, b, c, d = IDENTITY
-    draw = rng.randrange
-    for _ in range(rng.randint(0, max_len)):
-        step = draw(4)
+    bits, n = rng.getrandbits, max_len + 1
+    while (length := bits(n.bit_length())) >= n:
+        pass
+    for _ in range(length):
+        while (step := bits(3)) > 3:
+            pass
         if step == 0:
             b, d = b + a, d + c
         elif step == 1:

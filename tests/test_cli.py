@@ -1001,7 +1001,22 @@ def test_import_loads_no_dataclasses_or_inspect():
     assert done.stdout == "[]\n"
 
 
-_GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
+def test_scan_without_cache_hashes_no_sources(monkeypatch):
+    # only the cache keys need the source hash, so a scan with neither
+    # --cache nor MARKOFF_CACHE never imports hashlib, and prints the same
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    argv = ["scan", "--k", "-2", "--box", "5"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import markoff.cli; "
+            f"markoff.cli.main({argv!r}); print('hashlib' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert done.stderr == "False\n"
+    expected = _golden_run(argv)
+    assert expected["exit"] == 0 and done.stdout == expected["stdout"]
+
+
+_GOLDEN =pathlib.Path(__file__).with_name("cli_golden.json")
 
 
 def _golden_run(argv):

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import random
 import time
 from collections import deque
 
@@ -23,14 +24,17 @@ from markoff.moves import (
     VIETA_MOVES,
     Move,
     MoveWord,
+    _canon_11,
     _compile,
     apply_move,
     apply_word,
     concat_words,
+    dehn_twist_04,
     generators,
     identity_word,
     inverse_move,
 )
+from markoff.trace_algebra import _SPHERE_TWIST_WORDS
 from markoff.descent import (
     INTEGER_STAR,
     REAL_AWAY2,
@@ -46,12 +50,14 @@ from markoff.orbits import (
     _disc,
     _S3,
     _act,
+    _arrangements,
     _compose,
     _orbit_size,
     _own_word,
     _root_heights,
     _search,
     _slice,
+    _sorted3,
     _sphere_form,
     _square_values,
     _sweep,
@@ -1364,6 +1370,107 @@ def test_poly_quotient_search_matches_plain_search():
                 groups.add(run.quotient and len(run.quotient.group))
     # plain, a fixed point, components kept by the three rotations only or by all six
     assert groups == {None, 1, 3, 6}
+
+
+def _all_twists_settled(monkeypatch):
+    """Make every quotient of _steps keep all its steps once its group is complete."""
+    real = orbits._steps
+
+    def steps(*args):
+        steps, quotients = real(*args)
+        for quotient in quotients:
+            if quotient is not None:
+                quotient.settled = steps
+        return steps, quotients
+
+    monkeypatch.setattr(orbits, "_steps", steps)
+
+
+def test_settled_twists_match_all_six_twists(monkeypatch):
+    # once its S3 group is complete, a level expands each raw point by the
+    # first twist per Vieta axis in the caller's order: Ta+ (Vy), Ta- (Vz)
+    # and Tb- (Vx) by default, Tab- (Vy), Tab+ (Vx) and Tb+ (Vz) reversed.
+    # All six twists at every level give the same parents, the same group
+    # words and the same caps_hit, free and binding, in either order
+    twists = generators("11", "gamma_poly")
+    kept = {twists: [twists[i] for i in (0, 1, 3)], twists[::-1]: [twists[i] for i in (5, 4, 2)]}
+    cases = []
+    for surface, start, cap_height in _torus_poly_cases():
+        n = len(orbit_bfs(surface, twists, start, cap_height))
+        for count, gens in itertools.product((10**9, n, n - 1, 13, 1), kept):
+            cases.append((surface, gens, start, cap_height, count))
+    settled = [orbit_bfs(*case) for case in cases]
+    for run, (_, gens, *_) in zip(settled, cases):
+        assert run.quotient is None or [g for g, _ in run.quotient.settled] == kept[gens]
+    assert sum(run.quotient is not None and not run.quotient.learning for run in settled) > 100
+    _all_twists_settled(monkeypatch)
+    for run, case in zip(settled, cases):
+        full = orbit_bfs(*case)
+        assert list(run.parents.items()) == list(full.parents.items()), case
+        assert run.caps_hit == full.caps_hit, case
+        if run.quotient is not None:
+            assert list(run.quotient.group.items()) == list(full.quotient.group.items()), case
+
+
+def test_settled_search_makes_each_child_once(monkeypatch):
+    # a count of move calls, not a time, so it cannot flake: the torus_dense
+    # gamma_poly search (k=3, cap 500) makes fewer than 3.5 children per raw
+    # point, where running all six twists at every level makes 6
+    calls = []
+    real = orbits._compile
+
+    def counted(surface, gens):
+        def count(f):
+            return lambda s, p: calls.append(None) or f(s, p)
+        return tuple((g, count(f)) for g, f in real(surface, gens))
+
+    monkeypatch.setattr(orbits, "_compile", counted)
+    surface, start = Markoff11(3), Point3(-2, -1, 0)
+    run = orbit_bfs(surface, "gamma_poly", start, 500)
+    assert len(run.quotient.group) == 6 and len(run.parents) == 2146
+    assert len(calls) < 3.5 * len(run.parents)
+    calls.clear()
+    _all_twists_settled(monkeypatch)
+    assert len(orbit_bfs(surface, "gamma_poly", start, 500).parents) == 2146
+    assert len(calls) >= 6 * 2146
+
+
+def test_quotient_keys_match_sorted_forms():
+    # the compare-swap keys and the charges counted by comparisons against
+    # the sorted() and set() forms they replaced, on ties, zeros and
+    # +-2^70 points
+    big = 2**70
+    for p in itertools.product((0, 1, -1, 2, -3, big, -big, big + 1, -big - 1), repeat=3):
+        a, b, c = sorted(map(abs, p))
+        assert _canon_11(p) == ((a, b, -c) if p[0] * p[1] * p[2] < 0 else (a, b, c)), p
+        assert _sorted3(p) == tuple(sorted(p)), p
+        assert _arrangements(p) == (0, 1, 3, 6)[len(set(p))], p
+        assert _orbit_size(p) == (0, 1, 3, 6)[len({abs(v) for v in p})] * (4, 4, 2, 1)[p.count(0)]
+
+
+def test_sphere_twist_middle_point_within_its_ends():
+    # a sphere twist is two Vieta moves, and its middle point takes each
+    # coordinate from one of its ends (T1+: (x, y', z) between (x, y, z) and
+    # (x, y', z')), so it is within every height cap that both ends are
+    # within; on random and big-int points, on the surface and off it
+    rng = random.Random(26)
+    starts = [(surface, q) for surface, p in BIG_STARTS if not isinstance(surface, Markoff11)
+              for q in (p, _beyond_int64(surface, p))]
+    for params in ((0, 1, 2, 3), (-2, -2, -2, -2), (3, -1, 0, 2)):
+        surface = make_cubic04(*params)
+        starts += [(surface, p) for p in enumerate_points(surface, 20)]
+    for scale in (10, 1000, 2**70):
+        for _ in range(100):
+            surface = make_cubic04(*(rng.randint(-scale, scale) for _ in range(4)))
+            starts.append((surface, Point3(*(rng.randint(-scale, scale) for _ in range(3)))))
+    for surface, p in starts:
+        for index, word in _SPHERE_TWIST_WORDS.items():
+            for direction, (first, second) in ((1, word.moves), (-1, word.moves[::-1])):
+                middle = apply_move(surface, first, p)
+                end = apply_move(surface, second, middle)
+                assert end == dehn_twist_04(surface, index, direction, p)
+                assert all(m in (a, b) for m, a, b in zip(middle, p, end))
+                assert linf_height(middle) <= max(linf_height(p), linf_height(end))
 
 
 # --- the library hands out Point3 ---------------------------------------------
