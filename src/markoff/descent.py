@@ -47,7 +47,6 @@ is a first-class cap_hit outcome, never an exception.
 from __future__ import annotations
 
 import cmath
-from typing import Optional
 
 from .surfaces import (
     APPROX,
@@ -102,8 +101,8 @@ class AConfig(_Frozen):
 
 class DescentResult(_Frozen):
     def __init__(self, reduced: Point3, word: MoveWord, steps: int, status: str,
-                 exceptional_axis: Optional[int] = None, exceptional_value: Optional[int] = None,
-                 terminal_condition: Optional[int] = None, bound: Optional[float] = None):
+                 exceptional_axis: int | None = None, exceptional_value: int | None = None,
+                 terminal_condition: int | None = None, bound: float | None = None):
         vars(self).update(reduced=reduced, word=word, steps=steps, status=status,
                           exceptional_axis=exceptional_axis, exceptional_value=exceptional_value,
                           terminal_condition=terminal_condition, bound=bound)
@@ -178,7 +177,7 @@ def reduce_min_complex_11(
     return DescentResult(p, MoveWord("11", tuple(moves)), len(moves), status, bound=bound)
 
 
-def sphere_terminal_condition(surface: Cubic04, p: Point3) -> Optional[int]:
+def sphere_terminal_condition(surface: Cubic04, p: Point3) -> int | None:
     """First of the five stopping conditions satisfied at p, if any."""
     x, y, z = p
     c = SPHERE_DESCENT_C
@@ -212,7 +211,7 @@ def reduce_min_complex_04(
     return DescentResult(p, word, len(moves), REDUCED, terminal_condition=cond)
 
 
-def exceptional_axis(p: Point3) -> Optional[int]:
+def exceptional_axis(p: Point3) -> int | None:
     for axis in range(3):
         if p[axis] == 2 or p[axis] == -2:
             return axis

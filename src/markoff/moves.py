@@ -46,7 +46,7 @@ they keep.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .surfaces import (
     Cubic04,
@@ -60,19 +60,16 @@ from .surfaces import (
 )
 
 
-class Move(NamedTuple):
+class Move(namedtuple("Move", "kind arg power", defaults=(1,))):
     """One generator: kind is 'V', 'P', 'S', 'T11' or 'T04'."""
 
-    kind: str
-    arg: object
-    power: int = 1
+    __slots__ = ()
 
 
-class MoveWord(NamedTuple):
+class MoveWord(namedtuple("MoveWord", "surface_kind moves")):
     """An ordered word of moves tagged with its surface type ('11'/'04')."""
 
-    surface_kind: str
-    moves: tuple
+    __slots__ = ()
 
     def __str__(self) -> str:
         return word_to_text(self)
@@ -96,7 +93,7 @@ def inverse_move(m: Move) -> Move:
 # Results are plain tuples, which hash and compare equal to the Point3 of
 # the same coordinates.  Callers that return a point build it with
 # tuple.__new__, which skips the Python-level Point3.__new__ of the
-# NamedTuple and gives an equal Point3.
+# namedtuple and gives an equal Point3.
 
 _new = tuple.__new__
 

@@ -56,14 +56,15 @@ component of the move graph capped at the box height (or a higher height
 cap); a component is exceptional iff some trace in it hits +-2.  The
 exceptional points form a forest rooted on the +-2 locus, grown by one
 _search per unlabelled point (_label_classes) or read off the sweep for a
-scan row (_scan_labels), and certified by one check (_forest_edges).
+scan row (_scan_labels), and certified by one check (_forest_edges); a
+sphere gamma_poly scan row counts them by the parity of Vieta walks.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import NamedTuple, Optional
+from collections import namedtuple
 
 from .surfaces import (
     DomainMismatch,
@@ -94,11 +95,10 @@ from .moves import (
 )
 
 
-class Caps(NamedTuple):
+class Caps(namedtuple("Caps", "height count", defaults=(10**6, 10**6))):
     """Search caps: sup-norm height and visited-point count."""
 
-    height: int = 10**6
-    count: int = 10**6
+    __slots__ = ()
 
 
 DEFAULT_CAPS = Caps()
@@ -659,13 +659,17 @@ def _steps(surface: Surface, gens, cap_height, *ends) -> tuple:
     return steps, [None] * len(ends)
 
 
-def _tree_edges(surface: Surface, parents: dict, error: str):
-    """(point, parent, move) per entry of parents in insertion order, each
-    edge checked by applying its move to the parent once, or MarkoffError(error)."""
+def _tree_edges(surface: Surface, parents: dict, error: str) -> dict:
+    """parents, {point: (parent, move)}, once each edge is checked by applying
+    its move to the parent, or MarkoffError(error); each move's function is
+    looked up once."""
+    moves = {}
     for p, (parent, g) in parents.items():
-        if parent is not None and _raw_move(surface, g)(surface, parent) != p:
-            raise MarkoffError(error)
-        yield p, parent, g
+        if parent is not None:
+            f = moves.get(g) or moves.setdefault(g, _raw_move(surface, g))
+            if f(surface, parent) != p:
+                raise MarkoffError(error)
+    return parents
 
 
 class OrbitRun(_Frozen):
@@ -679,7 +683,7 @@ class OrbitRun(_Frozen):
     group holds for h and conj_h the move map _CONJ[h]."""
 
     def __init__(self, surface: Surface, start: Point3, parents: dict, caps_hit: bool,
-                 quotient: Optional[_Quotient] = None):
+                 quotient: _Quotient | None = None):
         vars(self).update(surface=surface, start=start, parents=parents, caps_hit=caps_hit,
                           quotient=quotient)
 
@@ -708,7 +712,7 @@ class OrbitRun(_Frozen):
         surface, start, quotient = self.surface, self.start, self.quotient
         error = "orbit certificate failed to replay"
         walks = {}
-        for p, parent, g in _tree_edges(surface, self.parents, error):
+        for p, (parent, g) in _tree_edges(surface, self.parents, error).items():
             walks[p] = () if parent is None else walks[parent] + (g,)
         for h, head in ({} if quotient is None else quotient.group).items():
             if apply_word(surface, MoveWord(surface.kind, head), start) != _act(h, start):
@@ -750,7 +754,7 @@ class EquivalenceResult(_Frozen):
     i.e. whether the true orbits may extend beyond it).
     """
 
-    def __init__(self, equivalent: bool, word: Optional[MoveWord], exhausted: bool, pruned: bool):
+    def __init__(self, equivalent: bool, word: MoveWord | None, exhausted: bool, pruned: bool):
         vars(self).update(equivalent=equivalent, word=word, exhausted=exhausted, pruned=pruned)
 
 
@@ -797,7 +801,7 @@ def equivalent(
 class ExceptionalSearch(_Frozen):
     """Semi-decision for membership in the exceptional locus."""
 
-    def __init__(self, found: bool, word: Optional[MoveWord], exhausted: bool, pruned: bool):
+    def __init__(self, found: bool, word: MoveWord | None, exhausted: bool, pruned: bool):
         vars(self).update(found=found, word=word, exhausted=exhausted, pruned=pruned)
 
 
@@ -838,7 +842,7 @@ class OrbitReport(_Frozen):
 
 
 def class_number(
-    surface: Surface, gens_name: str, B: int, caps: Optional[Caps] = None
+    surface: Surface, gens_name: str, B: int, caps: Caps | None = None
 ) -> OrbitReport:
     """Label the box points by connected component of the move graph
     capped at height max(caps.height, B), and count the nondegenerate
@@ -853,7 +857,7 @@ def class_number(
     points = enumerate_points(surface, B)
     classes, forest, caps_hit = _label_classes(surface, gens_name, B, caps, points)
     witness = {}
-    for p, parent, g in _forest_edges(surface, forest):
+    for p, (parent, g) in _forest_edges(surface, forest).items():
         witness[p] = (inverse_move(g),) + witness.get(parent, ())
     # walking the sorted points sorts the exceptional ones
     exceptional = tuple((p, MoveWord(surface.kind, witness.get(p, ()))) for p in points
@@ -900,16 +904,16 @@ def _label_classes(surface: Surface, gens_name: str, B: int, caps: Caps, points)
     return classes, forest, caps_hit
 
 
-def _forest_edges(surface: Surface, forest: dict):
+def _forest_edges(surface: Surface, forest: dict) -> dict:
     """_tree_edges of a forest whose every parent is a +-2 point or went in
     before its child, so every chain of edges ends on the locus; else
     MarkoffError."""
     error, held = "exceptional witness failed to replay", set()
-    for p, parent, g in _tree_edges(surface, forest, error):
+    for p, (parent, _) in forest.items():
         if parent not in held and (parent is None or 2 not in parent and -2 not in parent):
             raise MarkoffError(error)
         held.add(p)
-        yield p, parent, g
+    return _tree_edges(surface, forest, error)
 
 
 def _representatives(classes, canonical: bool) -> tuple:
@@ -932,9 +936,10 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
 
     A _label_classes search holds at most the N box points off the +-2
     locus, so with cap height at most B and caps.count >= N none is cut
-    short and _sweep's labels serve gamma_prime: its locus-seeded points are
-    the exceptional forest and its root components the classes, merged by G
-    on the torus.  Otherwise _label_classes labels the points off the locus.
+    short and _sweep's labels serve the row: for gamma_prime its
+    locus-seeded points are the exceptional forest, which _forest_edges
+    checks, and its root components the classes, merged by G on the torus.
+    Otherwise _label_classes labels the points off the locus.
 
     Torus gamma_poly has the same exceptional set, so only the root
     components are labelled.  A capped gamma_prime path is a capped Vieta
@@ -946,11 +951,29 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
     passes through s_j.q_(j+1), at q_(j+1)'s height, so every step stays
     under the cap, and the walk ends at s_n.q_n, on the locus with q_n.
     Conversely a twist is a gamma_prime word whose middle point has an
-    endpoint's height.  A sphere twist is two Vieta moves whose middle point
-    takes each coordinate from an end, so it stays under the cap too; but
-    the capped twist graph is the even walks of the capped Vieta graph,
-    which no sweep labels yet, so sphere gamma_poly labels every point off
-    the locus.
+    endpoint's height.
+
+    Sphere gamma_poly is read off the capped Vieta graph V of the box
+    points, with a loop where a move fixes a point (_parity_classes).  A
+    twist is V_b V_a with a != b, and its middle point takes each
+    coordinate from an end, so it is in the box with them; as V_a V_a = id,
+    the capped twist graph is the even walks of V.  So a component of V is
+    one class if it has an odd cycle or a loop, else one per colour of its
+    2-colouring, and a class is exceptional iff it holds a locus point.  A
+    root component has none.  A cluster, a component of the seeded points
+    under in-box moves off the locus, lies in a component K of V with a
+    class that holds no locus point iff (i) it has no odd cycle and no
+    loop, (ii) each locus point l = V_a(q) next to it (a leaf, attached at
+    q) has V_b(l) and V_c(l) out of the box, and (iii) its attachment
+    points have one colour; that class is their colour, the rest of the
+    cluster exceptional.  If: K is the cluster and its leaves, each leaf
+    of the other colour.  Only if: K has no odd cycle or loop, or it would
+    be one class, and its locus points all take the other colour, so no
+    two are adjacent; l is +-2 on axis a only, as q is off the locus, and
+    V_b and V_c keep that, so they leave the box.  So each locus point of K
+    is a leaf, K is the cluster and its leaves, and every attachment point
+    takes the class's colour.  The row's exceptional points are therefore
+    the locus and the seeded points outside the classes of clusters.
     """
     locus, seeded, components = _sweep(surface, B)
     off = [*seeded, *itertools.chain.from_iterable(components)]
@@ -963,13 +986,53 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
             forest, caps_hit = seeded, False
             runs = itertools.groupby(_representatives(components, torus), lambda r: r[0])
             reps = tuple((rep, sum(size for _, size in run)) for rep, run in runs)
+        elif served and not torus:
+            classes, forest, caps_hit = _parity_classes(surface, off, B), {}, False
+            shared, reps = len(off) - sum(map(len, classes)), _representatives(classes, False)
         else:
             classes, forest, caps_hit = _label_classes(surface, name, B, caps,
                                                        off[shared:] if served else sorted(off))
             reps = _representatives(classes, torus and name == "gamma_prime")
-        exceptional = sum(linf_height(p) <= B for p, _, _ in _forest_edges(surface, forest))
+        forest = _forest_edges(surface, forest)  # a served row's forest is in the box
+        exceptional = len(forest) if served else sum(linf_height(p) <= B for p in forest)
         rows[name] = (locus + shared + exceptional, reps, caps_hit)
     return rows
+
+
+def _parity_classes(surface: Surface, off: list, B: int) -> list:
+    """The sphere gamma_poly classes of the box points off the +-2 locus,
+    _sweep's seeded points first, as _scan_labels proves them: one BFS by
+    in-box Vieta moves per component off the locus, which colours each
+    point by parity and checks the leaves."""
+    steps, low = _compile(surface, VIETA_MOVES), -B
+    colour, classes = {}, []
+    for root in off:
+        if root in colour:
+            continue
+        colour[root], members, odd, locus_colours, leaves_ok = 0, [root], False, set(), True
+        for p in members:
+            c = 1 - colour[p]  # the colour of p's neighbours
+            for g, f in steps:
+                q = f(surface, p)
+                x, y, z = q
+                if not (low <= x <= B and low <= y <= B and low <= z <= B):
+                    continue
+                if 2 in q or -2 in q:  # a locus point next to p, of colour c
+                    locus_colours.add(c)
+                    leaves_ok = leaves_ok and all(linf_height(v(surface, q)) > B
+                                                  for m, v in steps if m != g)
+                elif q not in colour:
+                    colour[q] = c
+                    members.append(_new(Point3, q))
+                elif colour[q] != c:  # an odd cycle, or q == p
+                    odd = True
+        if odd and not locus_colours:
+            classes.append(members)
+        elif not odd and leaves_ok:
+            groups = ([p for p in members if colour[p] == c]
+                      for c in (0, 1) if c not in locus_colours)
+            classes += filter(None, groups)
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -999,7 +1062,7 @@ class ParabolicLine(_Frozen):
 class LineReport(_Frozen):
     """square_root is the s >= 0 with k - 2 = s^2, when k - 2 is a square."""
 
-    def __init__(self, k: int, square_root: Optional[int], lines: tuple, note: str):
+    def __init__(self, k: int, square_root: int | None, lines: tuple, note: str):
         vars(self).update(k=k, square_root=square_root, lines=lines, note=note)
 
 

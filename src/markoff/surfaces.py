@@ -22,9 +22,9 @@ are homogeneous in one domain; mixing the two raises DomainMismatch.
 from __future__ import annotations
 
 import cmath
-from typing import NamedTuple, Union
+from collections import namedtuple
 
-Scalar = Union[int, float, complex]
+Scalar = int | float | complex
 
 EXACT = "exact"
 APPROX = "approx"
@@ -54,12 +54,10 @@ class RelationViolation(MarkoffError):
     """A representation tuple fails its defining product relation."""
 
 
-class Point3(NamedTuple):
+class Point3(namedtuple("Point3", "x y z")):
     """A point (x, y, z) in trace coordinates."""
 
-    x: Scalar
-    y: Scalar
-    z: Scalar
+    __slots__ = ()
 
 
 def scalar_domain(v: Scalar) -> str:
@@ -115,7 +113,7 @@ class _Frozen:
         return f"{type(self).__name__}({', '.join(f'{n}={v!r}' for n, v in vars(self).items())})"
 
     def _replace(self, **changes):
-        """A copy with the named fields changed, as NamedTuple._replace."""
+        """A copy with the named fields changed, as a namedtuple's _replace."""
         return type(self)(**{**vars(self), **changes})
 
 
@@ -159,7 +157,7 @@ class Cubic04(_Frozen):
         return common_domain(self.params)
 
 
-Surface = Union[Markoff11, Cubic04]
+Surface = Markoff11 | Cubic04
 
 
 def cubic04_coefficients(k1: Scalar, k2: Scalar, k3: Scalar, k4: Scalar) -> tuple:

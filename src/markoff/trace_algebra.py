@@ -37,7 +37,7 @@ acceptance tests run them by name at their own seeds and trial counts.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .surfaces import (
     Markoff11,
@@ -62,13 +62,10 @@ from .moves import (
 DET_TOL = 1e-9
 
 
-class Mat2(NamedTuple):
+class Mat2(namedtuple("Mat2", "m11 m12 m21 m22")):
     """A 2x2 matrix (m11, m12, m21, m22), normally of determinant one."""
 
-    m11: Scalar
-    m12: Scalar
-    m21: Scalar
-    m22: Scalar
+    __slots__ = ()
 
 
 IDENTITY = Mat2(1, 0, 0, 1)
@@ -78,7 +75,7 @@ UNIPOTENT_UPPER = Mat2(1, 1, 0, 1)
 UNIPOTENT_LOWER = Mat2(1, 0, 1, 1)
 
 
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+_new = tuple.__new__  # builds a namedtuple without its Python-level __new__
 
 
 def mat_mul(m: Mat2, n: Mat2) -> Mat2:
@@ -113,21 +110,17 @@ def check_sl2(m: Mat2) -> Mat2:
     return m
 
 
-class Pair(NamedTuple):
+class Pair(namedtuple("Pair", "A B")):
     """A torus representation: monodromies (A, B) of the two core loops."""
 
-    A: Mat2
-    B: Mat2
+    __slots__ = ()
 
 
-class Quad(NamedTuple):
+class Quad(namedtuple("Quad", "C1 C2 C3 C4")):
     """A four-holed sphere representation: boundary monodromies with
     C1*C2*C3*C4 = identity."""
 
-    C1: Mat2
-    C2: Mat2
-    C3: Mat2
-    C4: Mat2
+    __slots__ = ()
 
 
 def make_pair(A: Mat2, B: Mat2) -> Pair:

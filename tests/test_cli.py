@@ -363,15 +363,11 @@ def test_scan_labels_match_listing_big_k(j):
         _assert_labels_match_listing("11", (2**70 + 2 + j * j,), box)
 
 
-@pytest.mark.parametrize("k", [3, 8])
-def test_scan_serving_rule_at_its_boundary(monkeypatch, k):
-    # the sweep serves a row when no _label_classes search can be cut short:
-    # cap height at most the box and a count cap of at least the N box
-    # points off the locus; on either side of the switch the row, caps_hit
-    # included, is the listing's, and only a served row skips the
-    # gamma_prime labelling (k = 3 has exceptional points, k = 8 classes)
-    box = 20
-    n = sum(2 not in p and -2 not in p for p in orbits.enumerate_points(Markoff11(k), box))
+def _assert_serving_rule(monkeypatch, kind, params, box, labelled_when_served):
+    # on either side of the switch the row, caps_hit included, is the
+    # listing's, and a served row runs _label_classes only for the sets named
+    surface = cli.build_surface(kind, params)
+    n = sum(2 not in p and -2 not in p for p in orbits.enumerate_points(surface, box))
     real, labelled = orbits._label_classes, []
 
     def spy(surface, gens_name, *args):
@@ -381,12 +377,29 @@ def test_scan_serving_rule_at_its_boundary(monkeypatch, k):
     for caps, served in [((box, n - 1), False), ((box, n), True), ((box, n + 1), True),
                          ((box + 1, n), False)]:
         for gens in GENERATOR_SETS:
-            _assert_row_matches_listing("11", (k,), gens, box, caps)
+            _assert_row_matches_listing(kind, params, gens, box, caps)
             with monkeypatch.context() as m:
                 m.setattr(orbits, "_label_classes", spy)
-                cli._scan_one(("11", (k,), gens, box, caps))
-            assert labelled == (["gamma_poly"] if served else ["gamma_prime", "gamma_poly"])
+                cli._scan_one((kind, params, gens, box, caps))
+            assert labelled == (labelled_when_served if served else ["gamma_prime", "gamma_poly"])
             labelled.clear()
+
+
+@pytest.mark.parametrize("k", [3, 8])
+def test_scan_serving_rule_at_its_boundary(monkeypatch, k):
+    # the sweep serves a row when no _label_classes search can be cut short:
+    # cap height at most the box and a count cap of at least the N box
+    # points off the locus; only torus gamma_poly is then still labelled
+    # (k = 3 has exceptional points, k = 8 classes)
+    _assert_serving_rule(monkeypatch, "11", (k,), 20, ["gamma_poly"])
+
+
+@pytest.mark.parametrize("params, box", [((-10, 1, 2, -10), 20), ((1, -3, -4, 4), 5)])
+def test_sphere_scan_serving_rule_at_its_boundary(monkeypatch, params, box):
+    # a served sphere row labels neither set by search, as the parity pass
+    # labels gamma_poly; each row has exceptional points, classes and a
+    # locus-seeded cluster that gives a class
+    _assert_serving_rule(monkeypatch, "04", params, box, [])
 
 
 def test_scan_caps_hit_exit_two(capsys):
@@ -991,11 +1004,12 @@ def test_import_defers_pool_and_tempfile(tmp_path):
 
 def test_import_loads_no_dataclasses_or_inspect():
     # every command pays for importing markoff.cli: the value types are
-    # plain classes, so it loads neither dataclasses nor the inspect it
-    # pulls in; this checks sys.modules, not a time, so it cannot flake
+    # plain classes and namedtuple subclasses, so it loads neither
+    # dataclasses nor the inspect it pulls in, nor typing; this checks
+    # sys.modules, not a time, so it cannot flake
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import markoff.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-I", "-S", "-c", code, src],
                           capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout == "[]\n"

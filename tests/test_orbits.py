@@ -1473,6 +1473,95 @@ def test_sphere_twist_middle_point_within_its_ends():
                 assert linf_height(middle) <= max(linf_height(p), linf_height(end))
 
 
+def _off_locus(surface, B):
+    locus, seeded, components = _sweep(surface, B)
+    return locus, seeded, [*seeded, *itertools.chain.from_iterable(components)]
+
+
+def _sphere_poly_by_search(surface, B):
+    # a served sphere gamma_poly row as the twist searches of _label_classes
+    # label it, the path the parity pass replaced; and whether the pass
+    # gives a class to a locus-seeded cluster
+    locus, seeded, off = _off_locus(surface, B)
+    classes, forest, caps_hit = orbits._label_classes(surface, "gamma_poly", B, Caps(B, 10**6), off)
+    positive = any(members[0] in seeded for members in orbits._parity_classes(surface, off, B))
+    return (locus + len(forest), orbits._representatives(classes, False), caps_hit), positive
+
+
+# clusters that give a class: two one-point classes, one; two attachment
+# colours (condition iii); a fixed point with a leaf (condition i)
+PARITY_PINNED = [((-10, 1, 2, -10), 20, 2, 28), ((1, -3, -4, 4), 5, 3, 2),
+                 ((4, 5, -4, -3), 20, 26, 0), ((52, 3, -6, -2), 24, 3, 9)]
+
+
+def _sphere_parity_cases():
+    pinned = json.loads(PINNED_PATH.read_text())["scan"]["sphere"]
+    cases = [(tuple(map(int, key.split(","))), B) for B in (2, 3, 7) for key in pinned]
+    rng = random.Random(27)
+    cases += [(tuple(rng.randint(-30, 30) for _ in range(4)), B)
+              for B in (3, 5, 8, 10, 20) for _ in range(500)]
+    cases += [(surface.params, B) for surface, B in BIG_CASES if not isinstance(surface, Markoff11)]
+    return cases + [(params, B) for params, B, _, _ in PARITY_PINNED]
+
+
+def test_sphere_parity_labels_match_twist_searches():
+    # the parity pass against the twist searches it replaced, on the
+    # benchmark's pinned tuples at small boxes, a random grid, the big-int
+    # spheres and the pinned clusters; some clusters must give a class
+    positive = 0
+    for params, B in _sphere_parity_cases():
+        surface = make_cubic04(*params)
+        want, cluster_class = _sphere_poly_by_search(surface, B)
+        assert orbits._scan_labels(surface, B, Caps(B, 10**6))["gamma_poly"] == want, (params, B)
+        positive += cluster_class
+    assert positive >= 15
+
+
+@pytest.mark.parametrize("params, B, exceptional, classes", PARITY_PINNED)
+def test_sphere_parity_labels_pinned_clusters(params, B, exceptional, classes):
+    surface = make_cubic04(*params)
+    row = orbits._scan_labels(surface, B, Caps(B, 10**6))["gamma_poly"]
+    assert (row[0], len(row[1])) == (exceptional, classes)
+    assert row == _sphere_poly_by_search(surface, B)[0]
+
+
+def test_sphere_parity_labels_count_their_moves(monkeypatch):
+    # counts, not times, so they cannot flake: a served sphere row labels
+    # gamma_poly with no twist, and 3 Vieta moves per point off the locus
+    # plus 2 per locus leaf; the sweep's moves are not counted
+    calls, counting = {"V": 0, "T04": 0}, [True]
+    real_compile, real_sweep = orbits._compile, orbits._sweep
+
+    def counted(surface, gens):
+        def count(g, f):
+            def call(s, p):
+                calls[g.kind] += counting[0]
+                return f(s, p)
+            return call
+        return tuple((g, count(g, f)) for g, f in real_compile(surface, gens))
+
+    def sweep(surface, B):
+        counting[0] = False
+        result = real_sweep(surface, B)
+        counting[0] = True
+        return result
+
+    monkeypatch.setattr(orbits, "_compile", counted)
+    monkeypatch.setattr(orbits, "_sweep", sweep)
+    vieta = real_compile(make_cubic04(0, 0, 0, 0), VIETA_MOVES)
+    for params, B, _, _ in PARITY_PINNED:
+        surface = make_cubic04(*params)
+        _, seeded, off = _off_locus(surface, B)
+        leaves = {q for p in seeded for _, f in vieta for q in [f(surface, p)]
+                  if linf_height(q) <= B and (2 in q or -2 in q)}
+        assert leaves
+        calls.update(V=0, T04=0)
+        orbits._scan_labels(surface, B, Caps(B, len(off)))
+        assert calls["T04"] == 0 and 3 * len(off) <= calls["V"] <= 3 * len(off) + 2 * len(leaves)
+        orbits._scan_labels(surface, B, Caps(B, len(off) - 1))  # unserved: twist searches
+        assert calls["T04"] > 0
+
+
 # --- the library hands out Point3 ---------------------------------------------
 
 

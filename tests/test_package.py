@@ -23,8 +23,10 @@ from markoff import (
     reduce_compact,
 )
 from markoff.descent import INTEGER_STAR, REDUCED
-from markoff.orbits import EquivalenceResult, ExceptionalSearch, LineReport, OrbitRun
-from markoff.surfaces import cubic04_coefficients
+from markoff.moves import Move
+from markoff.orbits import Caps, EquivalenceResult, ExceptionalSearch, LineReport, OrbitRun
+from markoff.surfaces import Point3, cubic04_coefficients
+from markoff.trace_algebra import Mat2, Pair, Quad
 
 PACKAGE = Path(markoff.__file__).parent
 
@@ -156,6 +158,34 @@ def test_value_type_contract(cls):
     for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         assert pickle.loads(pickle.dumps(value, protocol)) == value
     assert repr(value) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in fields.items())})"
+
+
+# each tuple value type: its fields, and one value
+_TUPLE_TYPES = {
+    Point3: ("x y z", Point3(1, -2, 3)),
+    Move: ("kind arg power", Move("V", 2)),
+    MoveWord: ("surface_kind moves", MoveWord("04", (Move("T04", 1, -1),))),
+    Caps: ("height count", Caps(50)),
+    Mat2: ("m11 m12 m21 m22", Mat2(1, 1, 0, 1)),
+    Pair: ("A B", Pair(Mat2(1, 1, 0, 1), Mat2(1, 0, 1, 1))),
+    Quad: ("C1 C2 C3 C4", Quad(*[Mat2(1, 0, 0, 1)] * 4)),
+}
+
+
+@pytest.mark.parametrize("cls", _TUPLE_TYPES, ids=lambda cls: cls.__name__)
+def test_tuple_type_contract(cls):
+    # the tuple value types are namedtuple subclasses with no instance
+    # dict, which would grow every point; fields, defaults, _replace,
+    # pickling (scan --jobs sends them to workers) and repr as before
+    names, value = _TUPLE_TYPES[cls]
+    assert cls._fields == tuple(names.split()) and not hasattr(value, "__dict__")
+    assert value._replace() == value and type(value._replace()) is cls
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(value, protocol))
+        assert copy == value and type(copy) is cls
+    fields = ", ".join(f"{n}={v!r}" for n, v in zip(names.split(), value))
+    assert repr(value) == f"{cls.__name__}({fields})"
+    assert Move("V", 0).power == 1 and Caps() == (10**6, 10**6)
 
 
 def test_descent_result_keyword_defaults():
