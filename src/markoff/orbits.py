@@ -970,9 +970,9 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
     of the other colour.  Only if: K has no odd cycle or loop, or it would
     be one class, and its locus points all take the other colour, so no
     two are adjacent; l is +-2 on axis a only, as q is off the locus, and
-    V_b and V_c keep that, so they leave the box.  So each locus point of K
-    is a leaf, K is the cluster and its leaves, and every attachment point
-    takes the class's colour.  The row's exceptional points are therefore
+    V_b and V_c keep that, so their images, l or locus points next to it,
+    leave the box.  So each locus point of K is a leaf, K is the cluster
+    and its leaves, and every attachment point takes the class's colour.  The row's exceptional points are therefore
     the locus and the seeded points outside the classes of clusters.
     """
     locus, seeded, components = _sweep(surface, B)
