@@ -56,8 +56,9 @@ component of the move graph capped at the box height (or a higher height
 cap); a component is exceptional iff some trace in it hits +-2.  The
 exceptional points form a forest rooted on the +-2 locus, grown by one
 _search per unlabelled point (_label_classes) or read off the sweep for a
-scan row (_scan_labels), and certified by one check (_forest_edges); a
-sphere gamma_poly scan row counts them by the parity of Vieta walks.
+gamma_prime scan row (_scan_labels), and certified by one check
+(_forest_edges); a served gamma_poly scan row walks each component of the
+in-box twist graph once (_inbox_classes).
 """
 
 from __future__ import annotations
@@ -923,11 +924,13 @@ def _representatives(classes, canonical: bool) -> tuple:
     symmetries are gamma_prime moves that keep the height."""
     reps = []
     for members in classes:
-        low = min(map(linf_height, members))
-        lows = [m for m in members if linf_height(m) == low]
-        reps.append((_new(Point3, min(map(_canon_11, lows))) if canonical else min(lows),
+        heights = list(map(linf_height, members))
+        low = min(heights)
+        lows = [m for m, h in zip(members, heights) if h == low]
+        reps.append((low, _new(Point3, min(map(_canon_11, lows))) if canonical else min(lows),
                      len(members)))
-    return tuple(sorted(reps, key=lambda r: (linf_height(r[0]), r[0])))
+    reps.sort(key=lambda r: r[:2])
+    return tuple(r[1:] for r in reps)
 
 
 def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
@@ -936,102 +939,70 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
 
     A _label_classes search holds at most the N box points off the +-2
     locus, so with cap height at most B and caps.count >= N none is cut
-    short and _sweep's labels serve the row: for gamma_prime its
-    locus-seeded points are the exceptional forest, which _forest_edges
-    checks, and its root components the classes, merged by G on the torus.
+    short, and a set's classes are the components of its in-box move graph
+    with no locus point.  _sweep's labels then serve the row: for
+    gamma_prime its locus-seeded points are the exceptional forest, which
+    _forest_edges checks, and its root components the classes, merged by G
+    on the torus; gamma_poly's classes are walked by _inbox_classes.
     Otherwise _label_classes labels the points off the locus.
 
-    Torus gamma_poly has the same exceptional set, so only the root
-    components are labelled.  A capped gamma_prime path is a capped Vieta
-    path then a symmetry of G, which normalizes the Vieta moves and keeps
-    the height and the locus.  Each twist is a Vieta move then a
-    transposition, one per Vieta axis (trace_algebra._TORUS_TWIST_WORDS).
-    Walk a Vieta path q_0 ... q_n by twists, holding s_j.q_j for a
-    permutation s_j: the twist on s_j's image of the next move's axis
-    passes through s_j.q_(j+1), at q_(j+1)'s height, so every step stays
-    under the cap, and the walk ends at s_n.q_n, on the locus with q_n.
-    Conversely a twist is a gamma_prime word whose middle point has an
-    endpoint's height.
-
-    Sphere gamma_poly is read off the capped Vieta graph V of the box
-    points, with a loop where a move fixes a point (_parity_classes).  A
-    twist is V_b V_a with a != b, and its middle point takes each
-    coordinate from an end, so it is in the box with them; as V_a V_a = id,
-    the capped twist graph is the even walks of V.  So a component of V is
-    one class if it has an odd cycle or a loop, else one per colour of its
-    2-colouring, and a class is exceptional iff it holds a locus point.  A
-    root component has none.  A cluster, a component of the seeded points
-    under in-box moves off the locus, lies in a component K of V with a
-    class that holds no locus point iff (i) it has no odd cycle and no
-    loop, (ii) each locus point l = V_a(q) next to it (a leaf, attached at
-    q) has V_b(l) and V_c(l) out of the box, and (iii) its attachment
-    points have one colour; that class is their colour, the rest of the
-    cluster exceptional.  If: K is the cluster and its leaves, each leaf
-    of the other colour.  Only if: K has no odd cycle or loop, or it would
-    be one class, and its locus points all take the other colour, so no
-    two are adjacent; l is +-2 on axis a only, as q is off the locus, and
-    V_b and V_c keep that, so their images, l or locus points next to it,
-    leave the box.  So each locus point of K is a leaf, K is the cluster
-    and its leaves, and every attachment point takes the class's colour.  The row's exceptional points are therefore
-    the locus and the seeded points outside the classes of clusters.
+    On the torus the seeded points are exceptional under gamma_poly too, so
+    only the root components are walked.  A capped gamma_prime path is a
+    capped Vieta path then a symmetry of G, which normalizes the Vieta
+    moves and keeps the height and the locus.  Each twist is a Vieta move
+    then a transposition, one per Vieta axis
+    (trace_algebra._TORUS_TWIST_WORDS).  Walk a Vieta path q_0 ... q_n by
+    twists, holding s_j.q_j for a permutation s_j: the twist on s_j's image
+    of the next move's axis passes through s_j.q_(j+1), at q_(j+1)'s
+    height, so every step stays under the cap, and the walk ends at
+    s_n.q_n, on the locus with q_n.  Conversely a twist is a gamma_prime
+    word whose middle point has an endpoint's height, so a twist walk from
+    a root component stays among the root components.
     """
     locus, seeded, components = _sweep(surface, B)
     off = [*seeded, *itertools.chain.from_iterable(components)]
     torus = isinstance(surface, Markoff11)
-    served = caps.height <= B and caps.count >= len(off)
-    rows = {}
-    for name in GENERATOR_SETS:
-        shared = len(seeded) if served and torus and name == "gamma_poly" else 0
-        if served and name == "gamma_prime":
-            forest, caps_hit = seeded, False
-            runs = itertools.groupby(_representatives(components, torus), lambda r: r[0])
-            reps = tuple((rep, sum(size for _, size in run)) for rep, run in runs)
-        elif served and not torus:
-            classes, forest, caps_hit = _parity_classes(surface, off, B), {}, False
-            shared, reps = len(off) - sum(map(len, classes)), _representatives(classes, False)
-        else:
-            classes, forest, caps_hit = _label_classes(surface, name, B, caps,
-                                                       off[shared:] if served else sorted(off))
-            reps = _representatives(classes, torus and name == "gamma_prime")
-        forest = _forest_edges(surface, forest)  # a served row's forest is in the box
-        exceptional = len(forest) if served else sum(linf_height(p) <= B for p in forest)
-        rows[name] = (locus + shared + exceptional, reps, caps_hit)
-    return rows
+    if caps.height > B or caps.count < len(off):
+        rows = {}
+        for name in GENERATOR_SETS:
+            classes, forest, caps_hit = _label_classes(surface, name, B, caps, sorted(off))
+            exceptional = sum(linf_height(p) <= B for p in _forest_edges(surface, forest))
+            rows[name] = (locus + exceptional,
+                          _representatives(classes, torus and name == "gamma_prime"), caps_hit)
+        return rows
+    runs = itertools.groupby(_representatives(components, torus), lambda r: r[0])
+    prime = tuple((rep, sum(size for _, size in run)) for rep, run in runs)
+    classes = _inbox_classes(surface, "gamma_poly", off[len(seeded):] if torus else off, B)
+    return {"gamma_prime": (locus + len(_forest_edges(surface, seeded)), prime, False),
+            "gamma_poly": (locus + len(off) - sum(map(len, classes)),
+                           _representatives(classes, False), False)}
 
 
-def _parity_classes(surface: Surface, off: list, B: int) -> list:
-    """The sphere gamma_poly classes of the box points off the +-2 locus,
-    _sweep's seeded points first, as _scan_labels proves them: one BFS by
-    in-box Vieta moves per component off the locus, which colours each
-    point by parity and checks the leaves."""
-    steps, low = _compile(surface, VIETA_MOVES), -B
-    colour, classes = {}, []
-    for root in off:
-        if root in colour:
+def _inbox_classes(surface: Surface, gens_name: str, points, B: int) -> list:
+    """The member lists of the components of the in-box move graph of
+    gens_name among the box points off the +-2 locus that no in-box move
+    joins to a locus point: one BFS from each of the points given that no
+    earlier one reached."""
+    steps, low = _compile(surface, gens_name), -B
+    reached, classes = set(), []
+    for root in points:
+        if root in reached:
             continue
-        colour[root], members, odd, locus_colours, leaves_ok = 0, [root], False, set(), True
+        reached.add(root)
+        members, touched = [root], False
         for p in members:
-            c = 1 - colour[p]  # the colour of p's neighbours
-            for g, f in steps:
+            for _, f in steps:
                 q = f(surface, p)
                 x, y, z = q
                 if not (low <= x <= B and low <= y <= B and low <= z <= B):
                     continue
-                if 2 in q or -2 in q:  # a locus point next to p, of colour c
-                    locus_colours.add(c)
-                    leaves_ok = leaves_ok and all(linf_height(v(surface, q)) > B
-                                                  for m, v in steps if m != g)
-                elif q not in colour:
-                    colour[q] = c
+                if 2 in q or -2 in q:
+                    touched = True
+                elif q not in reached:
+                    reached.add(q)
                     members.append(_new(Point3, q))
-                elif colour[q] != c:  # an odd cycle, or q == p
-                    odd = True
-        if odd and not locus_colours:
+        if not touched:
             classes.append(members)
-        elif not odd and leaves_ok:
-            groups = ([p for p in members if colour[p] == c]
-                      for c in (0, 1) if c not in locus_colours)
-            classes += filter(None, groups)
     return classes
 
 

@@ -363,25 +363,35 @@ def test_scan_labels_match_listing_big_k(j):
         _assert_labels_match_listing("11", (2**70 + 2 + j * j,), box)
 
 
-def _assert_serving_rule(monkeypatch, kind, params, box, labelled_when_served):
+def _assert_serving_rule(monkeypatch, kind, params, box):
     # on either side of the switch the row, caps_hit included, is the
-    # listing's, and a served row runs _label_classes only for the sets named
+    # listing's; a served row runs no _label_classes and no _search but the
+    # sweep's for either set, and an unserved row labels both sets
     surface = cli.build_surface(kind, params)
     n = sum(2 not in p and -2 not in p for p in orbits.enumerate_points(surface, box))
-    real, labelled = orbits._label_classes, []
+    real_label, real_search, labelled, searches = orbits._label_classes, orbits._search, [], [0]
 
-    def spy(surface, gens_name, *args):
+    def label(surface, gens_name, *args):
         labelled.append(gens_name)
-        return real(surface, gens_name, *args)
+        return real_label(surface, gens_name, *args)
 
+    def search(*args, **kwargs):
+        searches[0] += 1
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "_search", search)
+    orbits._sweep(surface, box)
+    swept = searches[0]
     for caps, served in [((box, n - 1), False), ((box, n), True), ((box, n + 1), True),
                          ((box + 1, n), False)]:
         for gens in GENERATOR_SETS:
             _assert_row_matches_listing(kind, params, gens, box, caps)
+            searches[0] = 0
             with monkeypatch.context() as m:
-                m.setattr(orbits, "_label_classes", spy)
+                m.setattr(orbits, "_label_classes", label)
                 cli._scan_one((kind, params, gens, box, caps))
-            assert labelled == (labelled_when_served if served else ["gamma_prime", "gamma_poly"])
+            assert labelled == ([] if served else ["gamma_prime", "gamma_poly"])
+            assert searches[0] == swept if served else searches[0] > swept
             labelled.clear()
 
 
@@ -389,17 +399,17 @@ def _assert_serving_rule(monkeypatch, kind, params, box, labelled_when_served):
 def test_scan_serving_rule_at_its_boundary(monkeypatch, k):
     # the sweep serves a row when no _label_classes search can be cut short:
     # cap height at most the box and a count cap of at least the N box
-    # points off the locus; only torus gamma_poly is then still labelled
+    # points off the locus; neither set is then labelled by search
     # (k = 3 has exceptional points, k = 8 classes)
-    _assert_serving_rule(monkeypatch, "11", (k,), 20, ["gamma_poly"])
+    _assert_serving_rule(monkeypatch, "11", (k,), 20)
 
 
 @pytest.mark.parametrize("params, box", [((-10, 1, 2, -10), 20), ((1, -3, -4, 4), 5)])
 def test_sphere_scan_serving_rule_at_its_boundary(monkeypatch, params, box):
-    # a served sphere row labels neither set by search, as the parity pass
+    # a served sphere row labels neither set by search, as the in-box walk
     # labels gamma_poly; each row has exceptional points, classes and a
     # locus-seeded cluster that gives a class
-    _assert_serving_rule(monkeypatch, "04", params, box, [])
+    _assert_serving_rule(monkeypatch, "04", params, box)
 
 
 def test_scan_caps_hit_exit_two(capsys):

@@ -5,7 +5,7 @@ import math
 import pathlib
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1480,16 +1480,16 @@ def _off_locus(surface, B):
 
 def _sphere_poly_by_search(surface, B):
     # a served sphere gamma_poly row as the twist searches of _label_classes
-    # label it, the path the parity pass replaced; and whether the pass
-    # gives a class to a locus-seeded cluster
+    # label it, the reference the in-box walk is checked against; and
+    # whether a locus-seeded cluster holds a class
     locus, seeded, off = _off_locus(surface, B)
     classes, forest, caps_hit = orbits._label_classes(surface, "gamma_poly", B, Caps(B, 10**6), off)
-    positive = any(members[0] in seeded for members in orbits._parity_classes(surface, off, B))
+    positive = any(m in seeded for members in classes for m in members)
     return (locus + len(forest), orbits._representatives(classes, False), caps_hit), positive
 
 
-# clusters that give a class: two one-point classes, one; two attachment
-# colours (condition iii); a fixed point with a leaf (condition i)
+# locus-seeded clusters that give a class: two one-point classes, one;
+# attachment points of both Vieta parities; a fixed point with a locus leaf
 PARITY_PINNED = [((-10, 1, 2, -10), 20, 2, 28), ((1, -3, -4, 4), 5, 3, 2),
                  ((4, 5, -4, -3), 20, 26, 0), ((52, 3, -6, -2), 24, 3, 9)]
 
@@ -1505,7 +1505,7 @@ def _sphere_parity_cases():
 
 
 def test_sphere_parity_labels_match_twist_searches():
-    # the parity pass against the twist searches it replaced, on the
+    # the in-box walk against the twist searches of _label_classes, on the
     # benchmark's pinned tuples at small boxes, a random grid, the big-int
     # spheres and the pinned clusters; some clusters must give a class
     positive = 0
@@ -1526,10 +1526,11 @@ def test_sphere_parity_labels_pinned_clusters(params, B, exceptional, classes):
 
 
 def test_sphere_parity_labels_count_their_moves(monkeypatch):
-    # counts, not times, so they cannot flake: a served sphere row labels
-    # gamma_poly with no twist, and 3 Vieta moves per point off the locus
-    # plus 2 per locus leaf; the sweep's moves are not counted
-    calls, counting = {"V": 0, "T04": 0}, [True]
+    # exact counts, so they cannot flake: a served row labels gamma_poly
+    # with 6 twists per point it walks, every point off the locus on the
+    # sphere and every root component point on the torus, and with no
+    # Vieta move; the sweep's moves are not counted
+    calls, counting = Counter(), [True]
     real_compile, real_sweep = orbits._compile, orbits._sweep
 
     def counted(surface, gens):
@@ -1548,18 +1549,18 @@ def test_sphere_parity_labels_count_their_moves(monkeypatch):
 
     monkeypatch.setattr(orbits, "_compile", counted)
     monkeypatch.setattr(orbits, "_sweep", sweep)
-    vieta = real_compile(make_cubic04(0, 0, 0, 0), VIETA_MOVES)
-    for params, B, _, _ in PARITY_PINNED:
-        surface = make_cubic04(*params)
+    rows = [(make_cubic04(*params), B) for params, B, _, _ in PARITY_PINNED]
+    rows += [(Markoff11(k), B) for k in (-2, 3, 8) for B in (20, 100)]
+    for surface, B in rows:
         _, seeded, off = _off_locus(surface, B)
-        leaves = {q for p in seeded for _, f in vieta for q in [f(surface, p)]
-                  if linf_height(q) <= B and (2 in q or -2 in q)}
-        assert leaves
-        calls.update(V=0, T04=0)
+        twist = "T11" if isinstance(surface, Markoff11) else "T04"
+        points = len(off) - len(seeded) if twist == "T11" else len(off)
+        calls.clear()
         orbits._scan_labels(surface, B, Caps(B, len(off)))
-        assert calls["T04"] == 0 and 3 * len(off) <= calls["V"] <= 3 * len(off) + 2 * len(leaves)
+        assert calls == Counter({twist: 6 * points}), (surface.params, B)
+        calls.clear()
         orbits._scan_labels(surface, B, Caps(B, len(off) - 1))  # unserved: twist searches
-        assert calls["T04"] > 0
+        assert calls[twist] > 0
 
 
 # --- the library hands out Point3 ---------------------------------------------

@@ -1,6 +1,8 @@
-"""The benchmark's tracer wraps package functions by module and name; a
-rename must fail here, not only in a traced benchmark run."""
+"""The benchmark's tracer wraps package functions by module and name, and
+its workloads call the package by name; a rename or a deletion must fail
+here, not only in a benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -11,6 +13,7 @@ import pytest
 from markoff import cli, trace_algebra
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+WORKLOADS = TRACING.with_name("workloads.py")
 
 
 def _tracing():
@@ -29,6 +32,41 @@ def _trace_targets():
 def test_trace_target_resolves(module, name):
     fn = getattr(importlib.import_module(module), name, None)
     assert callable(fn), f"{module}.{name} is traced by the benchmark but missing"
+
+
+def _workload_names():
+    """(module, name) for each name bench/workloads.py imports from a
+    markoff module or reads as an attribute of one it imports."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules, names = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "markoff":
+                    modules[alias.asname or alias.name] = alias.name
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "markoff":
+            for alias in node.names:
+                value = getattr(importlib.import_module(node.module), alias.name, None)
+                if inspect.ismodule(value):
+                    modules[alias.asname or alias.name] = value.__name__
+                else:
+                    names.add((node.module, alias.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            names.add((modules[node.value.id], node.attr))
+    return sorted(names)
+
+
+def test_workloads_read_the_package():
+    names = _workload_names()
+    assert ("markoff.orbits", "Caps") in names and ("markoff.surfaces", "Point3") in names
+
+
+@pytest.mark.parametrize("module, name", _workload_names())
+def test_workload_name_resolves(module, name):
+    assert hasattr(importlib.import_module(module), name), (
+        f"{module}.{name} is read by the benchmark's workloads but missing")
 
 
 TRACED_PARAMETERS = {
