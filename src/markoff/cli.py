@@ -9,16 +9,17 @@
     markoff orbit  --type 11 --k -2 --start 3,3,3 --gens gamma_poly --cap-height 100
     markoff equiv  --type 11 --k -2 --p 3,3,3 --q 3,6,15
 
-Exit codes: 0 success, 1 usage, input or math error, 2 caps hit (for
-scan: some row says caps_hit).  reduce takes the step cap --cap-steps;
-scan, orbit and equiv take the search caps --cap-height and --cap-count.
-Scan rows are cached per (surface, generator set, box, height and count
-caps, hash of the package sources) in the log named by --cache or the
-MARKOFF_CACHE environment variable.  A scan appends the rows it computed
-under a lock on the log, and a later line wins.  A scan parses only the
-lines under the keys it asks for; a malformed one of those, a malformed
-row, or a log that cannot be read or written, is a warning.  A warm scan
-reproduces cached rows byte for byte.  Complex literals: re+imi, e.g. 1.5+0.25i.
+Exit codes: 0 success, 1 usage, input or math error, 2 caps hit (reduce,
+orbit and equiv; a scan row's caps_hit is always false).  reduce takes the
+step cap --cap-steps, orbit and equiv the search caps --cap-height and
+--cap-count, and scan --cap-height alone.  Scan rows are cached per
+(surface, generator set, box, cap height, hash of the package sources) in
+the log named by --cache or the MARKOFF_CACHE environment variable.  A
+scan appends the rows it computed under a lock on the log, and a later
+line wins.  A scan parses only the lines under the keys it asks for; a
+malformed one of those, a malformed row, or a log that cannot be read or
+written, is a warning.  A warm scan reproduces cached rows byte for byte.
+Complex literals: re+imi, e.g. 1.5+0.25i.
 
 verify runs each suite of trace_algebra.IDENTITY_SUITES with a fresh
 random.Random(--seed) and prints one pass/FAIL line per suite.  The
@@ -206,9 +207,9 @@ def _source_hash() -> str:
     return digest.hexdigest()
 
 
-def _row_key(surface_type, params, gens, box, caps, code) -> str:
+def _row_key(surface_type, params, gens, box, height, code) -> str:
     return json.dumps(
-        [surface_type, list(params), gens, box, list(caps), code],
+        [surface_type, list(params), gens, box, height, code],
         sort_keys=True,
     )
 
@@ -233,15 +234,15 @@ def _is_row(row, k) -> bool:
 
 
 def _scan_one(task) -> dict:
-    surface_type, params, gens, box, caps = task
-    labels = _scan_labels(build_surface(surface_type, params), box, Caps(*caps))
-    exceptional, reps, _ = labels[gens]
+    surface_type, params, gens, box, height = task
+    labels = _scan_labels(build_surface(surface_type, params), box, height)
+    exceptional, reps = labels[gens]
     return {
         "k": _row_k(surface_type, params),
         "h_star_gamma_poly": len(labels["gamma_poly"][1]),
         "h_star_gamma_prime": len(labels["gamma_prime"][1]),
         "exceptional": exceptional,
-        "caps_hit": any(hit for _, _, hit in labels.values()),
+        "caps_hit": False,
         "representatives": [list(p) for p, _ in reps],
     }
 
@@ -303,8 +304,8 @@ def cmd_scan(args) -> int:
 
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     code = _source_hash() if cache_path else None  # only the cache keys need it
-    caps = _caps(args, default_height=args.box)
-    keys = [_row_key(args.type, params, args.gens, args.box, caps, code) for params in ks]
+    height = args.box if args.cap_height is None else args.cap_height
+    keys = [_row_key(args.type, params, args.gens, args.box, height, code) for params in ks]
     entries = _load_cache(cache_path, keys) if cache_path else {}
     rows: list = [None] * len(keys)
     missing = []
@@ -316,7 +317,7 @@ def cmd_scan(args) -> int:
         if key in entries:
             print(f"warning: malformed row in cache {cache_path}; recomputing it",
                   file=sys.stderr)
-        missing.append((i, (args.type, params, args.gens, args.box, tuple(caps))))
+        missing.append((i, (args.type, params, args.gens, args.box, height)))
     if missing:
         if args.jobs > 1 and len(missing) > 1:
             from concurrent.futures import ProcessPoolExecutor  # here: serial scans skip it
@@ -349,7 +350,7 @@ def cmd_scan(args) -> int:
             "rows": rows,
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
-    return EXIT_CAPS if any(row["caps_hit"] for row in rows) else EXIT_OK
+    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +421,7 @@ def cmd_orbit(args) -> int:
     params = parse_params(args)
     surface = build_surface(args.type, params)
     start = parse_point(args.start, complex_mode=False)
-    caps = _caps(args, default_height=DEFAULT_CAPS.height)
-    run = orbit_bfs(surface, args.gens, start, cap_height=caps.height, cap_count=caps.count)
+    run = orbit_bfs(surface, args.gens, start, args.cap_height, args.cap_count)
     rows = [(p, str(word)) for p, word in run.words().items()]
     if args.format == "csv":
         writer = csv.writer(sys.stdout)
@@ -443,8 +443,7 @@ def cmd_equiv(args) -> int:
     surface = build_surface(args.type, params)
     p = parse_point(args.p, complex_mode=False)
     q = parse_point(args.q, complex_mode=False)
-    caps = _caps(args, default_height=DEFAULT_CAPS.height)
-    res = equivalent(surface, args.gens, p, q, caps)
+    res = equivalent(surface, args.gens, p, q, Caps(args.cap_height, args.cap_count))
     if res.equivalent:
         print(json.dumps({"equivalent": True, "word": str(res.word)}, sort_keys=True))
         return EXIT_OK
@@ -475,11 +474,6 @@ def _check_args(args) -> None:
             raise ValueError(f"--{dest.replace('_', '-')} must be {bound}")
 
 
-def _caps(args, default_height) -> Caps:
-    height = args.cap_height if args.cap_height is not None else default_height
-    return Caps(height=height, count=args.cap_count)
-
-
 def _add_surface_args(sub, with_range=False):
     sub.add_argument("--type", choices=("11", "04"), default="11")
     k_args = sub.add_mutually_exclusive_group() if with_range else sub
@@ -491,7 +485,7 @@ def _add_surface_args(sub, with_range=False):
 
 
 def _add_caps_args(sub):
-    sub.add_argument("--cap-height", dest="cap_height", type=int, default=None)
+    sub.add_argument("--cap-height", dest="cap_height", type=int, default=DEFAULT_CAPS.height)
     sub.add_argument("--cap-count", dest="cap_count", type=int, default=DEFAULT_CAPS.count)
 
 
@@ -534,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--cache", help=f"cache file (default: ${CACHE_ENV})")
     p.add_argument("--jobs", type=int, default=1)
-    _add_caps_args(p)
+    p.add_argument("--cap-height", dest="cap_height", type=int)
     p.set_defaults(func=cmd_scan)
 
     p = subs.add_parser("verify", help="run the randomized identity suites")

@@ -54,11 +54,12 @@ the locus or from a root (_root_heights), with no scan of the B^2 grid.
 A class count labels the box points of an exact surface by connected
 component of the move graph capped at the box height (or a higher height
 cap); a component is exceptional iff some trace in it hits +-2.  The
-exceptional points form a forest rooted on the +-2 locus, grown by one
-_search per unlabelled point (_label_classes) or read off the sweep for a
-gamma_prime scan row (_scan_labels), and certified by one check
-(_forest_edges); a served gamma_poly scan row walks each component of the
-in-box twist graph once (_inbox_classes).
+exceptional points form a forest rooted on the +-2 locus, certified by
+one check (_forest_edges).  class_number grows it by one _search per
+unlabelled point (_label_classes), under both caps, with witness words.  A
+scan row reads it off the sweep at the cap height and walks each
+component of the capped twist graph once for gamma_poly (_inbox_classes),
+then cuts both to the box (_scan_labels).
 """
 
 from __future__ import annotations
@@ -80,7 +81,6 @@ from .surfaces import (
     residual,
 )
 from .moves import (
-    GENERATOR_SETS,
     VIETA_MOVES,
     Move,
     MoveWord,
@@ -933,18 +933,18 @@ def _representatives(classes, canonical: bool) -> tuple:
     return tuple(r[1:] for r in reps)
 
 
-def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
-    """{generator set: (exceptional box points, representatives, caps_hit)},
-    as class_number reports them, for a scan row.
+def _scan_labels(surface: Surface, B: int, H: int) -> dict:
+    """{generator set: (exceptional box points, representatives)}, as
+    class_number reports them at cap height H, for a scan row.
 
-    A _label_classes search holds at most the N box points off the +-2
-    locus, so with cap height at most B and caps.count >= N none is cut
-    short, and a set's classes are the components of its in-box move graph
-    with no locus point.  _sweep's labels then serve the row: for
-    gamma_prime its locus-seeded points are the exceptional forest, which
-    _forest_edges checks, and its root components the classes, merged by G
-    on the torus; gamma_poly's classes are walked by _inbox_classes.
-    Otherwise _label_classes labels the points off the locus.
+    A set's classes are the components of its move graph capped at height
+    max(H, B) with no +-2 point, cut to the box, so _sweep at that height
+    labels the row: for gamma_prime its locus-seeded points are the
+    exceptional forest, which _forest_edges checks, and its root
+    components the classes, merged by G on the torus; gamma_poly's classes
+    are walked by _inbox_classes.  Above the box, the seeded points and
+    every class are cut to the box, a class left with no box point is
+    dropped, and the box's locus is counted by _sweep at B.
 
     On the torus the seeded points are exceptional under gamma_poly too, so
     only the root components are walked.  A capped gamma_prime path is a
@@ -959,23 +959,26 @@ def _scan_labels(surface: Surface, B: int, caps: Caps) -> dict:
     word whose middle point has an endpoint's height, so a twist walk from
     a root component stays among the root components.
     """
-    locus, seeded, components = _sweep(surface, B)
+    H = max(H, B)
+    locus, seeded, components = _sweep(surface, H)
     off = [*seeded, *itertools.chain.from_iterable(components)]
     torus = isinstance(surface, Markoff11)
-    if caps.height > B or caps.count < len(off):
-        rows = {}
-        for name in GENERATOR_SETS:
-            classes, forest, caps_hit = _label_classes(surface, name, B, caps, sorted(off))
-            exceptional = sum(linf_height(p) <= B for p in _forest_edges(surface, forest))
-            rows[name] = (locus + exceptional,
-                          _representatives(classes, torus and name == "gamma_prime"), caps_hit)
-        return rows
+    classes = _inbox_classes(surface, "gamma_poly", off[len(seeded):] if torus else off, H)
+    seeded = _forest_edges(surface, seeded)
+    if H > B:
+        locus, seeded, off = _sweep(surface, B)[0], _cut(seeded, B), _cut(off, B)
+        components = [c for c in (_cut(c, B) for c in components) if c]
+        classes = [c for c in (_cut(c, B) for c in classes) if c]
     runs = itertools.groupby(_representatives(components, torus), lambda r: r[0])
     prime = tuple((rep, sum(size for _, size in run)) for rep, run in runs)
-    classes = _inbox_classes(surface, "gamma_poly", off[len(seeded):] if torus else off, B)
-    return {"gamma_prime": (locus + len(_forest_edges(surface, seeded)), prime, False),
+    return {"gamma_prime": (locus + len(seeded), prime),
             "gamma_poly": (locus + len(off) - sum(map(len, classes)),
-                           _representatives(classes, False), False)}
+                           _representatives(classes, False))}
+
+
+def _cut(points, B: int) -> list:
+    """The points of sup-norm at most B."""
+    return [p for p in points if linf_height(p) <= B]
 
 
 def _inbox_classes(surface: Surface, gens_name: str, points, B: int) -> list:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import stat
 import subprocess
 import sys
@@ -222,7 +223,7 @@ def test_scan_cache_stale_code_is_miss(tmp_path, capsys):
     poisoned = {"k": -2, "h_star_gamma_poly": 99, "h_star_gamma_prime": 99,
                 "exceptional": 0, "caps_hit": False, "representatives": []}
     for code_hash, served in (("other-code", 2), (cli._source_hash(), 99)):
-        key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], code_hash)
+        key = cli._row_key("11", (-2,), "gamma_prime", 10, 10, code_hash)
         cache.write_text(json.dumps([key, poisoned]) + "\n")
         code, out, _ = run_cli(capsys, "scan", "--k", "-2", "--box", "10", "--cache", str(cache))
         assert code == 0
@@ -258,7 +259,7 @@ def test_scan_malformed_cache_row_is_miss(tmp_path, capsys, entry):
     argv = ["scan", "--k", "-2", "--box", "10"]
     _, fresh, _ = run_cli(capsys, *argv)
     cache = tmp_path / "cache.json"
-    key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], cli._source_hash())
+    key = cli._row_key("11", (-2,), "gamma_prime", 10, 10, cli._source_hash())
     cache.write_text(json.dumps([key, entry]) + "\n")
     code, out, err = run_cli(capsys, *argv, "--cache", str(cache))
     assert code == 0
@@ -270,10 +271,12 @@ def test_scan_malformed_cache_row_is_miss(tmp_path, capsys, entry):
 @pytest.mark.parametrize("argv", [
     ("--type", "11", "--k-range", "-2..1", "--box", "30"),
     ("--type", "04", "--k", "0,1,2,3", "--box", "12", "--gens", "gamma_poly"),
+    ("--type", "11", "--k-range", "-2..1", "--box", "30", "--cap-height", "45"),
 ])
 def test_scan_enumerates_each_row_once(capsys, monkeypatch, argv):
-    # both generator sets of a row label the box of one sweep, whose +-2
-    # locus is counted, not listed
+    # both generator sets of a row label the points of one sweep at the cap
+    # height, whose +-2 locus is counted, not listed; above the box a sweep
+    # at the box counts the box's locus
     monkeypatch.delenv("MARKOFF_CACHE", raising=False)
     real = orbits._sweep
     calls = []
@@ -286,37 +289,45 @@ def test_scan_enumerates_each_row_once(capsys, monkeypatch, argv):
     code, out, _ = run_cli(capsys, "scan", *argv)
     assert code == 0
     box = int(argv[argv.index("--box") + 1])
-    assert calls == [box] * len(json.loads(out)["rows"])
+    height = int(argv[argv.index("--cap-height") + 1]) if "--cap-height" in argv else box
+    sweeps = [height, box] if height > box else [box]
+    assert calls == sweeps * len(json.loads(out)["rows"])
 
 
-def _assert_row_matches_listing(kind, params, gens, box, caps) -> bool:
+def _listing_reports(surface, box, height) -> dict:
+    """class_number's reports for both sets at cap height `height`, with a
+    count cap that truncates no search."""
+    reports = {name: orbits.class_number(surface, name, box, orbits.Caps(height, 10**6))
+               for name in GENERATOR_SETS}
+    assert not any(report.caps_hit for report in reports.values())
+    return reports
+
+
+def _assert_row_matches_listing(kind, params, gens, box, height):
     """A scan row, which counts the +-2 locus, against the row built from
-    class_number, which lists every box point; returns its caps_hit."""
-    surface = cli.build_surface(kind, params)
-    reports = {name: orbits.class_number(surface, name, box, orbits.Caps(*caps))
-               for name in ("gamma_poly", "gamma_prime")}
+    class_number, which lists every box point."""
+    reports = _listing_reports(cli.build_surface(kind, params), box, height)
     want = {
         "k": cli._row_k(kind, params),
         "h_star_gamma_poly": reports["gamma_poly"].class_number_star,
         "h_star_gamma_prime": reports["gamma_prime"].class_number_star,
         "exceptional": len(reports[gens].exceptional),
-        "caps_hit": any(r.caps_hit for r in reports.values()),
+        "caps_hit": False,
         "representatives": [list(p) for p, _ in reports[gens].representatives],
     }
-    assert cli._scan_one((kind, params, gens, box, caps)) == want, (params, gens, box, caps)
-    return want["caps_hit"]
+    assert cli._scan_one((kind, params, gens, box, height)) == want, (params, gens, box, height)
 
 
-def _assert_labels_match_listing(kind, params, box):
+def _assert_labels_match_listing(kind, params, box, height):
     """The labels a scan row reads, for both generator sets, against
-    class_number's: exceptional count, representatives with their class
-    sizes, and caps_hit."""
-    surface, caps = cli.build_surface(kind, params), orbits.Caps(box, 10**6)
-    labels = orbits._scan_labels(surface, box, caps)
-    for gens in GENERATOR_SETS:
-        report = orbits.class_number(surface, gens, box, caps)
-        want = (len(report.exceptional), report.representatives, report.caps_hit)
-        assert labels[gens] == want, (params, gens, box)
+    class_number's: exceptional count, and representatives with their
+    class sizes.  Returns the labels."""
+    surface = cli.build_surface(kind, params)
+    labels = orbits._scan_labels(surface, box, height)
+    for gens, report in _listing_reports(surface, box, height).items():
+        want = (len(report.exceptional), report.representatives)
+        assert labels[gens] == want, (params, gens, box, height)
+    return labels
 
 
 # the row's own generator set alternates with k, so each set is checked on half the grid
@@ -326,96 +337,100 @@ _GENS_BY_PARITY = ("gamma_prime", "gamma_poly")
 @pytest.mark.parametrize("box", [0, 1, 2, 3, 1000, 2000])
 def test_scan_rows_match_listing_torus_grid(box):
     for k in range(-50, 51):
-        _assert_row_matches_listing("11", (k,), _GENS_BY_PARITY[k % 2], box, (box, 10**6))
+        _assert_row_matches_listing("11", (k,), _GENS_BY_PARITY[k % 2], box, box)
 
 
-@pytest.mark.parametrize("box,caps", [(300, (300, 5)), (300, (300, 40)), (100, (400, 200))])
-def test_scan_rows_match_listing_binding_caps(box, caps):
-    # a binding count cap cuts each search short at the same point on both
-    # paths, since both start their searches from the same points in order
-    hits = [_assert_row_matches_listing("11", (k,), _GENS_BY_PARITY[k % 2], box, caps)
-            for k in range(-10, 31)]
-    assert any(hits)
+@pytest.mark.parametrize("box,height", [(0, 5), (3, 10), (5, 20), (10, 30), (20, 80),
+                                        (30, 200), (100, 400), (50, 51), (40, 40), (40, 10)])
+def test_scan_rows_match_listing_cap_height(box, height):
+    # a row cut to the box from the sweep at a cap height above it
+    for k in range(-12, 25):
+        _assert_row_matches_listing("11", (k,), _GENS_BY_PARITY[k % 2], box, height)
+        _assert_labels_match_listing("11", (k,), box, height)
 
 
-@pytest.mark.parametrize("caps", [(200, 10**6), (200, 30)])
-def test_scan_rows_match_listing_pinned_sphere_strata(caps):
+def test_scan_labels_match_listing_cap_height_random_spheres():
+    # random sphere tuples at random boxes, the cap height 0 to 60 above;
+    # on some rows the points above the box join box points
+    rng, joined = random.Random(29), 0
+    for i in range(300):
+        box = rng.randint(0, 40)
+        params = tuple(rng.randint(-6, 6) for _ in range(4))
+        labels = _assert_labels_match_listing("04", params, box, box + (0, 1, 5, 20, 60)[i % 5])
+        joined += labels != orbits._scan_labels(cli.build_surface("04", params), box, box)
+    assert joined >= 10
+
+
+@pytest.mark.parametrize("height", [200, 230])
+def test_scan_rows_match_listing_pinned_sphere_strata(height):
     # the sphere tuple of most box points in each of the benchmark's 40 strata
     scan = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "pinned.json").read_text())["scan"]
     sphere = scan["sphere"]
     keys = sorted(sphere, key=lambda key: (sphere[key][3], key))
     for i in range(1, 41):
         params = tuple(map(int, keys[i * len(keys) // 40 - 1].split(",")))
-        _assert_row_matches_listing("04", params, _GENS_BY_PARITY[i % 2], scan["sphere_box"], caps)
+        _assert_row_matches_listing("04", params, _GENS_BY_PARITY[i % 2], scan["sphere_box"],
+                                    height)
 
 
 def test_scan_labels_match_listing_every_pinned_sphere_tuple():
     # all 2401 sphere tuples of the benchmark's pinned answers, at a small box
     scan = json.loads((pathlib.Path(__file__).parents[1] / "bench" / "pinned.json").read_text())["scan"]
     for key in scan["sphere"]:
-        _assert_labels_match_listing("04", tuple(map(int, key.split(","))), 30)
+        _assert_labels_match_listing("04", tuple(map(int, key.split(","))), 30, 30)
 
 
 @pytest.mark.parametrize("j", [0, 1, 3])
 def test_scan_labels_match_listing_big_k(j):
     # k = 2^70 + 2 + j^2, beyond int64; k - 2 is a square for j = 0
-    for box in (0, 2, 3, 50, 100):
-        _assert_labels_match_listing("11", (2**70 + 2 + j * j,), box)
+    for box, height in ((0, 0), (2, 2), (3, 3), (50, 50), (100, 100), (0, 5), (3, 10),
+                        (50, 120)):
+        _assert_labels_match_listing("11", (2**70 + 2 + j * j,), box, height)
 
 
 def _assert_serving_rule(monkeypatch, kind, params, box):
-    # on either side of the switch the row, caps_hit included, is the
-    # listing's; a served row runs no _label_classes and no _search but the
-    # sweep's for either set, and an unserved row labels both sets
+    # at cap heights below, at and above the box the row is the listing's,
+    # and it runs no _label_classes and no _search but its sweeps' for
+    # either set
     surface = cli.build_surface(kind, params)
-    n = sum(2 not in p and -2 not in p for p in orbits.enumerate_points(surface, box))
-    real_label, real_search, labelled, searches = orbits._label_classes, orbits._search, [], [0]
+    real_search, searches = orbits._search, [0]
 
-    def label(surface, gens_name, *args):
-        labelled.append(gens_name)
-        return real_label(surface, gens_name, *args)
+    def label(*args):
+        raise AssertionError("a scan row labelled a set by search")
 
     def search(*args, **kwargs):
         searches[0] += 1
         return real_search(*args, **kwargs)
 
     monkeypatch.setattr(orbits, "_search", search)
-    orbits._sweep(surface, box)
-    swept = searches[0]
-    for caps, served in [((box, n - 1), False), ((box, n), True), ((box, n + 1), True),
-                         ((box + 1, n), False)]:
+    for height in (box - 1, box, box + 1, 4 * box):
+        searches[0] = 0
+        orbits._sweep(surface, max(height, box))
+        if height > box:
+            orbits._sweep(surface, box)
+        swept = searches[0]
         for gens in GENERATOR_SETS:
-            _assert_row_matches_listing(kind, params, gens, box, caps)
+            _assert_row_matches_listing(kind, params, gens, box, height)
             searches[0] = 0
             with monkeypatch.context() as m:
                 m.setattr(orbits, "_label_classes", label)
-                cli._scan_one((kind, params, gens, box, caps))
-            assert labelled == ([] if served else ["gamma_prime", "gamma_poly"])
-            assert searches[0] == swept if served else searches[0] > swept
-            labelled.clear()
+                cli._scan_one((kind, params, gens, box, height))
+            assert searches[0] == swept
 
 
 @pytest.mark.parametrize("k", [3, 8])
 def test_scan_serving_rule_at_its_boundary(monkeypatch, k):
-    # the sweep serves a row when no _label_classes search can be cut short:
-    # cap height at most the box and a count cap of at least the N box
-    # points off the locus; neither set is then labelled by search
-    # (k = 3 has exceptional points, k = 8 classes)
+    # the sweeps serve every row, whatever the cap height; neither set is
+    # labelled by search (k = 3 has exceptional points, k = 8 classes)
     _assert_serving_rule(monkeypatch, "11", (k,), 20)
 
 
 @pytest.mark.parametrize("params, box", [((-10, 1, 2, -10), 20), ((1, -3, -4, 4), 5)])
 def test_sphere_scan_serving_rule_at_its_boundary(monkeypatch, params, box):
-    # a served sphere row labels neither set by search, as the in-box walk
-    # labels gamma_poly; each row has exceptional points, classes and a
+    # a sphere row labels neither set by search, as the walk labels
+    # gamma_poly; each row has exceptional points, classes and a
     # locus-seeded cluster that gives a class
     _assert_serving_rule(monkeypatch, "04", params, box)
-
-
-def test_scan_caps_hit_exit_two(capsys):
-    code, out, _ = run_cli(capsys, "scan", "--k", "-2", "--box", "10", "--cap-count", "1")
-    assert code == 2
-    assert json.loads(out)["rows"][0]["caps_hit"] is True
 
 
 def test_scan_unwritable_cache(tmp_path, capsys):
@@ -455,7 +470,7 @@ def test_scan_cache_skips_stale_lines_unparsed(tmp_path, capsys):
     argv = ["scan", "--k", "-2", "--box", "10"]
     _, fresh, _ = run_cli(capsys, *argv)
     cache = tmp_path / "cache.json"
-    key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], "other-code")
+    key = cli._row_key("11", (-2,), "gamma_prime", 10, 10, "other-code")
     stale = json.dumps([key, json.loads(fresh)["rows"][0]], sort_keys=True)
     cache.write_text(stale[:-20] + "\n" + stale + "\n")
     assert run_cli(capsys, *argv, "--cache", str(cache)) == (0, fresh, "")
@@ -469,8 +484,8 @@ def test_scan_cache_parses_only_requested_keys(tmp_path, capsys, monkeypatch):
     argv = ["scan", "--k", "-2", "--box", "10"]
     _, fresh, _ = run_cli(capsys, *argv)
     row, code_hash = json.loads(fresh)["rows"][0], cli._source_hash()
-    key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], code_hash)
-    others = [json.dumps([cli._row_key("11", (k,), "gamma_prime", 10, [10, 10**6], code_hash),
+    key = cli._row_key("11", (-2,), "gamma_prime", 10, 10, code_hash)
+    others = [json.dumps([cli._row_key("11", (k,), "gamma_prime", 10, 10, code_hash),
                           row], sort_keys=True) for k in range(1, 2001)]
     earlier, later = ({**row, "h_star_gamma_prime": n} for n in (98, 99))
     cache = tmp_path / "cache.json"
@@ -496,7 +511,7 @@ def test_scan_old_format_cache_warns(tmp_path, capsys):
     argv = ["scan", "--k", "-2", "--box", "10"]
     _, fresh, _ = run_cli(capsys, *argv)
     cache = tmp_path / "cache.json"
-    key = cli._row_key("11", (-2,), "gamma_prime", 10, [10, 10**6], cli._source_hash())
+    key = cli._row_key("11", (-2,), "gamma_prime", 10, 10, cli._source_hash())
     old = json.dumps({"version": "0.1.0", "entries": {key: json.loads(fresh)["rows"][0]}})
     cache.write_text(old)
     warning = f"warning: malformed line 1 in cache {cache}; skipped\n"
@@ -607,6 +622,8 @@ def test_main_calls_share_no_state(capsys):
      "unrecognized arguments: --cap-height 5"),
     (["reduce", "--k", "-2", "--point", "3,6,15", "--cap-count", "5"],
      "unrecognized arguments: --cap-count 5"),
+    (["scan", "--k", "-2", "--box", "10", "--cap-count", "5"],
+     "unrecognized arguments: --cap-count 5"),
     (["orbit", "--k", "-2", "--start", "0,0,0", "--cap-steps", "5"],
      "unrecognized arguments: --cap-steps 5"),
     (["equiv", "--k", "-2", "--p", "0,0,0", "--q", "0,0,0", "--cap-steps", "5"],
@@ -617,8 +634,8 @@ def test_main_calls_share_no_state(capsys):
      "argument --k-range: not allowed with argument --k"),
 ], ids=[
     "no-command", "unknown-command", "bad-choice", "unknown-flag", "bad-int",
-    "reduce-cap-height", "reduce-cap-count", "orbit-cap-steps", "equiv-cap-steps",
-    "k-with-k-range", "sphere-k-with-k-range",
+    "reduce-cap-height", "reduce-cap-count", "scan-cap-count", "orbit-cap-steps",
+    "equiv-cap-steps", "k-with-k-range", "sphere-k-with-k-range",
 ])
 def test_usage_errors_exit_one(capsys, argv, message):
     # exit code 2 means a cap was hit, so a usage error must not use it
@@ -644,7 +661,7 @@ _GUARD_ARGV = [
     ["reduce", "--k", "-2", "--point", "3,6,15", "--format", "json", "--cap-steps", "9"],
     ["reduce", "--type", "04", "--k", "0.0,0.0,0.0,0.0", "--point", "2.0,0.0,0.0",
      "--complex"],
-    ["scan", "--k", "-2", "--box", "5", "--format", "csv", "--cap-count", "99"],
+    ["scan", "--k", "-2", "--box", "5", "--format", "csv"],
     ["scan", "--k-range", "-1..0", "--box", "5", "--gens", "gamma_poly", "--cap-height", "9"],
     ["verify", "--trials", "2", "--seed", "1"],
     ["lines", "--k", "6", "--format", "json"],

@@ -1484,8 +1484,9 @@ def _sphere_poly_by_search(surface, B):
     # whether a locus-seeded cluster holds a class
     locus, seeded, off = _off_locus(surface, B)
     classes, forest, caps_hit = orbits._label_classes(surface, "gamma_poly", B, Caps(B, 10**6), off)
+    assert not caps_hit
     positive = any(m in seeded for members in classes for m in members)
-    return (locus + len(forest), orbits._representatives(classes, False), caps_hit), positive
+    return (locus + len(forest), orbits._representatives(classes, False)), positive
 
 
 # locus-seeded clusters that give a class: two one-point classes, one;
@@ -1512,7 +1513,7 @@ def test_sphere_parity_labels_match_twist_searches():
     for params, B in _sphere_parity_cases():
         surface = make_cubic04(*params)
         want, cluster_class = _sphere_poly_by_search(surface, B)
-        assert orbits._scan_labels(surface, B, Caps(B, 10**6))["gamma_poly"] == want, (params, B)
+        assert orbits._scan_labels(surface, B, B)["gamma_poly"] == want, (params, B)
         positive += cluster_class
     assert positive >= 15
 
@@ -1520,16 +1521,16 @@ def test_sphere_parity_labels_match_twist_searches():
 @pytest.mark.parametrize("params, B, exceptional, classes", PARITY_PINNED)
 def test_sphere_parity_labels_pinned_clusters(params, B, exceptional, classes):
     surface = make_cubic04(*params)
-    row = orbits._scan_labels(surface, B, Caps(B, 10**6))["gamma_poly"]
+    row = orbits._scan_labels(surface, B, B)["gamma_poly"]
     assert (row[0], len(row[1])) == (exceptional, classes)
     assert row == _sphere_poly_by_search(surface, B)[0]
 
 
 def test_sphere_parity_labels_count_their_moves(monkeypatch):
-    # exact counts, so they cannot flake: a served row labels gamma_poly
-    # with 6 twists per point it walks, every point off the locus on the
-    # sphere and every root component point on the torus, and with no
-    # Vieta move; the sweep's moves are not counted
+    # exact counts, so they cannot flake: a row labels gamma_poly with 6
+    # twists per point it walks, every point off the locus at the cap
+    # height on the sphere and every root component point on the torus,
+    # and with no Vieta move; the sweeps' moves are not counted
     calls, counting = Counter(), [True]
     real_compile, real_sweep = orbits._compile, orbits._sweep
 
@@ -1552,15 +1553,13 @@ def test_sphere_parity_labels_count_their_moves(monkeypatch):
     rows = [(make_cubic04(*params), B) for params, B, _, _ in PARITY_PINNED]
     rows += [(Markoff11(k), B) for k in (-2, 3, 8) for B in (20, 100)]
     for surface, B in rows:
-        _, seeded, off = _off_locus(surface, B)
         twist = "T11" if isinstance(surface, Markoff11) else "T04"
-        points = len(off) - len(seeded) if twist == "T11" else len(off)
-        calls.clear()
-        orbits._scan_labels(surface, B, Caps(B, len(off)))
-        assert calls == Counter({twist: 6 * points}), (surface.params, B)
-        calls.clear()
-        orbits._scan_labels(surface, B, Caps(B, len(off) - 1))  # unserved: twist searches
-        assert calls[twist] > 0
+        for H in (B, 4 * B):
+            _, seeded, off = _off_locus(surface, H)
+            points = len(off) - len(seeded) if twist == "T11" else len(off)
+            calls.clear()
+            orbits._scan_labels(surface, B, H)
+            assert calls == Counter({twist: 6 * points}), (surface.params, B, H)
 
 
 # --- the library hands out Point3 ---------------------------------------------
