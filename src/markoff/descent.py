@@ -5,8 +5,10 @@ largest coordinate modulus (ties broken in the fixed order z, y, x), as in
 Markoff's descent.  _descend runs it and checks, at each point, in this
 order: a stopping rule, the step cap, and whether the step shrinks.  The
 three public reducers differ only in those rules and in how they read the
-outcome; each returns a replayable move-word certificate, and a capped run
-is a first-class cap_hit outcome, never an exception.
+outcome; each returns a move-word certificate that is replayed before it
+is returned, and a capped run is a first-class cap_hit outcome, never an
+exception.  The reducers do not check on_surface: points grown by float
+twists drift past its tolerance and still descend with exact words.
 
 * reduce_min_complex_11: complex descent on the torus surface driving the
   smallest coordinate modulus below an explicit bound.  Whenever the
@@ -54,6 +56,7 @@ from .surfaces import (
     DomainMismatch,
     EXACT,
     Markoff11,
+    MarkoffError,
     NonFiniteScalar,
     Point3,
     Surface,
@@ -61,7 +64,7 @@ from .surfaces import (
     linf_height,
     point_domain,
 )
-from .moves import VIETA_MOVES, MoveWord, _compile, _new, normalize_11
+from .moves import VIETA_MOVES, MoveWord, _compile, _new, apply_word, normalize_11
 
 REDUCED = "reduced"
 CAP_HIT = "cap_hit"
@@ -158,6 +161,14 @@ def _descend(surface: Surface, p: Point3, step_cap: int, stop, shrinks):
     return _new(Point3, p), moves, outcome
 
 
+def _certified(surface: Surface, p: Point3, q: Point3, moves, *fields, **named) -> DescentResult:
+    """The DescentResult from p to q, once the word of moves replays from p to q."""
+    word = MoveWord(surface.kind, tuple(moves))
+    if apply_word(surface, word, p) != q:
+        raise MarkoffError("descent certificate failed to replay")
+    return DescentResult(q, word, *fields, **named)
+
+
 def _coordinate_shrinks(p: Point3, q: Point3) -> bool:
     """The moved coordinate stays finite and strictly drops in modulus."""
     axis = _max_axis(p)
@@ -170,11 +181,11 @@ def reduce_min_complex_11(
     """Drive min(|x|,|y|,|z|) below B(k) on a torus surface point."""
     _require_finite_approx(p)
     bound = min_bound_11(surface.k)
-    p, moves, outcome = _descend(
-        surface, p, step_cap, lambda q: min(abs(v) for v in q) <= bound, _coordinate_shrinks
+    q, moves, outcome = _descend(
+        surface, p, step_cap, lambda r: min(abs(v) for v in r) <= bound, _coordinate_shrinks
     )
     status = REDUCED if outcome == _STOP else CAP_HIT
-    return DescentResult(p, MoveWord("11", tuple(moves)), len(moves), status, bound=bound)
+    return _certified(surface, p, q, moves, len(moves), status, bound=bound)
 
 
 def sphere_terminal_condition(surface: Cubic04, p: Point3) -> int | None:
@@ -200,15 +211,13 @@ def reduce_min_complex_04(
     """Vieta descent on a four-holed sphere point until a stopping
     condition (1)-(5) fires; the result records which one."""
     _require_finite_approx(p)
-    p, moves, outcome = _descend(
+    q, moves, _ = _descend(
         surface, p, step_cap,
-        lambda q: sphere_terminal_condition(surface, q) is not None, _coordinate_shrinks,
+        lambda r: sphere_terminal_condition(surface, r) is not None, _coordinate_shrinks,
     )
-    word = MoveWord("04", tuple(moves))
-    if outcome != _STOP:
-        return DescentResult(p, word, len(moves), CAP_HIT)
-    cond = sphere_terminal_condition(surface, p)
-    return DescentResult(p, word, len(moves), REDUCED, terminal_condition=cond)
+    cond = sphere_terminal_condition(surface, q)  # None iff the run did not stop
+    status = CAP_HIT if cond is None else REDUCED
+    return _certified(surface, p, q, moves, len(moves), status, terminal_condition=cond)
 
 
 def exceptional_axis(p: Point3) -> int | None:
@@ -232,19 +241,19 @@ def reduce_compact(
     if not star and domain != APPROX:
         raise DomainMismatch(f"{cfg.mode} mode requires the approx domain")
     factor = 1 if star else 1 - APPROX_DECREASE
-    p, moves, outcome = _descend(
+    q, moves, outcome = _descend(
         surface, p, step_cap,
-        lambda q: star and exceptional_axis(q) is not None,
-        lambda q, r: linf_height(r) < linf_height(q) * factor,
+        lambda r: star and exceptional_axis(r) is not None,
+        lambda r, s: linf_height(s) < linf_height(r) * factor,
     )
     steps = len(moves)
-    axis = exceptional_axis(p) if outcome == _STOP else None
+    axis = exceptional_axis(q) if outcome == _STOP else None
     if outcome == _STALL and star and isinstance(surface, Markoff11):
-        p, normal = normalize_11(p)
+        q, normal = normalize_11(q)
         moves.extend(normal.moves)
     status = {_STOP: EXCEPTIONAL_HIT, _CAP: CAP_HIT, _STALL: REDUCED}[outcome]
-    value = None if axis is None else p[axis]
-    return DescentResult(p, MoveWord(surface.kind, tuple(moves)), steps, status, axis, value)
+    value = None if axis is None else q[axis]
+    return _certified(surface, p, q, moves, steps, status, axis, value)
 
 
 def ellipse_bound_04(surface: Cubic04, z0) -> float:

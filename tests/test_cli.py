@@ -18,6 +18,7 @@ from markoff.cli import main, parse_complex_literal, parse_k_range
 from markoff.moves import GENERATOR_SETS, VIETA_MOVES, Move, apply_word, parse_word
 from markoff.surfaces import Markoff11, Point3
 from markoff.trace_algebra import IDENTITY_SUITES
+from test_descent import _relabel_vieta
 
 
 def run_cli(capsys, *argv):
@@ -946,10 +947,6 @@ def test_only_main_prints_errors():
     assert error_literals(tree) == error_literals(main_def)
 
 
-def _break_replay(monkeypatch):
-    monkeypatch.setattr(cli, "apply_word", lambda surface, word, p: p._replace(x=p.x + 1))
-
-
 def _break_tree_edge(monkeypatch):
     # the search's last tree edge names another Vieta move, which changes
     # another coordinate of the parent, so the edge no longer gives its point
@@ -997,7 +994,8 @@ def _child_first(seeded):
 
 
 @pytest.mark.parametrize("argv, message, fault", [
-    (["reduce", "--k", "-2", "--point", "3,6,15"], "certificate failed to replay", _break_replay),
+    (["reduce", "--k", "-2", "--point", "3,6,15"], "descent certificate failed to replay",
+     _relabel_vieta),
     (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6"],
      "orbit certificate failed to replay", _break_tree_edge),
     (["orbit", "--k", "-2", "--start", "3,3,3", "--cap-height", "6"],

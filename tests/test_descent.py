@@ -5,14 +5,17 @@ import random
 
 import pytest
 
+from markoff import descent
 from markoff.surfaces import (
     DomainMismatch,
     Markoff11,
+    MarkoffError,
     NonFiniteScalar,
     Point3,
     boundary_trace_11,
     linf_height,
     make_cubic04,
+    on_surface,
     residual,
 )
 from markoff.moves import (
@@ -103,7 +106,10 @@ def test_min_bound_11_values():
 
 
 def test_reduce_min_11_round_trip():
+    # blown-up float points drift past on_surface's tolerance, and the
+    # reducer still descends them with a word that replays exactly
     rng = random.Random(0)
+    drifted = 0
     for _ in range(60):
         s, p = surface_point_11(rng)
         q = blow_up(s, p, rng)
@@ -111,6 +117,8 @@ def test_reduce_min_11_round_trip():
         assert r.status == REDUCED
         assert min(abs(v) for v in r.reduced) <= r.bound
         assert apply_word(s, r.word, q) == r.reduced
+        drifted += r.steps > 0 and not on_surface(s, q)
+    assert drifted > 0
 
 
 def test_reduce_min_11_residual_drift():
@@ -159,8 +167,10 @@ def test_reduce_min_04_immediate_conditions():
 
 
 def test_reduce_min_04_round_trip():
+    # as on the torus, drifted inputs still reduce with exact words
     rng = random.Random(2)
     conditions = set()
+    drifted = 0
     for _ in range(60):
         s, p = surface_point_04(rng)
         q = blow_up(s, p, rng)
@@ -170,7 +180,56 @@ def test_reduce_min_04_round_trip():
         conditions.add(r.terminal_condition)
         assert sphere_terminal_condition(s, r.reduced) == r.terminal_condition
         assert apply_word(s, r.word, q) == r.reduced
+        drifted += r.steps > 0 and not on_surface(s, q)
     assert 1 in conditions  # the generic outcome shows up
+    assert drifted > 0
+
+
+def _relabel_vieta(monkeypatch):
+    # each Vieta step still runs on its own axis but is recorded as the next
+    # axis's move, so the word no longer gives the descent's point
+    compiled = descent._compile
+
+    def relabelled(surface, gens):
+        steps = compiled(surface, gens)
+        return tuple((steps[(i + 1) % 3][0], f) for i, (_, f) in enumerate(steps))
+
+    monkeypatch.setattr(descent, "_compile", relabelled)
+
+
+def _extra_normal_move(monkeypatch):
+    # the canonical form's word carries one sign change too many
+    normalize = descent.normalize_11
+
+    def wrong(p):
+        q, word = normalize(p)
+        return q, word._replace(moves=word.moves + (Move("S", (0, 1)),))
+
+    monkeypatch.setattr(descent, "normalize_11", wrong)
+
+
+def _blown_up(surface_point, seed):
+    rng = random.Random(seed)
+    s, p = surface_point(rng)
+    return s, blow_up(s, p, rng)
+
+
+@pytest.mark.parametrize("reduce, fault", [
+    (lambda: reduce_compact(Markoff11(-2), STAR, Point3(3, 6, 15)), _relabel_vieta),
+    (lambda: reduce_compact(make_cubic04(-2, 1, 3, 3), STAR, Point3(3, -47, 17)), _relabel_vieta),
+    (lambda: reduce_compact(Markoff11(-2.0), AConfig(REAL_AWAY2), Point3(3.0, 6.0, 15.0)),
+     _relabel_vieta),
+    (lambda: reduce_min_complex_11(*_blown_up(surface_point_11, 10)), _relabel_vieta),
+    (lambda: reduce_min_complex_04(*_blown_up(surface_point_04, 16)), _relabel_vieta),
+    (lambda: reduce_compact(Markoff11(-2), STAR, Point3(3, 6, 15)), _extra_normal_move),
+], ids=["compact-torus", "compact-sphere", "compact-approx", "min-11", "min-04", "normal-form"])
+def test_reducers_check_their_words(monkeypatch, reduce, fault):
+    # a word that does not replay from the input to the reduced point is
+    # never handed out
+    assert reduce().steps > 0
+    fault(monkeypatch)
+    with pytest.raises(MarkoffError, match="descent certificate failed to replay"):
+        reduce()
 
 
 def test_reduce_compact_markoff_chain():
