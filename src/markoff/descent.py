@@ -3,9 +3,10 @@
 Every reducer is one step repeated: the Vieta involution on the axis of
 largest coordinate modulus (ties broken in the fixed order z, y, x), as in
 Markoff's descent.  _descend runs it and checks, at each point, in this
-order: a stopping rule, the step cap, and whether the step shrinks.  The
-three public reducers differ only in those rules and in how they read the
-outcome; each returns a move-word certificate that is replayed before it
+order: a stopping rule, the step cap, and whether the step shrinks; it
+reads each point's three moduli once and hands them to both rules, so a
+step costs its move and one abs.  The three public reducers differ only
+in those rules and in how they read the outcome; each returns a move-word certificate that is replayed before it
 is returned, and a capped run is a first-class cap_hit outcome, never an
 exception.  The reducers do not check on_surface: points grown by float
 twists drift past its tolerance and still descend with exact words.
@@ -61,7 +62,6 @@ from .surfaces import (
     Point3,
     Surface,
     _Frozen,
-    linf_height,
     point_domain,
 )
 from .moves import VIETA_MOVES, MoveWord, _compile, _new, apply_word, normalize_11
@@ -80,12 +80,6 @@ DEFAULT_STEP_CAP = 10**4
 APPROX_DECREASE = 1e-6
 
 SPHERE_DESCENT_C = 48
-
-# How a _descend run ended.
-_STOP = "stop"
-_CAP = "cap"
-_STALL = "stall"
-
 
 class AConfig(_Frozen):
     """Which trace set A the compact reduction targets: integer_star is
@@ -125,40 +119,43 @@ def _require_finite_approx(p: Point3) -> None:
             raise NonFiniteScalar(f"non-finite coordinate {v!r}")
 
 
-def _max_axis(p: Point3) -> int:
-    """The axis of largest modulus; ties go to z, then y, then x."""
-    best = 2
-    for axis in (1, 0):
-        if abs(p[axis]) > abs(p[best]):
-            best = axis
-    return best
-
-
 def _descend(surface: Surface, p: Point3, step_cap: int, stop, shrinks):
     """Apply the Vieta move on the largest-modulus axis while it shrinks.
 
-    At each point, in this order: stop(p) ends the run with _STOP, step_cap
-    moves end it with _CAP, and a step q with not shrinks(p, q) ends it at
-    p with _STALL.  Returns (point, moves, outcome).  The moves run on
-    plain tuples; only the returned point is built as a Point3.
+    mods holds the moduli of p's coordinates.  A step changes only its
+    moved coordinate, so it takes one abs, and the rules read mods instead
+    of the point.  At each point, in this order: a stop(p, mods) that is
+    not None ends the run, step_cap moves end it, and a step q on the axis
+    of largest modulus h (ties go to z, then y, then x) ends it at p unless
+    shrinks(mods, axis, h), with mods now q's.  The other two moduli are
+    at most h and unchanged, so linf_height(q) < linf_height(p) iff all
+    three of q's moduli are below h.  A non-finite coordinate has modulus
+    inf or nan, which is below nothing, so its step stalls.
+
+    Returns (point, moves, the last stop value); a run that did not stop
+    with fewer than step_cap moves stalled.  The moves run on plain
+    tuples; only the returned point is built as a Point3.
     """
     steps = _compile(surface, VIETA_MOVES)
     moves = []
+    mods = [abs(v) for v in p]
     while True:
-        if stop(p):
-            outcome = _STOP
+        answer = stop(p, mods)
+        if answer is not None or len(moves) >= step_cap:
             break
-        if len(moves) >= step_cap:
-            outcome = _CAP
-            break
-        m, f = steps[_max_axis(p)]
+        axis, h = 2, mods[2]
+        if mods[1] > h:
+            axis, h = 1, mods[1]
+        if mods[0] > h:
+            axis, h = 0, mods[0]
+        m, f = steps[axis]
         q = f(surface, p)
-        if not shrinks(p, q):
-            outcome = _STALL
+        mods[axis] = abs(q[axis])
+        if not shrinks(mods, axis, h):
             break
         moves.append(m)
         p = q
-    return _new(Point3, p), moves, outcome
+    return _new(Point3, p), moves, answer
 
 
 def _certified(surface: Surface, p: Point3, q: Point3, moves, *fields, **named) -> DescentResult:
@@ -169,22 +166,17 @@ def _certified(surface: Surface, p: Point3, q: Point3, moves, *fields, **named) 
     return DescentResult(q, word, *fields, **named)
 
 
-def _coordinate_shrinks(p: Point3, q: Point3) -> bool:
-    """The moved coordinate stays finite and strictly drops in modulus."""
-    axis = _max_axis(p)
-    return cmath.isfinite(complex(q[axis])) and abs(q[axis]) < abs(p[axis])
-
-
 def reduce_min_complex_11(
     surface: Markoff11, p: Point3, step_cap: int = DEFAULT_STEP_CAP
 ) -> DescentResult:
     """Drive min(|x|,|y|,|z|) below B(k) on a torus surface point."""
     _require_finite_approx(p)
     bound = min_bound_11(surface.k)
-    q, moves, outcome = _descend(
-        surface, p, step_cap, lambda r: min(abs(v) for v in r) <= bound, _coordinate_shrinks
+    q, moves, reduced = _descend(
+        surface, p, step_cap, lambda r, mods: True if min(mods) <= bound else None,
+        lambda mods, axis, h: mods[axis] < h,
     )
-    status = REDUCED if outcome == _STOP else CAP_HIT
+    status = CAP_HIT if reduced is None else REDUCED
     return _certified(surface, p, q, moves, len(moves), status, bound=bound)
 
 
@@ -211,11 +203,10 @@ def reduce_min_complex_04(
     """Vieta descent on a four-holed sphere point until a stopping
     condition (1)-(5) fires; the result records which one."""
     _require_finite_approx(p)
-    q, moves, _ = _descend(
-        surface, p, step_cap,
-        lambda r: sphere_terminal_condition(surface, r) is not None, _coordinate_shrinks,
+    q, moves, cond = _descend(
+        surface, p, step_cap, lambda r, mods: sphere_terminal_condition(surface, r),
+        lambda mods, axis, h: mods[axis] < h,
     )
-    cond = sphere_terminal_condition(surface, q)  # None iff the run did not stop
     status = CAP_HIT if cond is None else REDUCED
     return _certified(surface, p, q, moves, len(moves), status, terminal_condition=cond)
 
@@ -227,12 +218,8 @@ def exceptional_axis(p: Point3) -> int | None:
     return None
 
 
-def reduce_compact(
-    surface: Surface,
-    cfg: AConfig,
-    p: Point3,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> DescentResult:
+def reduce_compact(surface: Surface, cfg: AConfig, p: Point3,
+                   step_cap: int = DEFAULT_STEP_CAP) -> DescentResult:
     """Greedy sup-norm reduction to a local minimum of the Vieta moves."""
     domain = point_domain(p)
     star = cfg.mode == INTEGER_STAR
@@ -241,17 +228,20 @@ def reduce_compact(
     if not star and domain != APPROX:
         raise DomainMismatch(f"{cfg.mode} mode requires the approx domain")
     factor = 1 if star else 1 - APPROX_DECREASE
-    q, moves, outcome = _descend(
-        surface, p, step_cap,
-        lambda r: star and exceptional_axis(r) is not None,
-        lambda r, s: linf_height(s) < linf_height(r) * factor,
+
+    def shrinks(mods, axis, h):  # the sup-norm falls below h * factor
+        limit = h * factor
+        return mods[0] < limit and mods[1] < limit and mods[2] < limit
+
+    q, moves, axis = _descend(  # an exact modulus is 2 iff its coordinate is +-2
+        surface, p, step_cap, lambda r, mods: mods.index(2) if star and 2 in mods else None,
+        shrinks,
     )
     steps = len(moves)
-    axis = exceptional_axis(q) if outcome == _STOP else None
-    if outcome == _STALL and star and isinstance(surface, Markoff11):
+    status = EXCEPTIONAL_HIT if axis is not None else CAP_HIT if steps >= step_cap else REDUCED
+    if status == REDUCED and star and isinstance(surface, Markoff11):
         q, normal = normalize_11(q)
         moves.extend(normal.moves)
-    status = {_STOP: EXCEPTIONAL_HIT, _CAP: CAP_HIT, _STALL: REDUCED}[outcome]
     value = None if axis is None else q[axis]
     return _certified(surface, p, q, moves, steps, status, axis, value)
 

@@ -303,6 +303,31 @@ def _root_heights(form: tuple, B: int) -> list:
     return heights
 
 
+def _locus(form: tuple, B: int) -> tuple:
+    """(count, slices) for the +-2 locus of the box of bound B, as _sweep
+    counts it, and (axis, near) for each +-2 slice: near lists the slice's
+    points with min(|w|, |t|) <= R, among them its boundary points."""
+    R = math.isqrt(B + 2 + max(map(abs, form[1])))  # |w*t| > B + 2 + |gamma| beyond it
+    # _slice bounds the two free coordinates; the +-2 one is in the box iff B >= 2
+    count, slices = 0, []
+    for axis, value in itertools.product(range(3), (2, -2)) if B >= 2 else ():
+        lines = _lines(form, axis, value, B)
+        if lines is None:
+            near = list(_slice(form, axis, value, B))
+            count += len(near)
+        else:
+            near = []
+            for a, m, ws in lines:
+                count += len(ws)
+                for c in (0, m * a):  # |w| <= R, then |t| = |m*a - w| <= R
+                    near += _line_points(axis, value, a, m,
+                                         range(max(ws.start, c - R), min(ws.stop, c + R + 1)))
+        # near holds each point with +-2 on two axes (R >= 2); count it on the first
+        count -= sum(2 in p[:axis] or -2 in p[:axis] for p in set(near))
+        slices.append((axis, near))
+    return count, slices
+
+
 def _sweep(surface: Surface, B: int) -> tuple:
     """(locus, seeded, components) for the box of bound B: the count of box
     points with a coordinate +-2, {point: (parent, move)} over the points
@@ -341,24 +366,9 @@ def _sweep(surface: Surface, B: int) -> tuple:
     if abs(form[2]) > 3 * B * B + B**3 + sum(map(abs, form[1])) * B:
         return 0, {}, []
     steps = _compile(surface, VIETA_MOVES)
-    R = math.isqrt(B + 2 + max(map(abs, form[1])))  # |w*t| > B + 2 + |gamma| beyond it
-    # _slice bounds the two free coordinates; the +-2 one is in the box iff B >= 2
-    slices = list(itertools.product(range(3), (2, -2))) if B >= 2 else []
-    count, points, seeds = 0, {}, []  # points: the boundary, then every point reached
-    for axis, value in slices:
-        lines = _lines(form, axis, value, B)
-        if lines is None:
-            near = list(_slice(form, axis, value, B))
-            count += len(near)
-        else:
-            near = []
-            for a, m, ws in lines:
-                count += len(ws)
-                for c in (0, m * a):  # |w| <= R, then |t| = |m*a - w| <= R
-                    near += _line_points(axis, value, a, m,
-                                         range(max(ws.start, c - R), min(ws.stop, c + R + 1)))
-        # near holds each point with +-2 on two axes (R >= 2); count it on the first
-        count -= sum(2 in p[:axis] or -2 in p[:axis] for p in set(near))
+    count, slices = _locus(form, B)
+    points, seeds = {}, []  # points: the boundary, then every point reached
+    for axis, near in slices:
         g, move = steps[axis]
         for p in near:
             q = move(surface, p)
@@ -944,7 +954,7 @@ def _scan_labels(surface: Surface, B: int, H: int) -> dict:
     components the classes, merged by G on the torus; gamma_poly's classes
     are walked by _inbox_classes.  Above the box, the seeded points and
     every class are cut to the box, a class left with no box point is
-    dropped, and the box's locus is counted by _sweep at B.
+    dropped, and the box's locus is counted by _locus at B.
 
     On the torus the seeded points are exceptional under gamma_poly too, so
     only the root components are walked.  A capped gamma_prime path is a
@@ -966,7 +976,7 @@ def _scan_labels(surface: Surface, B: int, H: int) -> dict:
     classes = _inbox_classes(surface, "gamma_poly", off[len(seeded):] if torus else off, H)
     seeded = _forest_edges(surface, seeded)
     if H > B:
-        locus, seeded, off = _sweep(surface, B)[0], _cut(seeded, B), _cut(off, B)
+        locus, seeded, off = _locus(_sphere_form(surface), B)[0], _cut(seeded, B), _cut(off, B)
         components = [c for c in (_cut(c, B) for c in components) if c]
         classes = [c for c in (_cut(c, B) for c in classes) if c]
     runs = itertools.groupby(_representatives(components, torus), lambda r: r[0])

@@ -276,8 +276,8 @@ def test_scan_malformed_cache_row_is_miss(tmp_path, capsys, entry):
 ])
 def test_scan_enumerates_each_row_once(capsys, monkeypatch, argv):
     # both generator sets of a row label the points of one sweep at the cap
-    # height, whose +-2 locus is counted, not listed; above the box a sweep
-    # at the box counts the box's locus
+    # height, whose +-2 locus is counted, not listed; above the box the
+    # box's locus is counted alone, with no second sweep
     monkeypatch.delenv("MARKOFF_CACHE", raising=False)
     real = orbits._sweep
     calls = []
@@ -291,8 +291,7 @@ def test_scan_enumerates_each_row_once(capsys, monkeypatch, argv):
     assert code == 0
     box = int(argv[argv.index("--box") + 1])
     height = int(argv[argv.index("--cap-height") + 1]) if "--cap-height" in argv else box
-    sweeps = [height, box] if height > box else [box]
-    assert calls == sweeps * len(json.loads(out)["rows"])
+    assert calls == [max(height, box)] * len(json.loads(out)["rows"])
 
 
 def _listing_reports(surface, box, height) -> dict:
@@ -407,8 +406,6 @@ def _assert_serving_rule(monkeypatch, kind, params, box):
     for height in (box - 1, box, box + 1, 4 * box):
         searches[0] = 0
         orbits._sweep(surface, max(height, box))
-        if height > box:
-            orbits._sweep(surface, box)
         swept = searches[0]
         for gens in GENERATOR_SETS:
             _assert_row_matches_listing(kind, params, gens, box, height)

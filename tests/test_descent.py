@@ -329,6 +329,86 @@ def test_aconfig_validation():
 # --- differential: the shared descent loop against the loops it replaced ---
 
 
+def _max_axis(p):
+    """The axis of largest modulus; ties go to z, then y, then x."""
+    best = 2
+    for axis in (1, 0):
+        if abs(p[axis]) > abs(p[best]):
+            best = axis
+    return best
+
+
+def _coordinate_shrinks(p, q):
+    """The moved coordinate stays finite and strictly drops in modulus."""
+    axis = _max_axis(p)
+    return cmath.isfinite(complex(q[axis])) and abs(q[axis]) < abs(p[axis])
+
+
+def _point_descend(surface, p, step_cap, stop, shrinks):
+    """The former shared loop, whose rules read whole points: stop(p),
+    the step cap, then shrinks(p, q) for the step q on _max_axis(p).
+    Returns (point, moves, "stop" | "cap" | "stall")."""
+    moves = []
+    while True:
+        if stop(p):
+            return p, moves, "stop"
+        if len(moves) >= step_cap:
+            return p, moves, "cap"
+        move = Move("V", _max_axis(p))
+        q = apply_move(surface, move, p)
+        if not shrinks(p, q):
+            return p, moves, "stall"
+        moves.append(move)
+        p = q
+
+
+def _point_reduce_compact(surface, cfg, p, step_cap):
+    """The former reduce_compact on _point_descend, as a DescentResult's
+    (reduced, moves, steps, status, exceptional_axis, exceptional_value,
+    terminal_condition)."""
+    star = cfg.mode == INTEGER_STAR
+    factor = 1 if star else 1 - APPROX_DECREASE
+    q, moves, outcome = _point_descend(
+        surface, p, step_cap,
+        lambda r: star and exceptional_axis(r) is not None,
+        lambda r, s: linf_height(s) < linf_height(r) * factor,
+    )
+    steps = len(moves)
+    axis = exceptional_axis(q) if outcome == "stop" else None
+    if outcome == "stall" and star and isinstance(surface, Markoff11):
+        q, normal = normalize_11(q)
+        moves.extend(normal.moves)
+    status = {"stop": EXCEPTIONAL_HIT, "cap": CAP_HIT, "stall": REDUCED}[outcome]
+    return q, tuple(moves), steps, status, axis, None if axis is None else q[axis], None
+
+
+def _point_reduce_min_11(surface, p, step_cap):
+    """The former reduce_min_complex_11 on _point_descend."""
+    bound = min_bound_11(surface.k)
+    q, moves, outcome = _point_descend(
+        surface, p, step_cap, lambda r: min(abs(v) for v in r) <= bound, _coordinate_shrinks
+    )
+    status = REDUCED if outcome == "stop" else CAP_HIT
+    return q, tuple(moves), len(moves), status, None, None, None
+
+
+def _point_reduce_min_04(surface, p, step_cap):
+    """The former reduce_min_complex_04 on _point_descend, which tests the
+    stopping conditions again at the end point."""
+    q, moves, _ = _point_descend(
+        surface, p, step_cap,
+        lambda r: sphere_terminal_condition(surface, r) is not None, _coordinate_shrinks,
+    )
+    cond = sphere_terminal_condition(surface, q)
+    status = CAP_HIT if cond is None else REDUCED
+    return q, tuple(moves), len(moves), status, None, None, cond
+
+
+def _outcome(r):
+    return (r.reduced, r.word.moves, r.steps, r.status, r.exceptional_axis,
+            r.exceptional_value, r.terminal_condition)
+
+
 def _probe_reduce_compact(surface, cfg, p, step_cap):
     """The former reduce_compact loop: probe all three Vieta moves and take
     the lowest image, the first in z, y, x order on ties."""
@@ -385,27 +465,39 @@ def _sorting_reduce_min_11(surface, p, step_cap):
     return p, tuple(moves), steps, REDUCED
 
 
-DIFF_CAPS = (1, 3, 10**4)
+DIFF_CAPS = (0, 1, 3, 10**4)
 
 
 def _check_compact(surface, cfg, p):
+    """reduce_compact against both former loops at every cap; returns the
+    uncapped result."""
     for cap in DIFF_CAPS:
         r = reduce_compact(surface, cfg, p, cap)
-        got = (r.reduced, r.word.moves, r.steps, r.status, r.exceptional_axis,
-               r.exceptional_value)
-        assert got == _probe_reduce_compact(surface, cfg, p, cap), (surface, p, cap)
+        assert _outcome(r) == _point_reduce_compact(surface, cfg, p, cap), (surface, p, cap)
+        assert _outcome(r)[:6] == _probe_reduce_compact(surface, cfg, p, cap), (surface, p, cap)
         assert apply_word(surface, r.word, p) == r.reduced
+    return r
+
+
+def _check_min_04(surface, p):
+    for cap in DIFF_CAPS:
+        r = reduce_min_complex_04(surface, p, cap)
+        assert _outcome(r) == _point_reduce_min_04(surface, p, cap), (surface, p, cap)
+        assert apply_word(surface, r.word, p) == r.reduced
+    return r
 
 
 def _check_min_11(surface, p):
     for cap in DIFF_CAPS:
         r = reduce_min_complex_11(surface, p, cap)
+        assert _outcome(r) == _point_reduce_min_11(surface, p, cap), (surface, p, cap)
         reduced, moves, steps, status = _sorting_reduce_min_11(surface, p, cap)
         assert (r.status, r.steps) == (status, steps), (surface, p, cap)
         assert sorted(map(abs, r.reduced)) == sorted(map(abs, reduced))
         assert len(r.word.moves) == sum(1 for m in moves if m.kind == "V")
         assert all(m.kind == "V" for m in r.word.moves)
         assert apply_word(surface, r.word, p) == r.reduced
+    return r
 
 
 def _twisted(surface, p, move, digits):
@@ -470,6 +562,98 @@ def test_reduce_min_11_matches_sorting_loop():
         s, p = surface_point_11(rng)
         _check_min_11(s, blow_up(s, p, rng))
         _check_min_11(s, p)
+
+
+def test_descent_loops_agree_on_ties():
+    # |y| = |z| = h: the move on z keeps |y| = h, so the sup-norm descent
+    # stalls at once; so do the complex reducers, which test the moved
+    # coordinate alone, for |x*y - z| >= 7h once every modulus is above 8
+    spheres = [make_cubic04(*ks) for ks in ((0, 1, 2, 3), (-2, 1, 3, 3))]
+    for p in ((1, 5, 5), (5, 1, 5), (5, 5, 1), (-7, 7, 3), (4, -4, -4), (9, 3, -9), (6, 6, 6)):
+        p = Point3(*p)
+        for s in (Markoff11(boundary_trace_11(p)), *spheres):
+            r = _check_compact(s, STAR, p)
+            assert (r.status, r.steps) == (REDUCED, 0)
+        q = Point3(*map(float, p))
+        for mode in (REAL_AWAY2, COMPLEX_AWAY_INTERVAL):
+            assert _check_compact(Markoff11(boundary_trace_11(q)), AConfig(mode), q).steps == 0
+    # moduli 20 or 60, then 50 or 100 twice, exact in floating point
+    for p in ((20 + 0j, 50j, -30 + 40j), (30 + 40j, 20j, 50 + 0j), (50j, 50 + 0j, 50 + 0j)):
+        p, q = Point3(*p), Point3(*(3 * v for v in p))
+        torus, sphere = Markoff11(3.5 - 1j), make_cubic04(0.5, 1j, 0.0, -1.0)
+        assert (_check_min_11(torus, p).status, _check_min_04(sphere, q).status) == (CAP_HIT,) * 2
+        for s, point in ((torus, p), (sphere, q)):
+            assert _check_compact(s, AConfig(COMPLEX_AWAY_INTERVAL), point).steps == 0
+    # fixed points of the move on z, whose moved modulus does not drop
+    torus, p = Markoff11(-2.0), Point3(10 + 0j, 10j, 50j)
+    sphere, q = make_cubic04(0.0, 0.0, 0.0, 0.0), Point3(49 + 0j, 49 + 0j, -1200.5 + 0j)
+    assert (_check_min_11(torus, p).status, _check_min_04(sphere, q).status) == (CAP_HIT,) * 2
+
+
+def _walk_up(surface, p, rng, top):
+    """Vieta moves, each on a random axis whose image has a larger sup-norm,
+    until the sup-norm passes top (digits grow like Fibonacci numbers)."""
+    while linf_height(p) <= top:
+        ups = [q for q in (apply_move(surface, Move("V", axis), p) for axis in range(3))
+               if linf_height(q) > linf_height(p)]
+        if not ups:
+            break
+        p = rng.choice(ups)
+    return p
+
+
+def test_descent_loops_agree_on_locus_hits():
+    # a +-2 coordinate stops the descent at its start, or in the middle of a
+    # run down from a point walked up from the locus, at any size
+    for p in ((2, 7, 30), (7, -2, 30), (30, 7, 2), (-2, -2, 9)):
+        p = Point3(*p)
+        for s in (Markoff11(boundary_trace_11(p)), make_cubic04(0, 1, 2, 3)):
+            r = _check_compact(s, STAR, p)
+            assert (r.status, r.steps) == (EXCEPTIONAL_HIT, 0)
+    rng = random.Random(11)
+    middle = big = 0
+    for s in (Markoff11(6), Markoff11(-2), Markoff11(20), make_cubic04(0, 1, 2, 3),
+              make_cubic04(-2, 1, 3, 3)):
+        locus = [p for p in enumerate_points(s, 30) if exceptional_axis(p) is not None]
+        for p in rng.sample(locus, min(8, len(locus))):
+            for top in (10**2, 10**6, 10**30):
+                q = _walk_up(s, p, rng, top)
+                r = _check_compact(s, STAR, q)
+                middle += r.status == EXCEPTIONAL_HIT and r.steps > 0
+                big += r.status == EXCEPTIONAL_HIT and linf_height(q) > 2**63
+    assert middle >= 40 and big >= 10
+
+
+def test_descent_loops_agree_on_drifting_complex():
+    rng = random.Random(12)
+    for _ in range(40):
+        s, p = surface_point_11(rng)
+        q = blow_up(s, p, rng)
+        _check_min_11(s, q)
+        _check_compact(s, AConfig(COMPLEX_AWAY_INTERVAL), q)
+        s, p = surface_point_04(rng)
+        q = blow_up(s, p, rng)
+        _check_min_04(s, q)
+        _check_compact(s, AConfig(COMPLEX_AWAY_INTERVAL), q)
+
+
+def test_descent_loops_agree_on_non_finite_steps():
+    # a first step whose product overflows: to inf, to nan + inf*j and to
+    # inf + nan*j; each is a stall, at the input
+    big = 1e200 * (1 + 1j)
+    torus, sphere = Markoff11(-2.0), make_cubic04(0.0, 0.0, 0.0, 0.0)
+    for p in ((1e200 + 0j, 1e200 + 0j, 1e300 + 0j), (big, big, 1e300 + 0j),
+              (big, big.conjugate(), 1e300 + 0j)):
+        p = Point3(*p)
+        for s in (torus, sphere):
+            assert not cmath.isfinite(apply_move(s, Move("V", 2), p).z)
+        assert _check_min_11(torus, p).status == CAP_HIT
+        assert _check_min_04(sphere, p).status == CAP_HIT
+        for s in (torus, sphere):
+            r = _check_compact(s, AConfig(COMPLEX_AWAY_INTERVAL), p)
+            assert (r.status, r.steps) == (REDUCED, 0)
+    p = Point3(1e200, 1e200, 1e300)
+    assert _check_compact(Markoff11(-2.0), AConfig(REAL_AWAY2), p).steps == 0
 
 
 # --- ellipse bound ----------------------------------------------------------
