@@ -211,13 +211,6 @@ def reduce_min_complex_04(
     return _certified(surface, p, q, moves, len(moves), status, terminal_condition=cond)
 
 
-def exceptional_axis(p: Point3) -> int | None:
-    for axis in range(3):
-        if p[axis] == 2 or p[axis] == -2:
-            return axis
-    return None
-
-
 def reduce_compact(surface: Surface, cfg: AConfig, p: Point3,
                    step_cap: int = DEFAULT_STEP_CAP) -> DescentResult:
     """Greedy sup-norm reduction to a local minimum of the Vieta moves."""

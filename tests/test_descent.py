@@ -35,7 +35,6 @@ from markoff.descent import (
     INTEGER_STAR,
     REAL_AWAY2,
     REDUCED,
-    exceptional_axis,
     ellipse_bound_04,
     min_bound_11,
     reduce_compact,
@@ -327,6 +326,14 @@ def test_aconfig_validation():
 
 
 # --- differential: the shared descent loop against the loops it replaced ---
+
+
+def exceptional_axis(p):
+    """The first axis whose coordinate is +-2, if any."""
+    for axis in range(3):
+        if p[axis] == 2 or p[axis] == -2:
+            return axis
+    return None
 
 
 def _max_axis(p):
