@@ -42,7 +42,6 @@ import os
 import random
 import re
 import sys
-from json.decoder import scanstring
 
 from . import __version__
 from .surfaces import (
@@ -245,8 +244,9 @@ def _scan_one(task) -> dict:
 def _load_cache(path: str, keys) -> dict:
     """The rows of the cache log by key, a later line winning; a malformed
     line, or a log that cannot be read, is skipped with a warning.  A line
-    opening with a key string not in keys (another row's, or another source
-    hash's) is skipped unparsed, so a torn line under such a key is silent."""
+    that opens with a key string but not with one in keys, as _store_cache
+    writes it (another row's, another source hash's, or one torn inside its
+    key), is skipped unparsed and silent."""
     try:
         with open(path, "rb") as fh:
             fcntl.flock(fh, fcntl.LOCK_SH)
@@ -257,15 +257,10 @@ def _load_cache(path: str, keys) -> dict:
         print(f"warning: unreadable cache {path}: {exc.strerror or exc}; computing every row",
               file=sys.stderr)
         return {}
-    entries, wanted = {}, set(keys)
+    entries, wanted = {}, tuple(b"[" + json.dumps(key).encode() + b", " for key in keys)
     for number, line in enumerate(lines, 1):
-        if not line.strip():
+        if not line.strip() or line.startswith(b'["') and not line.startswith(wanted):
             continue
-        try:  # the key string a line opens with, as _store_cache writes it
-            if line.startswith(b'["') and scanstring(line.decode(), 2)[0] not in wanted:
-                continue
-        except ValueError:  # a torn key, or bytes that are not UTF-8: parsed whole
-            pass
         try:
             item = json.loads(line)
         except (ValueError, RecursionError):  # RecursionError: a line nested too deep

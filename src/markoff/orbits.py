@@ -20,11 +20,11 @@ On the torus the searches run on a quotient by coordinate symmetries
 them, one raw point is held per key, and only raw points are expanded.
 parents maps each raw point to (raw parent, move), so a word to a raw
 point walks the parents back, with no replay search.
-- G mode (torus gamma_prime: orbit_bfs, equivalent, is_exceptional).  The
-  group G of the 24 permutations and even sign changes is made of
-  gamma_prime words (_own_word), conjugates Vieta moves to Vieta moves
-  (_CONJ) and keeps the height.  So the search applies the Vieta moves
-  only, and a key (_canon_11) stands for its whole G-orbit.
+- G mode (torus gamma_prime: orbit_bfs, equivalent, is_exceptional;
+  _sweep).  The group G of the 24 permutations and even sign changes is
+  made of gamma_prime words (_own_word), conjugates Vieta moves to Vieta
+  moves (_CONJ) and keeps the height.  So the search applies the Vieta
+  moves only, and a key (_canon_11) stands for its whole G-orbit.
 - S3 mode (torus gamma_poly: orbit_bfs).  The six permutations conjugate
   twists to twists (_CONJ) and keep the height, so they permute the
   components of the capped twist graph, but they are not twists.  A key
@@ -50,6 +50,8 @@ decides nothing until the stabilizer is known.
 Box points are enumerated by descent read backwards (_sweep): each box
 point off the +-2 locus is reached by in-box Vieta moves from a move off
 the locus or from a root (_root_heights), with no scan of the B^2 grid.
+On the torus the sweep is a G mode search: it holds one raw point per
+G-orbit, and its points are listed only where a caller needs them (_images).
 
 A class count labels the box points of an exact surface by connected
 component of the move graph capped at the box height (or a higher height
@@ -57,9 +59,10 @@ cap); a component is exceptional iff some trace in it hits +-2.  The
 exceptional points form a forest rooted on the +-2 locus, certified by
 one check (_forest_edges).  class_number grows it by one _search per
 unlabelled point (_label_classes), under both caps, with witness words.  A
-scan row reads it off the sweep at the cap height and walks each
-component of the capped twist graph once for gamma_poly (_inbox_classes),
-then cuts both to the box (_scan_labels).
+scan row reads it off the sweep at the cap height, counting each raw
+point as its G-orbit, walks each component of the capped twist graph
+once for gamma_poly (_inbox_classes), then cuts both to the box
+(_scan_labels).
 """
 
 from __future__ import annotations
@@ -303,36 +306,41 @@ def _root_heights(form: tuple, B: int) -> list:
     return heights
 
 
-def _locus(form: tuple, B: int) -> tuple:
+def _locus(form: tuple, B: int, sides=()) -> tuple:
     """(count, slices) for the +-2 locus of the box of bound B, as _sweep
-    counts it, and (axis, near) for each +-2 slice: near lists the slice's
-    points with min(|w|, |t|) <= R, among them its boundary points."""
+    counts it, and {(axis, value): near} over the +-2 slices: near lists the
+    slice's points with min(|w|, |t|) <= R, among them its boundary points,
+    for the (axis, value) in sides, and <= 2 on the others' lines."""
     R = math.isqrt(B + 2 + max(map(abs, form[1])))  # |w*t| > B + 2 + |gamma| beyond it
     # _slice bounds the two free coordinates; the +-2 one is in the box iff B >= 2
-    count, slices = 0, []
+    count, slices = 0, {}
     for axis, value in itertools.product(range(3), (2, -2)) if B >= 2 else ():
         lines = _lines(form, axis, value, B)
         if lines is None:
             near = list(_slice(form, axis, value, B))
             count += len(near)
         else:
-            near = []
+            near, r = [], R if (axis, value) in sides else 2
             for a, m, ws in lines:
                 count += len(ws)
-                for c in (0, m * a):  # |w| <= R, then |t| = |m*a - w| <= R
+                for c in (0, m * a):  # |w| <= r, then |t| = |m*a - w| <= r
                     near += _line_points(axis, value, a, m,
-                                         range(max(ws.start, c - R), min(ws.stop, c + R + 1)))
+                                         range(max(ws.start, c - r), min(ws.stop, c + r + 1)))
         # near holds each point with +-2 on two axes (R >= 2); count it on the first
         count -= sum(2 in p[:axis] or -2 in p[:axis] for p in set(near))
-        slices.append((axis, near))
+        slices[axis, value] = near
     return count, slices
 
 
 def _sweep(surface: Surface, B: int) -> tuple:
-    """(locus, seeded, components) for the box of bound B: the count of box
-    points with a coordinate +-2, {point: (parent, move)} over the points
-    off it joined to it by in-box Vieta moves (a seed's parent is its locus
-    point), and the other box points, one in-box Vieta component per list.
+    """(locus, seeded, components, quotient) for the box of bound B: the
+    count of box points with a coordinate +-2, {point: (parent, move)}
+    over the raw points off it joined to it by in-box Vieta moves (a
+    seed's parent is its locus point), and the other raw points, one list
+    per run; quotient is the torus's G quotient (_Quotient), whose keys
+    hold the raw points and the locus boundary, and None on the sphere,
+    where every point is raw.  A raw point stands for its G-orbit, of
+    quotient.charge points (_images lists them).
 
     A Vieta move that strictly lowers the sup-norm stays in the box, so
     greedy descent from any box point ends, inside the box, at a point
@@ -345,9 +353,26 @@ def _sweep(surface: Surface, B: int) -> tuple:
     locus and not yet reached gives the closure, the locus seeds first.
     The searches share one visited map, which holds from the start the
     boundary of the locus: the locus points whose move on their +-2 axis
-    stays in the box.  So no point is expanded twice, no search walks the
-    locus, and each search adds one contiguous run to the map: after the
-    locus seeds', a root's run is a whole component that misses the locus.
+    stays in the box.  An in-box Vieta move from a point off the locus
+    onto it changes the one coordinate it makes +-2, so it lands on the
+    boundary.  So no point is expanded twice, no search walks the locus,
+    and each search adds one contiguous run to the map: after the locus
+    seeds', a root's run is a whole component that misses the locus.
+
+    On the torus the sweep is a G mode search (see the module docstring).
+    G keeps the height, so the box, and the locus, and h.V_b.h^-1 is the
+    Vieta move on the axis h moves b to (_CONJ), so G maps in-box Vieta
+    edges to in-box Vieta edges and the boundary onto itself.  So the
+    seeded set and the G-images of a root component are unions of
+    G-orbits, and a key search reaches the key of every point the raw
+    search would: V_a(h.r) = h.V_b(r), a child of the raw point r.  A
+    permutation takes any axis to x, and an even sign change flips x with
+    another coordinate, so G maps every (axis, +-v) slice onto (x, +v),
+    with its boundary points, seeds and root region points.  So the torus
+    seeds from the (x, +2) slice alone, whose boundary keys are all of
+    them, and runs the root pass on (x, +u) alone; the sphere's group is
+    trivial, so it reads all six slices of each kind.  Each run is then a
+    run of the raw sweep merged with its G-images.
 
     That move sets the +-2 coordinate to gamma - s*w*t -+ 2 from the other
     two, w and t, so a boundary point has min(|w|, |t|) <= R below.  A +-2
@@ -355,50 +380,65 @@ def _sweep(surface: Surface, B: int) -> tuple:
     and only those O(sqrt(B)) points of each line are listed; any other
     +-2 slice is listed whole by _slice, in O(sqrt(B)) steps.  A point with
     +-2 on two axes is counted on the first.  So the work tracks the points
-    off the locus and sqrt(B), not B^2.
+    off the locus, or on the torus their G-orbits, and sqrt(B), not B^2.
     """
     _require_exact(surface)
     if B < 0:
         raise ValueError("box bound must be nonnegative")
     form = _sphere_form(surface)
+    steps = _compile(surface, VIETA_MOVES)
+    torus = isinstance(surface, Markoff11)
+    quotient = _Quotient(_canon_11, _orbit_size, _G, _G_GROUP, steps) if torus else None
     # |x^2+y^2+z^2 + s*xyz - ax-by-cz| is at most this on the box, so a
     # larger |d| leaves it empty
     if abs(form[2]) > 3 * B * B + B**3 + sum(map(abs, form[1])) * B:
-        return 0, {}, []
-    steps = _compile(surface, VIETA_MOVES)
-    count, slices = _locus(form, B)
-    points, seeds = {}, []  # points: the boundary, then every point reached
-    for axis, near in slices:
+        return 0, {}, [], quotient
+    # (axis, sign) of the slices read: G maps each (axis, +-v) slice onto (x, +v)
+    sides = [(0, 1)] if torus else list(itertools.product(range(3), (1, -1)))
+    count, slices = _locus(form, B, {(axis, 2 * sign) for axis, sign in sides})
+    points, seeds = {}, []  # points: the sphere's boundary, then every raw point reached
+    held, key = (quotient.keys, _canon_11) if torus else (points, tuple)
+    for axis, sign in sides:
         g, move = steps[axis]
-        for p in near:
+        for p in slices.get((axis, 2 * sign), ()):
             q = move(surface, p)
             if abs(q[axis]) <= B:
-                points[p] = None
+                held[key(p)] = p
                 seeds.append((q, (p, g)))
     boundary = len(points)
     for q, edge in seeds:
-        if 2 not in q and -2 not in q and q not in points:
-            _search(surface, steps, q, B, math.inf, parents=points)
+        if 2 not in q and -2 not in q and key(q) not in held:
+            _search(surface, steps, q, B, math.inf, parents=points, quotient=quotient)
             points[q] = edge
     runs = [len(points)]
     roots = (p for u, r in enumerate(_root_heights(form, B)) if u != 2 and r >= 0
-             for axis in range(3) for v in {u, -u} for p in _slice(form, axis, v, r))
+             for axis, v in dict.fromkeys((axis, sign * u) for axis, sign in sides)
+             for p in _slice(form, axis, v, r))
     for p in roots:
-        if 2 not in p and -2 not in p and p not in points:
-            _search(surface, steps, p, B, math.inf, parents=points)
+        if 2 not in p and -2 not in p and key(p) not in held:
+            _search(surface, steps, p, B, math.inf, parents=points, quotient=quotient)
             runs.append(len(points))
     keys = list(points)
     seeded = dict(itertools.islice(points.items(), boundary, runs[0]))
-    return count, seeded, [keys[a:b] for a, b in zip(runs, runs[1:])]
+    return count, seeded, [keys[a:b] for a, b in zip(runs, runs[1:])], quotient
+
+
+def _images(quotient, points) -> list:
+    """The box points that raw points of a _sweep stand for: each one's
+    G-orbit on the torus, itself on the sphere."""
+    if quotient is None:
+        return list(points)
+    return [q for p in points for q in quotient.orbit(quotient.canon(p), p)]
 
 
 def enumerate_points(surface: Surface, B: int) -> list:
     """All integer surface points with sup-norm at most B, sorted and
-    duplicate-free: _sweep's points and the +-2 slices, listed by _slice."""
-    _, seeded, components = _sweep(surface, B)
+    duplicate-free: _sweep's raw points with their images (_images) and the
+    +-2 slices, listed by _slice."""
+    _, seeded, components, quotient = _sweep(surface, B)
     slices = itertools.product(range(3), (2, -2)) if B >= 2 else ()
     locus = (p for axis, value in slices for p in _slice(_sphere_form(surface), axis, value, B))
-    return sorted({*locus, *seeded, *itertools.chain.from_iterable(components)})
+    return sorted({*locus, *_images(quotient, itertools.chain(seeded, *components))})
 
 
 # ---------------------------------------------------------------------------
@@ -927,18 +967,18 @@ def _forest_edges(surface: Surface, forest: dict) -> dict:
     return _tree_edges(surface, forest, error)
 
 
-def _representatives(classes, canonical: bool) -> tuple:
-    """((representative, size), ...) of the member lists, by height, then
-    point: each list's least lowest member, or with canonical the least
-    _canon_11 form of one, on the torus a member too, since its 24
-    symmetries are gamma_prime moves that keep the height."""
+def _representatives(classes, canonical: bool, size=len) -> tuple:
+    """((representative, size(members)), ...) of the member lists, by
+    height, then point: each list's least lowest member, or with canonical
+    the least _canon_11 form of one, on the torus a member too, since its
+    24 symmetries are gamma_prime moves that keep the height."""
     reps = []
     for members in classes:
         heights = list(map(linf_height, members))
         low = min(heights)
         lows = [m for m, h in zip(members, heights) if h == low]
         reps.append((low, _new(Point3, min(map(_canon_11, lows))) if canonical else min(lows),
-                     len(members)))
+                     size(members)))
     reps.sort(key=lambda r: r[:2])
     return tuple(r[1:] for r in reps)
 
@@ -950,17 +990,20 @@ def _scan_labels(surface: Surface, B: int, H: int) -> dict:
     A set's classes are the components of its move graph capped at height
     max(H, B) with no +-2 point, cut to the box, so _sweep at that height
     labels the row: for gamma_prime its locus-seeded points are the
-    exceptional forest, which _forest_edges checks, and its root
-    components the classes, merged by G on the torus; gamma_poly's classes
-    are walked by _inbox_classes.  Above the box, the seeded points and
-    every class are cut to the box, a class left with no box point is
-    dropped, and the box's locus is counted by _locus at B.
+    exceptional forest, which _forest_edges checks raw edge by raw edge,
+    and each root run is a class, on the torus a component with its
+    G-images, one class as G is made of gamma_prime words.  A count or a
+    class size is the sum of the raw points' charges, their G-orbits'
+    sizes, and stays one under the cut to the box, as G keeps the height;
+    gamma_poly's classes are walked by _inbox_classes.  Above the box, the
+    seeded points and every class are cut to the box, a class left with no
+    box point is dropped, and the box's locus is counted by _locus at B.
 
     On the torus the seeded points are exceptional under gamma_poly too, so
-    only the root components are walked.  A capped gamma_prime path is a
-    capped Vieta path then a symmetry of G, which normalizes the Vieta
-    moves and keeps the height and the locus.  Each twist is a Vieta move
-    then a transposition, one per Vieta axis
+    only the root components, expanded by G (_images), are walked.  A
+    capped gamma_prime path is a capped Vieta path then a symmetry of G,
+    which normalizes the Vieta moves and keeps the height and the locus.
+    Each twist is a Vieta move then a transposition, one per Vieta axis
     (trace_algebra._TORUS_TWIST_WORDS).  Walk a Vieta path q_0 ... q_n by
     twists, holding s_j.q_j for a permutation s_j: the twist on s_j's image
     of the next move's axis passes through s_j.q_(j+1), at q_(j+1)'s
@@ -970,19 +1013,19 @@ def _scan_labels(surface: Surface, B: int, H: int) -> dict:
     a root component stays among the root components.
     """
     H = max(H, B)
-    locus, seeded, components = _sweep(surface, H)
-    off = [*seeded, *itertools.chain.from_iterable(components)]
-    torus = isinstance(surface, Markoff11)
-    classes = _inbox_classes(surface, "gamma_poly", off[len(seeded):] if torus else off, H)
+    locus, seeded, components, quotient = _sweep(surface, H)
     seeded = _forest_edges(surface, seeded)
+    torus = isinstance(surface, Markoff11)
+    roots = _images(quotient, itertools.chain.from_iterable(components))
+    classes = _inbox_classes(surface, "gamma_poly", roots if torus else [*seeded, *roots], H)
     if H > B:
-        locus, seeded, off = _locus(_sphere_form(surface), B)[0], _cut(seeded, B), _cut(off, B)
+        locus, seeded = _locus(_sphere_form(surface), B)[0], _cut(seeded, B)
         components = [c for c in (_cut(c, B) for c in components) if c]
         classes = [c for c in (_cut(c, B) for c in classes) if c]
-    runs = itertools.groupby(_representatives(components, torus), lambda r: r[0])
-    prime = tuple((rep, sum(size for _, size in run)) for rep, run in runs)
-    return {"gamma_prime": (locus + len(seeded), prime),
-            "gamma_poly": (locus + len(off) - sum(map(len, classes)),
+    size = (lambda members: sum(map(_orbit_size, members))) if torus else len
+    off = size(seeded) + sum(map(size, components))
+    return {"gamma_prime": (locus + size(seeded), _representatives(components, torus, size)),
+            "gamma_poly": (locus + off - sum(map(len, classes)),
                            _representatives(classes, False))}
 
 

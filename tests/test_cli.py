@@ -475,6 +475,21 @@ def test_scan_cache_skips_stale_lines_unparsed(tmp_path, capsys):
     assert cache.read_text().splitlines()[:2] == [stale[:-20], stale]
 
 
+def test_scan_cache_line_torn_in_its_key_is_silent(tmp_path, capsys):
+    # a line is matched by the bytes of its key as _store_cache writes it,
+    # so one torn inside the key asked for is another key's line: skipped
+    # unparsed and silent, and the row is computed and appended
+    argv = ["scan", "--k", "-2", "--box", "10"]
+    _, fresh, _ = run_cli(capsys, *argv)
+    cache = tmp_path / "cache.json"
+    key = cli._row_key("11", (-2,), "gamma_prime", 10, 10, cli._source_hash())
+    line = json.dumps([key, json.loads(fresh)["rows"][0]], sort_keys=True)
+    torn = line[:len(key) // 2]
+    cache.write_text(torn + "\n")
+    assert run_cli(capsys, *argv, "--cache", str(cache)) == (0, fresh, "")
+    assert cache.read_text().splitlines()[:3] == [torn, "", line]
+
+
 def test_scan_cache_parses_only_requested_keys(tmp_path, capsys, monkeypatch):
     # in a log of 2,000 rows of this code under other keys, two lines under
     # the key asked for and a torn line under another key, only the two are
@@ -968,8 +983,8 @@ def _break_sweep(change):
         real = orbits._sweep
 
         def sweep(surface, B):
-            locus, seeded, components = real(surface, B)
-            return locus, change(seeded), components
+            locus, seeded, components, quotient = real(surface, B)
+            return locus, change(seeded), components, quotient
 
         monkeypatch.setattr(orbits, "_sweep", sweep)
         monkeypatch.delenv(cli.CACHE_ENV, raising=False)

@@ -52,6 +52,9 @@ from markoff.orbits import (
     _act,
     _arrangements,
     _compose,
+    _forest_edges,
+    _images,
+    _locus,
     _orbit_size,
     _own_word,
     _root_heights,
@@ -378,8 +381,8 @@ def _assert_counted_locus(surface, B):
     # the locus, each once
     points = enumerate_points(surface, B)
     off = [p for p in points if 2 not in p and -2 not in p]
-    count, seeded, components = _sweep(surface, B)
-    swept = [*seeded, *itertools.chain.from_iterable(components)]
+    count, seeded, components, quotient = _sweep(surface, B)
+    swept = _images(quotient, itertools.chain(seeded, *components))
     assert (count, sorted(swept)) == (len(points) - len(off), off), B
 
 
@@ -409,19 +412,112 @@ def test_counted_locus_matches_listing_big_params(surface, B):
 
 
 def test_counted_locus_holds_its_boundary_only(monkeypatch):
-    # at k = 3 the box holds 767,976 locus points and 7,152 others; the
-    # count holds only those whose move on their +-2 axis stays in the box
+    # at k = 3 the box holds 767,976 locus points and 7,152 others, 298
+    # G-orbits; the quotient holds those keys and the 179 keys of the
+    # (x, +2) points whose move on x stays in the box, and nothing more
     held = []
 
     def spy(*args, **kwargs):
         result = _search(*args, **kwargs)
-        held.append(len(result[0]))
+        held.append(len(kwargs["quotient"].keys))
         return result
 
     monkeypatch.setattr(orbits, "_search", spy)
-    count, seeded, components = _sweep(Markoff11(3), 32000)
-    assert (count, len(seeded) + sum(map(len, components))) == (767976, 7152)
-    assert max(held) < 12000
+    count, seeded, components, quotient = _sweep(Markoff11(3), 32000)
+    assert (count, sum(map(_orbit_size, seeded)), components) == (767976, 7152, [])
+    assert (len(seeded), max(held)) == (298, 477)
+
+
+def _raw_sweep(surface, B):
+    """The raw sweep, the oracle for _sweep: every box point off the +-2
+    locus is a raw point, seeded from all six +-2 slices, with root passes
+    on every (axis, +-u) slice."""
+    form = _sphere_form(surface)
+    if abs(form[2]) > 3 * B * B + B**3 + sum(map(abs, form[1])) * B:
+        return 0, {}, []
+    steps = _compile(surface, VIETA_MOVES)
+    count, slices = _locus(form, B, set(itertools.product(range(3), (2, -2))))
+    points, seeds = {}, []  # points: the boundary, then every point reached
+    for (axis, _), near in slices.items():
+        g, move = steps[axis]
+        for p in near:
+            q = move(surface, p)
+            if abs(q[axis]) <= B:
+                points[p] = None
+                seeds.append((q, (p, g)))
+    boundary = len(points)
+    for q, edge in seeds:
+        if 2 not in q and -2 not in q and q not in points:
+            _search(surface, steps, q, B, math.inf, parents=points)
+            points[q] = edge
+    runs = [len(points)]
+    roots = (p for u, r in enumerate(_root_heights(form, B)) if u != 2 and r >= 0
+             for axis in range(3) for v in {u, -u} for p in _slice(form, axis, v, r))
+    for p in roots:
+        if 2 not in p and -2 not in p and p not in points:
+            _search(surface, steps, p, B, math.inf, parents=points)
+            runs.append(len(points))
+    keys = list(points)
+    seeded = dict(itertools.islice(points.items(), boundary, runs[0]))
+    return count, seeded, [keys[a:b] for a, b in zip(runs, runs[1:])]
+
+
+def _assert_sweep_matches_raw(surface, H, boxes):
+    # the sweep at height H against the raw sweep, and both cut to each box
+    # B <= H as a scan row above its box cuts them: the locus count, the
+    # seeded points and the components merged by G (on the sphere, G is
+    # trivial), each raw point charged the points it stands for
+    count, seeded, components, quotient = _sweep(surface, H)
+    raw_count, raw_seeded, raw_components = _raw_sweep(surface, H)
+    assert count == raw_count, (surface, H)
+    _forest_edges(surface, seeded)
+    torus = quotient is not None
+    assert torus == isinstance(surface, Markoff11)
+    if not torus:
+        assert seeded == raw_seeded
+    charge = _orbit_size if torus else (lambda p: 1)
+    canon = _canon_11 if torus else tuple
+    merged = {}
+    for c in raw_components:
+        merged.setdefault(min(map(canon, c)), set()).update(c)
+    assert len(components) == len(merged), (surface, H)
+    for B in boxes:
+        def cut(points):
+            return [p for p in points if linf_height(p) <= B]
+
+        assert sum(map(charge, cut(seeded))) == len(cut(raw_seeded)), (surface, H, B)
+        assert set(_images(quotient, cut(seeded))) == set(cut(raw_seeded))
+        for c in components:
+            points = set(_images(quotient, cut(c)))
+            assert sum(map(charge, cut(c))) == len(points), (surface, H, B)
+            assert points == set(cut(merged[min(map(canon, c))])), (surface, H, B)
+
+
+@pytest.mark.parametrize("B", [0, 1, 2, 3, 5, 30, 1000])
+def test_sweep_quotient_matches_raw_torus_grid(B):
+    for k in range(-200, 201):
+        _assert_sweep_matches_raw(Markoff11(k), B, [B])
+
+
+@pytest.mark.parametrize("B, H", [(0, 5), (3, 10), (5, 20), (30, 200), (100, 400), (1000, 1500)])
+def test_sweep_quotient_matches_raw_cap_height(B, H):
+    # a scan row above its box sweeps at the cap height and cuts to the box
+    for k in range(-50, 51):
+        _assert_sweep_matches_raw(Markoff11(k), H, [B, H])
+
+
+@pytest.mark.parametrize("j", [0, 1, 3])
+def test_sweep_quotient_matches_raw_big_k(j):
+    # k = 2^70 + 2 + j^2, beyond int64; k - 2 is a square for j = 0
+    for H in (0, 2, 3, 5, 50, 120):
+        _assert_sweep_matches_raw(Markoff11(2**70 + 2 + j * j), H, [0, 3, H])
+
+
+def test_sweep_matches_raw_sphere_grid():
+    # the trivial group: the sweep is the raw one
+    for ks in SPHERE_GRID[::3]:
+        for B in (2, 5, 24):
+            _assert_sweep_matches_raw(make_cubic04(*ks), B, [B])
 
 
 def test_enumerate_requires_exact():
@@ -461,7 +557,9 @@ def test_enumerate_provably_empty_box_is_fast():
     for s, B in ((Markoff11(2**140 + 2), 300), (Markoff11(2**140 + 2), 1000),
                  (make_cubic04(2**40, 3, 5, 7), 300)):
         assert enumerate_points(s, B) == []
-        assert _sweep(s, B) == (0, {}, [])
+        locus, seeded, components, quotient = _sweep(s, B)
+        assert (locus, seeded, components) == (0, {}, [])
+        assert quotient is None or not quotient.keys
     assert time.perf_counter() - started < 1
 
 
@@ -1474,8 +1572,11 @@ def test_sphere_twist_middle_point_within_its_ends():
 
 
 def _off_locus(surface, B):
-    locus, seeded, components = _sweep(surface, B)
-    return locus, seeded, [*seeded, *itertools.chain.from_iterable(components)]
+    # the locus count, and the box points off the locus, seeded ones first,
+    # each raw point of the sweep expanded to the points it stands for
+    locus, seeded, components, quotient = _sweep(surface, B)
+    seeded = _images(quotient, seeded)
+    return locus, seeded, [*seeded, *_images(quotient, itertools.chain(*components))]
 
 
 def _sphere_poly_by_search(surface, B):
